@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 
-# log(k!) for k = 0..20 is exact-ish via cumulative log; lgamma covers the rest.
+# log(k!) for k = 0..20 is math.log of the exact integer math.factorial(k);
+# lgamma covers the rest.
 _LOG_FACT_TABLE: tuple[float, ...] = tuple(
     math.log(math.factorial(k)) if k else 0.0 for k in range(21)
 )

@@ -446,7 +446,8 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, n: int):
             report.summary, report.sup_cdf, report.tv, report.predicted, report.ratio
         )
     if summary.lambda_n > 0.0 and summary.sum_sq > 0.0:
-        dist = dehpfeif_report(profile)
+        # Without --kind the payload above is already this report.
+        dist = report if cfg.kind is None else dehpfeif_report(profile)
         row["sup_cdf_distance"] = dist.sup_cdf
         row["tv_distance"] = dist.tv
         row["dehpfeif_ratio"] = dist.ratio

@@ -3,7 +3,9 @@
 Four mutually checking routes to the same PMF:
 
 * pmf_dp: the convolution recurrence in log domain, exact under truncation.
-* pmf_dc: divide-and-conquer polynomial multiplication, subquadratic.
+* pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: every
+  leaf is expanded in one batched pass, then the leaves are multiplied up a
+  fixed tree of pairs (direct convolution, rfft for long products).
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_inclusion_exclusion: the alternating symmetric-sum formula, with a
   conditioning contract and an exact-rational mode.
@@ -42,6 +44,9 @@ _BRUTE_MAX_N = 25
 _IE_COND_LIMIT = 1e-6
 
 _EPS = 2.220446049250313e-16
+# exp() of anything below this is exactly 0.0: the smallest subnormal is
+# e^-744.44, and exp rounds to zero below about -745.13.
+_LOG_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,44 @@ def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     return _finish_log(log_f, n, "dp")
 
 
-def _poly_direct(p: np.ndarray) -> np.ndarray:
-    """PMF coefficients of a short profile by the quadratic recurrence."""
-    out = np.zeros(len(p) + 1)
-    out[0] = 1.0
-    for i, pi in enumerate(p):
-        out[1 : i + 2] = out[1 : i + 2] * (1.0 - pi) + out[: i + 1] * pi
-        out[0] *= 1.0 - pi
-    return out
+def _leaf_sizes(n: int) -> list[int]:
+    """Leaf lengths of the merge tree, left to right.
+
+    A segment longer than _DC_BASE splits at half its length (the left
+    half takes the floor), so the tree depends on n alone; _merge walks
+    the same tree.
+    """
+    if n <= _DC_BASE:
+        return [n]
+    half = n // 2
+    return _leaf_sizes(half) + _leaf_sizes(n - half)
+
+
+def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """PMF coefficients of every leaf, by one quadratic recurrence over all rows.
+
+    Row r holds leaf r's probabilities, padded with zeros to the longest
+    leaf.  A padded step computes x*1.0 + y*0.0, which is exactly x, so
+    each row's first size+1 coefficients are bit for bit those of the
+    leaf run on its own, and the rest are exact zeros that are dropped.
+    """
+    lens = np.array(sizes)
+    rows, width = len(sizes), int(lens.max())
+    # Column-major, so every step below works on contiguous column blocks.
+    prob = np.zeros((rows, width), order="F")
+    prob[np.arange(width) < lens[:, None]] = p
+    comp = 1.0 - prob
+    coeffs = np.zeros((rows, width + 1), order="F")
+    coeffs[:, 0] = 1.0
+    shift = np.empty((rows, width), order="F")
+    for i in range(width):
+        # Each row c: c[1:i+2] = c[1:i+2] * (1 - p_i) + c[:i+1] * p_i.
+        np.multiply(coeffs[:, : i + 1], prob[:, i : i + 1], out=shift[:, : i + 1])
+        coeffs[:, 1 : i + 2] *= comp[:, i : i + 1]
+        coeffs[:, 1 : i + 2] += shift[:, : i + 1]
+        coeffs[:, 0] *= comp[:, i]
+    coeffs = np.ascontiguousarray(coeffs)
+    return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,21 +183,36 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dc_coeffs(p: np.ndarray) -> np.ndarray:
-    if len(p) <= _DC_BASE:
-        return _poly_direct(p)
-    mid = len(p) // 2
-    return _conv(_dc_coeffs(p[:mid]), _dc_coeffs(p[mid:]))
+def _merge(n: int, leaves) -> np.ndarray:
+    """Product of the leaves under a segment of length n (the tree of _leaf_sizes).
+
+    leaves is an iterator over the leaf coefficients in tree order; each
+    call consumes exactly the leaves under its segment.
+    """
+    if n <= _DC_BASE:
+        return next(leaves)
+    half = n // 2
+    return _conv(_merge(half, leaves), _merge(n - half, leaves))
+
+
+def _product_coeffs(p: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of (1 - p_i) + p_i z over the whole profile."""
+    leaves = _leaf_coeffs(p, _leaf_sizes(len(p)))
+    return _merge(len(p), iter(leaves))
 
 
 def pmf_dc(profile: BernoulliProfile) -> Pmf:
     """Divide-and-conquer product of the per-variable polynomials (1-p) + p z.
 
-    The merge tree is fixed by the input length, so results are reproducible
-    run to run.  Subquadratic for large n thanks to FFT merges at the top of
-    the tree; small merges stay with direct convolution for accuracy.
+    The profile is halved down to leaves of at most _DC_BASE entries.  All
+    leaves are expanded at once by the quadratic recurrence, run over a
+    batch of rows; the leaf polynomials are then multiplied pairwise up
+    the same tree, with direct convolution for short products and rfft
+    for long ones.  The tree is fixed by n, so results are reproducible
+    run to run, and subquadratic for large n thanks to the FFT merges at
+    the top.
     """
-    coeffs = _dc_coeffs(profile.as_array())
+    coeffs = _product_coeffs(profile.as_array())
     with np.errstate(divide="ignore"):
         log_f = np.log(coeffs)
     return _finish_log(log_f, profile.n, "divide_conquer")
@@ -354,11 +404,24 @@ class PoissonRef:
             k = int(k * 1.25) + 10
 
     def pmf_points(self, k_hi: int) -> np.ndarray:
-        ks = np.arange(k_hi + 1, dtype=np.float64)
-        log_terms = -self.lam + ks * math.log(self.lam) - np.array(
-            [log_factorial(int(k)) for k in range(k_hi + 1)]
-        )
-        return np.exp(log_terms)
+        """Probabilities at k = 0..k_hi.
+
+        Past the mode the terms only fall, so from the first k > lam whose
+        log term is below _LOG_UNDERFLOW on, every entry is exp of
+        something below it: exactly 0.0.  Those entries are zero-filled
+        rather than evaluated.
+        """
+        lam = self.lam
+        log_lam = math.log(lam)
+        log_fact = []
+        for k in range(k_hi + 1):
+            log_fact.append(log_factorial(k))
+            if k > lam and -lam + k * log_lam - log_fact[-1] < _LOG_UNDERFLOW:
+                break
+        ks = np.arange(len(log_fact), dtype=np.float64)
+        out = np.zeros(k_hi + 1)
+        out[: len(log_fact)] = np.exp(-lam + ks * log_lam - np.array(log_fact))
+        return out
 
     def cdf_points(self, k_hi: int) -> np.ndarray:
         return np.cumsum(self.pmf_points(k_hi))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pblab import exact
+from pblab._util import log_factorial
 from pblab.errors import (
     ConditioningError,
     HypothesisError,
@@ -149,6 +151,44 @@ def test_dc_fft_merge_agrees_with_dp():
     assert dc.total_mass() == pytest.approx(1.0, abs=1e-9)
 
 
+def _poly_direct_reference(p):
+    """The per-leaf recurrence of the recursive engine, kept as the reference."""
+    out = np.zeros(len(p) + 1)
+    out[0] = 1.0
+    for i, pi in enumerate(p):
+        out[1 : i + 2] = out[1 : i + 2] * (1.0 - pi) + out[: i + 1] * pi
+        out[0] *= 1.0 - pi
+    return out
+
+
+def _dc_coeffs_reference(p):
+    """The recursive engine: one leaf at a time, merged on the way back up."""
+    if len(p) <= exact._DC_BASE:
+        return _poly_direct_reference(p)
+    mid = len(p) // 2
+    return exact._conv(_dc_coeffs_reference(p[:mid]), _dc_coeffs_reference(p[mid:]))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 257, 4097, 4200, 20000])
+def test_dc_batched_leaves_bit_identical_to_recursive(n):
+    """Batched leaves and the merge tree reproduce the recursive engine bit for bit.
+
+    Covers a lone short leaf, uneven leaves and odd splits, and output
+    lengths on both sides of the FFT merge threshold; every 7th entry is
+    an exact zero.
+    """
+    rng = np.random.default_rng(n)
+    p = rng.uniform(0.0, 0.6, n)
+    p[::7] = 0.0
+    expected = _dc_coeffs_reference(p)
+    got = exact._product_coeffs(p)
+    assert got.tobytes() == expected.tobytes()
+    with np.errstate(divide="ignore"):
+        expected_log = np.minimum(np.log(expected), 0.0)
+    log_probs = np.array(pmf_dc(BernoulliProfile(tuple(p.tolist()))).log_probs)
+    assert log_probs.tobytes() == expected_log.tobytes()
+
+
 def test_bruteforce_guard():
     with pytest.raises(SizeError):
         pmf_bruteforce(BernoulliProfile((0.5,) * 26))
@@ -284,6 +324,29 @@ def test_poisson_ref_cdf_monotone():
     cdf = PoissonRef(4.0).cdf_points(60)
     assert np.all(np.diff(cdf) >= 0)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _poisson_log_terms_reference(lam, k_hi):
+    """Every Poisson log term up to k_hi, with no underflow cutoff."""
+    ks = np.arange(k_hi + 1, dtype=np.float64)
+    log_fact = np.array([log_factorial(k) for k in range(k_hi + 1)])
+    return -lam + ks * math.log(lam) - log_fact
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 999.27])
+def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
+    far = 10**5
+    log_terms = _poisson_log_terms_reference(lam, far)
+    full = np.exp(log_terms)
+    # The first k past the mode whose log term is below -746.
+    cutoff = int(np.argmax((np.arange(far + 1) > lam) & (log_terms < -746.0)))
+    assert cutoff > lam
+    assert not np.any(full[cutoff:])
+    ref = PoissonRef(lam)
+    for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far):
+        assert ref.pmf_points(k_hi).tobytes() == full[: k_hi + 1].tobytes()
+        expected_cdf = np.cumsum(full[: k_hi + 1])
+        assert ref.cdf_points(k_hi).tobytes() == expected_cdf.tobytes()
 
 
 def test_sup_cdf_distance_two_term_example():
