@@ -2,9 +2,12 @@
 
 Each case drives pblab.cli.main in process on a small fixed input and
 hashes what it writes: stdout, plus every file of the --out directory for
-sweep.  The digests were recorded from the code before the batched
-divide-and-conquer leaves and the Poisson underflow cutoff went in, so a
-green run means those optimisations left every emitted byte unchanged.
+sweep, or the file named by --out for the other commands.  The digests
+were recorded from the code before the batched divide-and-conquer leaves
+and the Poisson underflow cutoff went in.  The cases `sweep_kind_out`,
+`dependent_zero`, `pmf_brute`, `pmf_ie` and `distance_out` were added,
+and recorded, before the per-report emitters became one table per report.  A green run means those changes left every emitted
+byte unchanged.
 
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 runs the rfft merges at the top of the tree and has exact-zero
@@ -40,7 +43,12 @@ def dc_profile_lines():
 
 MIXTURE = {"kind": "mixture", "eps": 0.5, "p": [0.2, 0.3, 0.1], "q": [0.4, 0.35, 0.5]}
 
-# name -> argv without --format; {profile}, {model} and {out} are filled in.
+# A row with an exact zero: P(V = 3) = 0, so pmf has a -inf log entry and
+# dependent against it has a null ratio, a non-empty omitted_k and inf cells.
+ZERO_ROW = (0.2, 0.3, 0.0)
+
+# name -> argv without --format; {profile}, {zprofile}, {model}, {out} and
+# {outfile} are filled in.
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
     "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
@@ -56,6 +64,14 @@ CASES = {
                    "--kind", "lambda", "--phi", "constant:4"],
     "sweep_out": ["sweep", "--family", "index_power:0.5,0.5", "--grid", "50,400,3000",
                   "--out", "{out}"],
+    "sweep_kind_out": ["sweep", "--family", "constant_total:2", "--grid", "8,16",
+                       "--kind", "lambda", "--phi", "constant:4", "--out", "{out}"],
+    "dependent_zero": ["dependent", "--model", "{model}", "--profile", "{zprofile}"],
+    "pmf_brute": ["pmf", "--profile", "{zprofile}", "--engine", "brute"],
+    "pmf_ie": ["pmf", "--family", "row_power:1,0.75", "--n", "12", "--engine", "ie",
+               "--k-max", "6"],
+    "distance_out": ["distance", "--family", "row_power:1,0.75", "--n", "500",
+                     "--out", "{outfile}"],
 }
 
 GOLDEN = {
@@ -77,11 +93,31 @@ GOLDEN = {
     ('dependent', 'csv'): {
         'stdout': '13ca70e8acd19e33dfb701d901f3b7812866ba3ef4850aabc070fcae6167bd03',
     },
+    ('dependent_zero', 'json'): {
+        'stdout': 'a864cdb42c98ce7a6801a36ecaffb2e63369da5b5e1e9f8435edffb2d42fd11a',
+    },
+    ('dependent_zero', 'csv'): {
+        'stdout': 'b12288e94f78a132b06bbd19e966a193c19edbc3126baff903574730268f3461',
+    },
     ('distance', 'json'): {
         'stdout': '899d49b605b0cff3e7879873210c8b9b73dc2e50525cd8c251cb38fba035b86c',
     },
     ('distance', 'csv'): {
         'stdout': '05452799bf3f873f1224590718d7d91f05114de46603e29a4aaa14ce28ef0111',
+    },
+    ('distance_out', 'json'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'report.txt': '81f98e913b5e5a50750088e023db73d3b8ff7183ba8493cbb107545aa1e3908a',
+    },
+    ('distance_out', 'csv'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'report.txt': 'fc4b03d4491b6a5ab9eb3ed258e808a7b3863b153778c43997c18a4d9bd4ed00',
+    },
+    ('pmf_brute', 'json'): {
+        'stdout': '68c9d83b577253569a114a3d75e0a2480844452e4a39d24538ef2c00374dce49',
+    },
+    ('pmf_brute', 'csv'): {
+        'stdout': 'eea657d490fb38d14bb2d3e707eedd242a3eaa2367f6ad469a5e5d0720826fbe',
     },
     ('pmf_dc', 'json'): {
         'stdout': '58b96f9fdf45cfc372a4ff7aae031a631c2fc73fd3fab361973a95f4b7ca5127',
@@ -95,11 +131,29 @@ GOLDEN = {
     ('pmf_dp_kmax', 'csv'): {
         'stdout': 'c5e1e797199f90dad00ffde147ac8db8fc6f437eabea20e63e03833a2047aac1',
     },
+    ('pmf_ie', 'json'): {
+        'stdout': 'd6a9c0a468d786944ebb6915eceadece980b8850022b7fe5d2b1e4ee2e77bf72',
+    },
+    ('pmf_ie', 'csv'): {
+        'stdout': '184c62b591de1219668714017c45cfb71822db810120c37fc379de50521f840f',
+    },
     ('sweep_kind', 'json'): {
         'stdout': '42316846a7f093095409b80497f71db40f9c420233ff77ff0a6d59d3c746a527',
     },
     ('sweep_kind', 'csv'): {
         'stdout': 'f93bd0c16a56bdfb90883281d609efb60696caa4ad2381ea96460bd879dba5b3',
+    },
+    ('sweep_kind_out', 'json'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'aggregate.json': '42316846a7f093095409b80497f71db40f9c420233ff77ff0a6d59d3c746a527',
+        'point_n16.json': 'f595ce095374b0bcc61bdb8467c691354ca825be6255e7a282cd5ebc926062b6',
+        'point_n8.json': 'd31dd45751c20f300ff0fdc82c843a075ea6e2141bc96214f47765e2989fe9eb',
+    },
+    ('sweep_kind_out', 'csv'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'aggregate.csv': 'f93bd0c16a56bdfb90883281d609efb60696caa4ad2381ea96460bd879dba5b3',
+        'point_n16.csv': '7989000c6219a8d53303bc81d8f4c0a09cf6d3e1949d05d3c7a6e650ce0ef5ca',
+        'point_n8.csv': '0c9660d18f3b8edf21c79cdd3e276d30fcb99fea04e3edaf4548bdabc22fb03c',
     },
     ('sweep_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -128,10 +182,13 @@ def run_case(name, fmt, tmp_path):
     """Run one case; return {stream or file name: sha256 hex digest}."""
     profile = tmp_path / "profile.txt"
     profile.write_text(dc_profile_lines())
+    zprofile = tmp_path / "zero_row.txt"
+    zprofile.write_text("".join(f"{p!r}\n" for p in ZERO_ROW))
     model = tmp_path / "model.json"
     model.write_text(json.dumps(MIXTURE))
     out_dir = tmp_path / "out"
-    fill = {"{profile}": str(profile), "{model}": str(model), "{out}": str(out_dir)}
+    fill = {"{profile}": str(profile), "{zprofile}": str(zprofile), "{model}": str(model),
+            "{out}": str(out_dir), "{outfile}": str(out_dir / "report.txt")}
     argv = [fill.get(arg, arg) for arg in CASES[name]] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
