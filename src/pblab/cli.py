@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import emit
@@ -252,17 +251,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ValidationError("grid must be strictly increasing")
 
 
-def _threads() -> int:
-    raw = os.environ.get("PBLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"PBLAB_THREADS={raw!r} is not an integer") from exc
-    if value < 1:
-        raise ValidationError("PBLAB_THREADS must be >= 1")
-    return value
-
-
 def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:
     if cfg.profile is not None:
         return load_profile(cfg.profile)
@@ -273,9 +261,12 @@ def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:
     raise ValidationError("command needs --profile or --family with --n")
 
 
-def _deliver(cfg: ExperimentConfig, text: str) -> None:
-    if cfg.out:
-        emit.atomic_write(cfg.out, text)
+def _deliver(cfg: ExperimentConfig, table: emit.Table, path: str | None = None) -> None:
+    """Render in the configured format; write to path (default --out) or stdout."""
+    text = emit.render_csv(table) if cfg.format == "csv" else emit.render_json(table)
+    path = path or cfg.out
+    if path:
+        emit.atomic_write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -310,11 +301,7 @@ def _cmd_pmf(cfg: ExperimentConfig) -> None:
             for k in range(k_hi + 1)
         )
         pmf = Pmf(log_probs, profile.n, "inclusion_exclusion")
-    summary = summarize(profile)
-    if cfg.format == "csv":
-        _deliver(cfg, emit.pmf_csv(pmf))
-    else:
-        _deliver(cfg, emit.render_json(emit.pmf_obj(pmf, summary)))
+    _deliver(cfg, emit.pmf_table(pmf, summarize(profile)))
 
 
 def _cmd_approx(cfg: ExperimentConfig) -> None:
@@ -327,10 +314,7 @@ def _cmd_approx(cfg: ExperimentConfig) -> None:
     p0 = prob_zero_log(profile)
     ks = list(range(k_hi + 1))
     log_vals = [approx_pmf(kind, summary, p0, k) for k in ks]
-    if cfg.format == "csv":
-        _deliver(cfg, emit.approx_csv(ks, log_vals))
-    else:
-        _deliver(cfg, emit.render_json(emit.approx_obj(kind.spec_string(), summary, ks, log_vals)))
+    _deliver(cfg, emit.approx_table(kind.spec_string(), summary, ks, log_vals))
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> None:
@@ -344,31 +328,12 @@ def _cmd_verify(cfg: ExperimentConfig) -> None:
     report = verify_sandwich(
         profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
     )
-    if cfg.format == "csv":
-        _deliver(cfg, emit.envelope_csv(report))
-    else:
-        _deliver(cfg, emit.render_json(emit.envelope_obj(report)))
+    _deliver(cfg, emit.envelope_table(report))
 
 
 def _cmd_distance(cfg: ExperimentConfig) -> None:
     profile = _resolve_profile(cfg)
-    report = dehpfeif_report(profile)
-    if cfg.format == "csv":
-        _deliver(
-            cfg,
-            emit.distance_csv(
-                report.summary, report.sup_cdf, report.tv, report.predicted, report.ratio
-            ),
-        )
-    else:
-        _deliver(
-            cfg,
-            emit.render_json(
-                emit.distance_obj(
-                    report.summary, report.sup_cdf, report.tv, report.predicted, report.ratio
-                )
-            ),
-        )
+    _deliver(cfg, emit.distance_table(dehpfeif_report(profile)))
 
 
 def _cmd_conditions(cfg: ExperimentConfig) -> None:
@@ -379,10 +344,7 @@ def _cmd_conditions(cfg: ExperimentConfig) -> None:
     family = parse_family(cfg.family)
     window = parse_window(cfg.phi)
     report = check_conditions(family, cfg.grid, window, threshold=cfg.threshold)
-    if cfg.format == "csv":
-        _deliver(cfg, emit.conditions_csv(report))
-    else:
-        _deliver(cfg, emit.render_json(emit.conditions_obj(report, family.spec_string())))
+    _deliver(cfg, emit.conditions_table(report, family.spec_string()))
 
 
 def _cmd_dependent(cfg: ExperimentConfig) -> None:
@@ -404,58 +366,35 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
         sample_budget=cfg.sample_budget,
         seed=cfg.seed,
     )
-    if cfg.format == "csv":
-        _deliver(cfg, emit.dependent_csv(report, diagnostics))
-    else:
-        model_kind = type(model).__name__
-        _deliver(
-            cfg,
-            emit.render_json(
-                emit.dependent_obj(report, diagnostics, cfg.precision, model_kind, model.n)
-            ),
-        )
+    model_kind = type(model).__name__
+    _deliver(
+        cfg, emit.dependent_table(report, diagnostics, cfg.precision, model_kind, model.n)
+    )
 
 
 def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, n: int):
+    """One grid point: its aggregate row and its own (envelope or distance) table."""
     profile = generate(family, n)
     summary = summarize(profile)
-    row: dict = {
-        "n": n,
-        "lambda_n": summary.lambda_n,
-        "m_n": summary.m_n,
-        "sum_sq": summary.sum_sq,
-    }
-    payload_obj: dict
+    row: tuple = (n, summary.lambda_n, summary.m_n, summary.sum_sq)
     if cfg.kind is not None:
         kind = parse_kind(cfg.kind)
         window = parse_window(cfg.phi or "")
         report = verify_sandwich(
             profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
         )
-        row["max_abs_dev"] = report.max_abs_dev
-        row["violations"] = report.violations
-        row["k_count"] = len(report.k_values)
-        payload_csv = emit.envelope_csv(report)
-        payload_obj = emit.envelope_obj(report)
+        row += (report.max_abs_dev, report.violations, len(report.k_values))
+        point = emit.envelope_table(report)
     else:
         report = dehpfeif_report(profile)
-        payload_csv = emit.distance_csv(
-            report.summary, report.sup_cdf, report.tv, report.predicted, report.ratio
-        )
-        payload_obj = emit.distance_obj(
-            report.summary, report.sup_cdf, report.tv, report.predicted, report.ratio
-        )
+        point = emit.distance_table(report)
     if summary.lambda_n > 0.0 and summary.sum_sq > 0.0:
-        # Without --kind the payload above is already this report.
+        # Without --kind the point's table is already this report.
         dist = report if cfg.kind is None else dehpfeif_report(profile)
-        row["sup_cdf_distance"] = dist.sup_cdf
-        row["tv_distance"] = dist.tv
-        row["dehpfeif_ratio"] = dist.ratio
+        row += (dist.sup_cdf, dist.tv, dist.ratio)
     else:
-        row["sup_cdf_distance"] = None
-        row["tv_distance"] = None
-        row["dehpfeif_ratio"] = None
-    return row, payload_csv, payload_obj
+        row += (None, None, None)
+    return row, point
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:
@@ -469,14 +408,8 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
             "(a per-n default would change meaning across the grid)"
         )
     family = parse_family(cfg.family)
-    threads = _threads()
     grid = list(cfg.grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: _sweep_point(cfg, family, n), grid))
-    else:
-        results = [_sweep_point(cfg, family, n) for n in grid]
-    rows = [r[0] for r in results]
+    results = [_sweep_point(cfg, family, n) for n in grid]
     meta = {
         "command": "sweep",
         "family": family.spec_string(),
@@ -486,24 +419,14 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
         "grid": grid,
         "seed": cfg.seed,
     }
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        for (row, payload_csv, payload_obj), n in zip(results, grid):
-            point_path = os.path.join(cfg.out, f"point_n{n}.{cfg.format}")
-            if cfg.format == "csv":
-                emit.atomic_write(point_path, payload_csv)
-            else:
-                emit.atomic_write(point_path, emit.render_json(payload_obj))
-        agg_path = os.path.join(cfg.out, f"aggregate.{cfg.format}")
-        if cfg.format == "csv":
-            emit.atomic_write(agg_path, emit.sweep_csv(rows))
-        else:
-            emit.atomic_write(agg_path, emit.render_json(emit.sweep_obj(meta, rows)))
-    else:
-        if cfg.format == "csv":
-            sys.stdout.write(emit.sweep_csv(rows))
-        else:
-            sys.stdout.write(emit.render_json(emit.sweep_obj(meta, rows)))
+    aggregate = emit.sweep_table(meta, [row for row, _ in results], cfg.kind is not None)
+    if not cfg.out:
+        _deliver(cfg, aggregate)
+        return
+    os.makedirs(cfg.out, exist_ok=True)
+    for n, (_, point) in zip(grid, results):
+        _deliver(cfg, point, os.path.join(cfg.out, f"point_n{n}.{cfg.format}"))
+    _deliver(cfg, aggregate, os.path.join(cfg.out, f"aggregate.{cfg.format}"))
 
 
 _HANDLERS = {

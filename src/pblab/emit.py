@@ -1,10 +1,22 @@
-"""Deterministic table and JSON emission with atomic file writes.
+"""Deterministic table rendering to CSV and JSON, with atomic file writes.
 
-Floats are rendered at 17 significant digits everywhere, which round-trips
-binary doubles exactly and makes repeated runs byte-identical.  JSON is
-rendered by hand for that reason: the stdlib encoder's float repr is also
-deterministic, but routing every float through one formatter keeps CSV and
-JSON numerically identical and pins the contract in one place.
+Every report is one `Table`: a header, rows holding one value per column,
+and the scalar metadata around them.  `render_csv` and `render_json` are
+the only formatters, so both formats of a report come from the same rows.
+
+The contract, for both formats:
+
+- a float is written at 17 significant digits (`format(x, ".17g")`), which
+  round-trips binary doubles exactly and makes repeated runs
+  byte-identical;
+- an int is written as `str(x)` and a bool as `true` / `false`;
+- CSV writes the non-finite floats as the bare tokens `inf`, `-inf` and
+  `nan`, `None` as an empty cell, and quotes cells as the csv module does;
+- JSON writes the non-finite floats as the strings `"inf"`, `"-inf"` and
+  `"nan"`, `None` as `null`, and strings as `json.dumps` does.
+
+JSON is rendered by hand so that the CSV and JSON numbers come from one
+float formatter; each table's rows are filled into one row template.
 """
 
 from __future__ import annotations
@@ -15,11 +27,30 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict, astuple, dataclass, field
 
-from .asymptotics import EnvelopeReport
+from .asymptotics import DistanceReport, EnvelopeReport
 from .dependent import RatioReport, SchemeDiagnostics
 from .exact import Pmf
-from .profiles import ConditionReport, ProfileSummary, TrendVerdict
+from .profiles import ConditionReport, ProfileSummary
+
+
+@dataclass(frozen=True)
+class Table:
+    """One report: column names, rows, and the scalars around them.
+
+    In JSON the table is an object: the `meta` keys, then the rows under
+    "rows" (one object per row, keyed by the header), then the `tail` keys.
+    `json_width` keeps only the leading columns in the JSON rows; at 0 the
+    JSON object has no "rows" key at all.  Values in `meta` and `tail` may
+    be scalars, lists of scalars, dicts of those, or nested tables.
+    """
+
+    header: tuple[str, ...]
+    rows: list
+    meta: dict = field(default_factory=dict)
+    tail: dict = field(default_factory=dict)
+    json_width: int | None = None
 
 
 def fmt_float(x: float) -> str:
@@ -48,16 +79,35 @@ def _scalar_token(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _json_rows(table: Table, indent: int) -> str:
+    if not table.rows:
+        return "[]"
+    width = table.json_width  # None slices to the full row
+    item_pad = "  " * (indent + 1)
+    keys = ",\n".join(f"{item_pad}  {json.dumps(col)}: %s" for col in table.header[:width])
+    template = f"{item_pad}{{\n{keys}\n{item_pad}}}"
+    body = ",\n".join(
+        template % tuple(map(_scalar_token, row[:width])) for row in table.rows
+    )
+    return f"[\n{body}\n{'  ' * indent}]"
+
+
+class _Raw(str):
+    """JSON text that is already rendered and is written as it is."""
+
+
 def render_json(obj) -> str:
-    """Deterministic pretty JSON: insertion-ordered keys, fixed float format."""
+    """Deterministic pretty JSON of a Table or a dict: fixed float format."""
     out: list[str] = []
 
     def walk(x, indent: int) -> None:
+        if isinstance(x, Table):
+            rows = {} if x.json_width == 0 else {"rows": _Raw(_json_rows(x, indent + 1))}
+            x = {**x.meta, **rows, **x.tail}
         pad = "  " * indent
-        if isinstance(x, dict):
-            if not x:
-                out.append("{}")
-                return
+        if isinstance(x, _Raw):
+            out.append(x)
+        elif isinstance(x, dict):
             out.append("{\n")
             for i, (key, val) in enumerate(x.items()):
                 out.append(f"{pad}  {json.dumps(str(key))}: ")
@@ -65,19 +115,7 @@ def render_json(obj) -> str:
                 out.append(",\n" if i < len(x) - 1 else "\n")
             out.append(pad + "}")
         elif isinstance(x, (list, tuple)):
-            seq = list(x)
-            if not seq:
-                out.append("[]")
-                return
-            if all(not isinstance(v, (dict, list, tuple)) for v in seq):
-                out.append("[" + ", ".join(_scalar_token(v) for v in seq) + "]")
-                return
-            out.append("[\n")
-            for i, val in enumerate(seq):
-                out.append(pad + "  ")
-                walk(val, indent + 1)
-                out.append(",\n" if i < len(seq) - 1 else "\n")
-            out.append(pad + "]")
+            out.append("[" + ", ".join(_scalar_token(v) for v in x) + "]")
         else:
             out.append(_scalar_token(x))
 
@@ -96,12 +134,12 @@ def _cell(x) -> str:
     return str(x)
 
 
-def render_csv(header, rows) -> str:
+def render_csv(table: Table) -> str:
+    """The header line, then one line per row; metadata is not written."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(c) for c in row])
+    writer.writerow(table.header)
+    writer.writerows([_cell(c) for c in row] for row in table.rows)
     return buf.getvalue()
 
 
@@ -126,264 +164,96 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def summary_obj(s: ProfileSummary) -> dict:
-    return {
-        "n": s.n,
-        "lambda_n": s.lambda_n,
-        "m_n": s.m_n,
-        "alpha_n": s.alpha_n,
-        "beta_n": s.beta_n,
-        "sum_sq": s.sum_sq,
-        "var_n": s.var_n,
-    }
+def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
+    rows = [(k, math.exp(lp), lp) for k, lp in enumerate(pmf.log_probs)]
+    meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
+            "summary": asdict(summary)}
+    return Table(("k", "prob", "log_prob"), rows, meta)
 
 
-def pmf_csv(pmf: Pmf) -> str:
-    rows = [
-        (k, math.exp(lp), lp) for k, lp in enumerate(pmf.log_probs)
-    ]
-    return render_csv(("k", "prob", "log_prob"), rows)
-
-
-def pmf_obj(pmf: Pmf, summary: ProfileSummary | None = None) -> dict:
-    obj: dict = {
-        "provenance": pmf.provenance,
-        "n": pmf.n,
-        "support_max": pmf.support_max,
-    }
-    if summary is not None:
-        obj["summary"] = summary_obj(summary)
-    obj["rows"] = [
-        {"k": k, "prob": math.exp(lp), "log_prob": lp}
-        for k, lp in enumerate(pmf.log_probs)
-    ]
-    return obj
-
-
-def approx_csv(ks, log_values) -> str:
+def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:
     rows = [(k, math.exp(la), la) for k, la in zip(ks, log_values)]
-    return render_csv(("k", "approx_prob", "log_approx"), rows)
+    meta = {"kind": kind, "summary": asdict(summary)}
+    return Table(("k", "approx_prob", "log_approx"), rows, meta)
 
 
-def approx_obj(kind: str, summary: ProfileSummary, ks, log_values) -> dict:
-    return {
-        "kind": kind,
-        "summary": summary_obj(summary),
-        "rows": [
-            {"k": k, "approx_prob": math.exp(la), "log_approx": la}
-            for k, la in zip(ks, log_values)
-        ],
-    }
-
-
-def _envelope_rows(r: EnvelopeReport):
-    for i, k in enumerate(r.k_values):
-        yield (
-            k,
-            math.exp(r.log_exact[i]),
-            math.exp(r.log_approx[i]),
-            r.ratios[i],
-            r.lower_env[i],
-            r.upper_env[i],
-            r.validity_mask[i],
-        )
-
-
-def envelope_csv(r: EnvelopeReport) -> str:
+def envelope_table(r: EnvelopeReport) -> Table:
     header = ("k", "exact", "approx", "ratio", "lower_env", "upper_env", "valid")
-    return render_csv(header, _envelope_rows(r))
-
-
-def envelope_obj(r: EnvelopeReport) -> dict:
-    return {
-        "kind": r.kind,
-        "n": r.n,
-        "window": r.window,
-        "beta_cap": r.beta_cap,
-        "margin": r.margin,
-        "summary": {
-            "max_abs_dev": r.max_abs_dev,
-            "violations": r.violations,
-            "window": r.window,
-            "k_count": len(r.k_values),
-        },
-        "rows": [
-            {
-                "k": row[0],
-                "exact": row[1],
-                "approx": row[2],
-                "ratio": row[3],
-                "lower_env": row[4],
-                "upper_env": row[5],
-                "valid": row[6],
-            }
-            for row in _envelope_rows(r)
-        ],
-    }
-
-
-def _verdict_obj(v: TrendVerdict) -> dict:
-    return {
-        "decreasing": v.decreasing,
-        "final": v.final,
-        "below_threshold": v.below_threshold,
-    }
-
-
-def conditions_csv(r: ConditionReport) -> str:
-    header = ("n", "m_n", "lambda_n", "sum_sq", "phi", "phi_m", "phi_over_lambda")
     rows = [
-        (row.n, row.m_n, row.lambda_n, row.sum_sq, row.phi, row.phi_m, row.phi_over_lambda)
-        for row in r.rows
+        (k, math.exp(r.log_exact[i]), math.exp(r.log_approx[i]), r.ratios[i],
+         r.lower_env[i], r.upper_env[i], r.validity_mask[i])
+        for i, k in enumerate(r.k_values)
     ]
-    return render_csv(header, rows)
+    summary = {"max_abs_dev": r.max_abs_dev, "violations": r.violations, "window": r.window,
+               "k_count": len(r.k_values)}
+    meta = {"kind": r.kind, "n": r.n, "window": r.window, "beta_cap": r.beta_cap,
+            "margin": r.margin, "summary": summary}
+    return Table(header, rows, meta)
 
 
-def conditions_obj(r: ConditionReport, family: str) -> dict:
-    return {
-        "family": family,
-        "window": r.window,
-        "threshold": r.threshold,
-        "grid": list(r.grid),
-        "rows": [
-            {
-                "n": row.n,
-                "m_n": row.m_n,
-                "lambda_n": row.lambda_n,
-                "sum_sq": row.sum_sq,
-                "phi": row.phi,
-                "phi_m": row.phi_m,
-                "phi_over_lambda": row.phi_over_lambda,
-            }
-            for row in r.rows
-        ],
-        "verdicts": {
-            "a1_max_entry": _verdict_obj(r.a1),
-            "a4_sum_sq": _verdict_obj(r.a4),
-            "window_m": _verdict_obj(r.window_m),
-            "window_over_lambda": _verdict_obj(r.window_over_lambda),
-            "lambda_trend": r.lambda_trend,
-            "lambda_last": r.lambda_last,
-        },
+def conditions_table(r: ConditionReport, family: str) -> Table:
+    header = ("n", "m_n", "lambda_n", "sum_sq", "phi", "phi_m", "phi_over_lambda")
+    rows = [astuple(row) for row in r.rows]  # ConditionRow fields in header order
+    meta = {"family": family, "window": r.window, "threshold": r.threshold, "grid": r.grid}
+    verdicts = {
+        "a1_max_entry": asdict(r.a1),
+        "a4_sum_sq": asdict(r.a4),
+        "window_m": asdict(r.window_m),
+        "window_over_lambda": asdict(r.window_over_lambda),
+        "lambda_trend": r.lambda_trend,
+        "lambda_last": r.lambda_last,
     }
+    return Table(header, rows, meta, {"verdicts": verdicts})
 
 
-def distance_obj(
-    summary: ProfileSummary, sup_cdf: float, tv: float, predicted: float, ratio: float
-) -> dict:
-    return {
-        "n": summary.n,
-        "lambda_n": summary.lambda_n,
-        "sum_sq": summary.sum_sq,
-        "sup_cdf_distance": sup_cdf,
-        "tv_distance": tv,
-        "predicted": predicted,
-        "ratio": ratio,
-    }
-
-
-def distance_csv(
-    summary: ProfileSummary, sup_cdf: float, tv: float, predicted: float, ratio: float
-) -> str:
+def distance_table(r: DistanceReport) -> Table:
+    """One row; its JSON form is that row as a flat object."""
     header = ("n", "lambda_n", "sum_sq", "sup_cdf_distance", "tv_distance", "predicted", "ratio")
-    row = (summary.n, summary.lambda_n, summary.sum_sq, sup_cdf, tv, predicted, ratio)
-    return render_csv(header, [row])
+    s = r.summary
+    row = (s.n, s.lambda_n, s.sum_sq, r.sup_cdf, r.tv, r.predicted, r.ratio)
+    return Table(header, [row], dict(zip(header, row)), json_width=0)
 
 
-def dependent_obj(
-    report: RatioReport,
-    diagnostics: SchemeDiagnostics,
-    precision: str,
-    model_kind: str,
-    n: int,
-) -> dict:
+def diagnostics_table(d: SchemeDiagnostics) -> Table:
+    header = ("k", "b1_max_dev", "b2_ratio", "b3_ratio", "mode", "checked", "zero_product")
+    rows = list(zip(d.k_values, d.b1_max_dev, d.b2_ratio, d.b3_ratio, d.modes,
+                    d.checked_counts, d.zero_product))
+    meta = {"rare": d.rare, "seed": d.seed, "sample_budget": d.sample_budget}
+    tail = {"b1_overall": d.b1_overall, "b2_max_dev": d.b2_max_dev, "b3_max_dev": d.b3_max_dev}
+    return Table(header, rows, meta, tail)
+
+
+def dependent_table(
+    report: RatioReport, diagnostics: SchemeDiagnostics, precision: str, model_kind: str, n: int
+) -> Table:
+    """Ratio rows joined with the diagnostics of the same k (blank where none).
+
+    CSV carries the joined columns; JSON rows keep the first four and nest
+    the diagnostics as their own table.
+    """
+    header = ("k", "dep_prob", "indep_prob", "ratio",
+              "b1_max_dev", "b2_ratio", "b3_ratio", "mode", "checked")
+    diag = diagnostics_table(diagnostics)
+    diag_by_k = {row[0]: row[1:6] for row in diag.rows}
     ratio_by_k = dict(report.entries)
-    return {
-        "model": model_kind,
-        "n": n,
-        "precision": precision,
-        "rows": [
-            {
-                "k": k,
-                "dep_prob": report.dep_probs[k],
-                "indep_prob": report.indep_probs[k],
-                "ratio": ratio_by_k.get(k),
-            }
-            for k in report.k_values
-        ],
-        "omitted_k": list(report.omitted_k),
-        "max_abs_dev": report.max_abs_dev,
-        "diagnostics": diagnostics_obj(diagnostics),
-    }
+    rows = [
+        (k, report.dep_probs[k], report.indep_probs[k], ratio_by_k.get(k))
+        + diag_by_k.get(k, (None,) * 5)
+        for k in report.k_values
+    ]
+    meta = {"model": model_kind, "n": n, "precision": precision}
+    tail = {"omitted_k": report.omitted_k, "max_abs_dev": report.max_abs_dev,
+            "diagnostics": diag}
+    return Table(header, rows, meta, tail, json_width=4)
 
 
-def diagnostics_obj(d: SchemeDiagnostics) -> dict:
-    return {
-        "rare": d.rare,
-        "seed": d.seed,
-        "sample_budget": d.sample_budget,
-        "rows": [
-            {
-                "k": d.k_values[i],
-                "b1_max_dev": d.b1_max_dev[i],
-                "b2_ratio": d.b2_ratio[i],
-                "b3_ratio": d.b3_ratio[i],
-                "mode": d.modes[i],
-                "checked": d.checked_counts[i],
-                "zero_product": d.zero_product[i],
-            }
-            for i in range(len(d.k_values))
-        ],
-        "b1_overall": d.b1_overall,
-        "b2_max_dev": d.b2_max_dev,
-        "b3_max_dev": d.b3_max_dev,
-    }
-
-
-def dependent_csv(report: RatioReport, diagnostics: SchemeDiagnostics) -> str:
-    header = (
-        "k",
-        "dep_prob",
-        "indep_prob",
-        "ratio",
-        "b1_max_dev",
-        "b2_ratio",
-        "b3_ratio",
-        "mode",
-        "checked",
-    )
-    ratio_by_k = dict(report.entries)
-    diag_idx = {k: i for i, k in enumerate(diagnostics.k_values)}
-    rows = []
-    for k in report.k_values:
-        i = diag_idx.get(k)
-        rows.append(
-            (
-                k,
-                report.dep_probs[k],
-                report.indep_probs[k],
-                ratio_by_k.get(k),
-                diagnostics.b1_max_dev[i] if i is not None else None,
-                diagnostics.b2_ratio[i] if i is not None else None,
-                diagnostics.b3_ratio[i] if i is not None else None,
-                diagnostics.modes[i] if i is not None else None,
-                diagnostics.checked_counts[i] if i is not None else None,
-            )
-        )
-    return render_csv(header, rows)
-
-
-def sweep_obj(meta: dict, rows: list[dict]) -> dict:
-    obj = dict(meta)
-    obj["rows"] = rows
-    return obj
-
-
-def sweep_csv(rows: list[dict]) -> str:
-    if not rows:
-        return render_csv(("n",), [])
-    header = list(rows[0].keys())
-    return render_csv(header, [[row.get(col) for col in header] for row in rows])
+def sweep_table(meta: dict, rows: list, envelope: bool) -> Table:
+    """One row per grid point; the envelope columns only for a --kind sweep."""
+    header = ("n", "lambda_n", "m_n", "sum_sq")
+    if envelope:
+        header += ("max_abs_dev", "violations", "k_count")
+    header += ("sup_cdf_distance", "tv_distance", "dehpfeif_ratio")
+    return Table(header, rows, meta)
 
 
 def error_obj(exc: BaseException) -> dict:

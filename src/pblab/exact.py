@@ -64,16 +64,17 @@ class Pmf:
     provenance: str
 
     def __post_init__(self) -> None:
-        lp = tuple(float(x) for x in self.log_probs)
+        lp = tuple(map(float, self.log_probs))
         if len(lp) < 1:
             raise ValidationError("pmf needs at least the k=0 entry")
         if len(lp) - 1 > self.n:
             raise ValidationError("pmf support exceeds n")
         if self.provenance not in PROVENANCES:
             raise ValidationError(f"unknown provenance {self.provenance!r}")
-        for k, x in enumerate(lp):
-            if math.isnan(x) or x > 0.0:
-                raise ValidationError(f"log_probs[{k}] = {x!r} is not a log probability")
+        # max and sum run in C and allocate nothing; a NaN makes the sum NaN.
+        if max(lp) > 0.0 or math.isnan(sum(lp)):
+            k = next(k for k, x in enumerate(lp) if math.isnan(x) or x > 0.0)
+            raise ValidationError(f"log_probs[{k}] = {lp[k]!r} is not a log probability")
         object.__setattr__(self, "log_probs", lp)
 
     @property

@@ -31,14 +31,15 @@ class BernoulliProfile:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(float(p) for p in self.probs)
+        coerced = tuple(map(float, self.probs))
         if len(coerced) < 1:
             raise ValidationError("profile needs at least one entry")
-        for i, p in enumerate(coerced):
-            if not 0.0 <= p < 1.0:
-                raise ValidationError(
-                    f"profile entry {i} is {p!r}, must lie in [0, 1)"
-                )
+        # min, max and sum run in C and allocate nothing; a NaN makes the sum NaN.
+        if not (0.0 <= min(coerced) and max(coerced) < 1.0) or math.isnan(sum(coerced)):
+            i = next(i for i, p in enumerate(coerced) if not 0.0 <= p < 1.0)
+            raise ValidationError(
+                f"profile entry {i} is {coerced[i]!r}, must lie in [0, 1)"
+            )
         object.__setattr__(self, "probs", coerced)
 
     @property

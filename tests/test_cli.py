@@ -414,34 +414,6 @@ def test_sweep_csv_aggregate(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_sweep_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
-    argv_tail = [
-        "sweep",
-        "--family", "constant_total:2",
-        "--grid", "8,16,32,64",
-        "--kind", "lambda",
-        "--phi", "constant:4",
-    ]
-    serial_dir = tmp_path / "serial"
-    code, _, _ = run_cli(argv_tail + ["--out", str(serial_dir)], capsys)
-    assert code == 0
-    monkeypatch.setenv("PBLAB_THREADS", "2")
-    threaded_dir = tmp_path / "threaded"
-    code, _, _ = run_cli(argv_tail + ["--out", str(threaded_dir)], capsys)
-    assert code == 0
-    for name in ("aggregate.json", "point_n8.json", "point_n64.json"):
-        assert (serial_dir / name).read_text() == (threaded_dir / name).read_text()
-
-
-def test_sweep_rejects_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("PBLAB_THREADS", "zero")
-    code, _, err = run_cli(
-        ["sweep", "--family", "constant_total:2", "--grid", "8,16"], capsys
-    )
-    assert code == 2
-    assert "PBLAB_THREADS" in json.loads(err)["message"]
-
-
 def test_sweep_beta_kind_needs_explicit_cap(capsys):
     code, _, err = run_cli(
         [

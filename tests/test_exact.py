@@ -70,6 +70,14 @@ def test_pmf_rejects_nan():
         Pmf((float("nan"),), n=1, provenance="dp")
 
 
+def test_pmf_error_names_first_bad_entry():
+    nan = float("nan")
+    with pytest.raises(ValidationError, match=r"^log_probs\[2\] = nan is not"):
+        Pmf((-1.0, -2.0, nan, 0.5), n=3, provenance="dp")
+    with pytest.raises(ValidationError, match=r"^log_probs\[1\] = 0.5 is not"):
+        Pmf((-1.0, 0.5, nan), n=3, provenance="dp")
+
+
 def test_pmf_rejects_unknown_provenance():
     with pytest.raises(ValidationError):
         Pmf((-0.5,), n=1, provenance="magic")

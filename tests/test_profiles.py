@@ -52,6 +52,14 @@ def test_profile_rejects_nan():
         BernoulliProfile((float("nan"),))
 
 
+def test_profile_error_names_first_bad_entry():
+    nan = float("nan")
+    with pytest.raises(ValidationError, match=r"^profile entry 1 is nan,"):
+        BernoulliProfile((0.1, nan, 1.5))
+    with pytest.raises(ValidationError, match=r"^profile entry 2 is 1.5,"):
+        BernoulliProfile((0.1, 0.2, 1.5, nan))
+
+
 def test_profile_rejects_empty():
     with pytest.raises(ValidationError):
         BernoulliProfile(())
