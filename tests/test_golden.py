@@ -6,8 +6,11 @@ sweep, or the file named by --out for the other commands.  The digests
 were recorded from the code before the batched divide-and-conquer leaves
 and the Poisson underflow cutoff went in.  The cases `sweep_kind_out`,
 `dependent_zero`, `pmf_brute`, `pmf_ie` and `distance_out` were added,
-and recorded, before the per-report emitters became one table per report.  A green run means those changes left every emitted
-byte unchanged.
+and recorded, before the per-report emitters became one table per report.
+The cases `dependent_rational` and `dependent_sampled` were added, and
+recorded, before B1 ran over arrays of tuples and the rational triangles
+over integers.  A green run means those changes left every emitted byte
+unchanged.
 
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 runs the rfft merges at the top of the tree and has exact-zero
@@ -43,12 +46,21 @@ def dc_profile_lines():
 
 MIXTURE = {"kind": "mixture", "eps": 0.5, "p": [0.2, 0.3, 0.1], "q": [0.4, 0.35, 0.5]}
 
+
+def mixture_spec(n):
+    # Deterministic and irregular, entries in [0.005, 0.05].  At n = 100,
+    # k = 4 has more tuples than B1 sweeps exhaustively, so it is sampled;
+    # at n = 200 so is k = 3.
+    p = [0.005 + 0.045 * ((i * 7919) % 1009) / 1009 for i in range(n)]
+    q = [0.005 + 0.045 * ((i * 104729) % 1013) / 1013 for i in range(n)]
+    return {"kind": "mixture", "eps": 0.05, "p": p, "q": q}
+
 # A row with an exact zero: P(V = 3) = 0, so pmf has a -inf log entry and
 # dependent against it has a null ratio, a non-empty omitted_k and inf cells.
 ZERO_ROW = (0.2, 0.3, 0.0)
 
-# name -> argv without --format; {profile}, {zprofile}, {model}, {out} and
-# {outfile} are filled in.
+# name -> argv without --format; {profile}, {zprofile}, {model}, {model100},
+# {model200}, {out} and {outfile} are filled in.
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
     "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
@@ -72,6 +84,9 @@ CASES = {
                "--k-max", "6"],
     "distance_out": ["distance", "--family", "row_power:1,0.75", "--n", "500",
                      "--out", "{outfile}"],
+    "dependent_rational": ["dependent", "--model", "{model100}", "--k-max", "4",
+                           "--precision", "rational"],
+    "dependent_sampled": ["dependent", "--model", "{model200}", "--k-max", "3"],
 }
 
 GOLDEN = {
@@ -92,6 +107,18 @@ GOLDEN = {
     },
     ('dependent', 'csv'): {
         'stdout': '13ca70e8acd19e33dfb701d901f3b7812866ba3ef4850aabc070fcae6167bd03',
+    },
+    ('dependent_rational', 'json'): {
+        'stdout': 'd12a9c85bdd8896cb51cb46b5014cd86d246b85e442971cad4c5323de6482bc0',
+    },
+    ('dependent_rational', 'csv'): {
+        'stdout': 'c13b6881627dd13bc0a0c6fd315a3f08ac2c5d4ac9fb119f3fe08c4dd5e8579d',
+    },
+    ('dependent_sampled', 'json'): {
+        'stdout': '3f26b4e6a87c220b7df53cac656e3211b0e332d54b36dab82f5546890b18fb80',
+    },
+    ('dependent_sampled', 'csv'): {
+        'stdout': '72d8637119e6842410b9d0b343a1ce8d08e7751d1f98e9af66cfbaa0d51536f7',
     },
     ('dependent_zero', 'json'): {
         'stdout': 'a864cdb42c98ce7a6801a36ecaffb2e63369da5b5e1e9f8435edffb2d42fd11a',
@@ -186,8 +213,13 @@ def run_case(name, fmt, tmp_path):
     zprofile.write_text("".join(f"{p!r}\n" for p in ZERO_ROW))
     model = tmp_path / "model.json"
     model.write_text(json.dumps(MIXTURE))
+    model100 = tmp_path / "model100.json"
+    model100.write_text(json.dumps(mixture_spec(100)))
+    model200 = tmp_path / "model200.json"
+    model200.write_text(json.dumps(mixture_spec(200)))
     out_dir = tmp_path / "out"
     fill = {"{profile}": str(profile), "{zprofile}": str(zprofile), "{model}": str(model),
+            "{model100}": str(model100), "{model200}": str(model200),
             "{out}": str(out_dir), "{outfile}": str(out_dir / "report.txt")}
     argv = [fill.get(arg, arg) for arg in CASES[name]] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
