@@ -27,7 +27,13 @@ from .asymptotics import (
     dehpfeif_report,
     verify_sandwich,
 )
-from .dependent import RareSetSpec, check_scheme, load_model, ratio_report
+from .dependent import (
+    RareSetSpec,
+    check_scheme,
+    load_model,
+    ratio_report,
+    validate_sample_budget,
+)
 from .errors import PblabError, ValidationError
 from .exact import (
     Pmf,
@@ -233,8 +239,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("margin must be >= 0")
     if cfg.threshold <= 0.0:
         raise ValidationError("threshold must be > 0")
-    if cfg.sample_budget < 1:
-        raise ValidationError("sample_budget must be >= 1")
+    validate_sample_budget(cfg.sample_budget)
     if cfg.profile is not None and cfg.family is not None:
         raise ValidationError("give either a profile file or a family, not both")
     # Parse eagerly so malformed specs fail before any computation.

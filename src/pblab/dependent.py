@@ -39,8 +39,11 @@ from .profiles import BernoulliProfile
 
 # Generic joint enumeration walks all k-subsets; hard-guarded like brute force.
 _GENERIC_MAX_N = 25
-# Exhaustive B1 sweeps when the tuple count stays within this.
+# Exhaustive B1 sweeps when the tuple count stays within this; it also caps
+# the sample budget.
 _EXHAUSTIVE_MAX = 10**6
+# B1 checks at most this many tuples per array pass, which bounds its memory.
+_B1_CHUNK = 1 << 12
 
 
 class DependentModel(ABC):
@@ -48,7 +51,8 @@ class DependentModel(ABC):
 
     joint(()) must be 1 and adding an index must never increase the value;
     set-valued input keeps it symmetric by construction.  Subclasses may
-    provide closed-form k-fold sums to dodge the subset enumeration.
+    provide closed-form k-fold sums to dodge the subset enumeration, and a
+    vector joint_many that evaluates many index tuples in one array pass.
     """
 
     @property
@@ -58,6 +62,16 @@ class DependentModel(ABC):
     @abstractmethod
     def joint(self, indices) -> float:
         """P(all variables at the given distinct 0-based indices equal 1)."""
+
+    def joint_many(self, idx: np.ndarray) -> np.ndarray:
+        """joint of every row of an int array of shape (m, k), as float64.
+
+        Entry i is joint(tuple(idx[i])), in row order and bit for bit; an
+        override must keep both.  The default calls joint once per row.
+        """
+        return np.fromiter(
+            (self.joint(tuple(t)) for t in idx.tolist()), dtype=float, count=len(idx)
+        )
 
     @property
     def marginals(self) -> tuple[float, ...]:
@@ -72,6 +86,18 @@ class DependentModel(ABC):
     @abstractmethod
     def restrict(self, keep) -> "DependentModel":
         """The model of the subvector at the kept indices (ascending order)."""
+
+
+def _gather_prod(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Product of values over each row of idx.
+
+    Multiplies from 1.0 one column at a time, left to right, which is
+    math.prod's order, so every entry equals the scalar product bit for bit.
+    """
+    out = np.ones(len(idx))
+    for j in range(idx.shape[1]):
+        out *= values[idx[:, j]]
+    return out
 
 
 def _check_keep(keep, n: int) -> tuple[int, ...]:
@@ -94,6 +120,9 @@ class ProductModel(DependentModel):
     def joint(self, indices) -> float:
         ps = self.profile.probs
         return math.prod(ps[i] for i in indices)
+
+    def joint_many(self, idx: np.ndarray) -> np.ndarray:
+        return _gather_prod(np.asarray(self.profile.probs), idx)
 
     @property
     def marginals(self) -> tuple[float, ...]:
@@ -146,6 +175,11 @@ class MixtureModel(DependentModel):
         return (1.0 - self.eps) * math.prod(ps[i] for i in idx) + self.eps * math.prod(
             qs[i] for i in idx
         )
+
+    def joint_many(self, idx: np.ndarray) -> np.ndarray:
+        ps = _gather_prod(np.asarray(self.p_profile.probs), idx)
+        qs = _gather_prod(np.asarray(self.q_profile.probs), idx)
+        return (1.0 - self.eps) * ps + self.eps * qs
 
     @property
     def marginals(self) -> tuple[float, ...]:
@@ -274,6 +308,16 @@ class RareSetSpec:
             return any(i in self.indices for i in t)
         return tuple(sorted(t)) in self.tuples
 
+    def rare_mask(self, idx: np.ndarray) -> np.ndarray:
+        """is_rare of every row of an int array of shape (m, k)."""
+        if self.kind == "empty":
+            return np.zeros(len(idx), dtype=bool)
+        if self.kind == "contains_any":
+            return np.isin(idx, sorted(self.indices)).any(axis=1)
+        return np.fromiter(
+            (self.is_rare(t) for t in idx.tolist()), dtype=bool, count=len(idx)
+        )
+
     def spec_string(self) -> str:
         if self.kind == "empty":
             return "empty"
@@ -342,7 +386,8 @@ class RatioReport:
     """Dependent-over-independent PMF ratios for k = 0..k_max.
 
     entries lists (k, ratio) where the independent probability is positive;
-    omitted_k lists the k skipped for a zero denominator.
+    omitted_k lists the k skipped for a zero denominator, whether the
+    probability is exactly zero or its exp underflows to 0.0.
     """
 
     k_values: tuple[int, ...]
@@ -378,7 +423,7 @@ def ratio_report(
     entries = []
     omitted = []
     for k in range(k_max + 1):
-        if ind_pmf.log_probs[k] > -math.inf:
+        if ind[k] > 0.0:
             entries.append((k, dep[k] / ind[k]))
         else:
             omitted.append(k)
@@ -464,6 +509,68 @@ def _nonrare_sums(
     return out
 
 
+def validate_sample_budget(sample_budget: int) -> None:
+    """Reject a B1 sample budget outside 1..10^6.
+
+    Above the cap, a budget larger than the number of distinct tuples makes
+    the sampler retry 20 times the budget before it gives up.
+    """
+    if sample_budget < 1:
+        raise ValidationError("sample_budget must be >= 1")
+    if sample_budget > _EXHAUSTIVE_MAX:
+        raise SizeError(
+            f"sample_budget must be <= {_EXHAUSTIVE_MAX}, got {sample_budget}"
+        )
+
+
+def _b1_tuples(n: int, k: int, sample_budget: int, seed: int):
+    """The k-tuples B1 checks, in ascending order, and the mode that chose them."""
+    if math.comb(n, k) <= _EXHAUSTIVE_MAX:
+        return itertools.combinations(range(n), k), "exhaustive"
+    rng = random.Random(f"{seed}:{k}")
+    seen = set()
+    attempts = 0
+    while len(seen) < sample_budget and attempts < 20 * sample_budget:
+        seen.add(tuple(sorted(rng.sample(range(n), k))))
+        attempts += 1
+    return sorted(seen), "sampled"
+
+
+def _b1_sweep(
+    model: DependentModel, probs: np.ndarray, rare: RareSetSpec, tuples, k: int
+) -> tuple[float, int, bool]:
+    """B1 at one k: the worst deviation, the tuples checked, the zero flag.
+
+    Reads the tuples in chunks of at most _B1_CHUNK rows.  A vanished
+    product under a positive joint makes the worst deviation inf and sets
+    the flag; a NaN deviation is skipped.
+    """
+    worst = 0.0
+    checked = 0
+    zero_hit = False
+    flat = itertools.chain.from_iterable(tuples)
+    while True:
+        idx = np.fromiter(
+            itertools.islice(flat, _B1_CHUNK * k), dtype=np.intp
+        ).reshape(-1, k)
+        if not len(idx):
+            return worst, checked, zero_hit
+        if rare.kind != "empty":
+            idx = idx[~rare.rare_mask(idx)]
+        checked += len(idx)
+        bt = model.joint_many(idx)
+        pb = _gather_prod(probs, idx)
+        zero = pb == 0.0
+        if np.any(bt[zero] > 0.0):
+            worst = math.inf
+            zero_hit = True
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dev = np.abs(bt / pb - 1.0)
+        dev = dev[~zero & ~np.isnan(dev)]
+        if len(dev):
+            worst = max(worst, float(dev.max()))
+
+
 def check_scheme(
     model: DependentModel,
     indep: BernoulliProfile,
@@ -475,17 +582,19 @@ def check_scheme(
     """Measure, per k = 1..k_max, how close the model is to the comparison row.
 
     B1 enumerates every non-rare k-tuple when there are at most 10^6 of
-    them, otherwise draws sample_budget distinct tuples with a per-k seed
-    derived from the given one (deterministic run to run).  B2 and B3 use
-    closed restriction identities rather than sampling, so they carry no
-    Monte Carlo noise at all.
+    them, otherwise draws sample_budget (at most 10^6) distinct tuples with
+    a per-k seed derived from the given one (deterministic run to run).  It
+    reads the tuples in int arrays of at most 4096 rows, evaluates them with
+    model.joint_many and the comparison products with the same column
+    gather, so each deviation is the one a scalar loop over the tuples
+    would compute.  B2 and B3 use closed restriction identities rather than
+    sampling, so they carry no Monte Carlo noise at all.
     """
     if indep.n != model.n:
         raise ValidationError(f"comparison row has n={indep.n}, model has n={model.n}")
     if not 1 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 1..{model.n}")
-    if sample_budget < 1:
-        raise ValidationError("sample_budget must be >= 1")
+    validate_sample_budget(sample_budget)
     n = model.n
     probs = indep.probs
 
@@ -527,37 +636,10 @@ def check_scheme(
     modes = []
     counts = []
     zero_flags = []
+    probs_arr = np.asarray(probs)
     for k in range(1, k_max + 1):
-        total = math.comb(n, k)
-        if total <= _EXHAUSTIVE_MAX:
-            tuples = itertools.combinations(range(n), k)
-            mode = "exhaustive"
-        else:
-            rng = random.Random(f"{seed}:{k}")
-            seen = set()
-            attempts = 0
-            while len(seen) < sample_budget and attempts < 20 * sample_budget:
-                seen.add(tuple(sorted(rng.sample(range(n), k))))
-                attempts += 1
-            tuples = sorted(seen)
-            mode = "sampled"
-        worst = 0.0
-        checked = 0
-        zero_hit = False
-        for t in tuples:
-            if rare.is_rare(t):
-                continue
-            checked += 1
-            bt = model.joint(t)
-            pb = math.prod(probs[i] for i in t)
-            if pb == 0.0:
-                if bt > 0.0:
-                    worst = math.inf
-                    zero_hit = True
-                continue
-            dev = abs(bt / pb - 1.0)
-            if dev > worst:
-                worst = dev
+        tuples, mode = _b1_tuples(n, k, sample_budget, seed)
+        worst, checked, zero_hit = _b1_sweep(model, probs_arr, rare, tuples, k)
         if rare.kind == "empty":
             b2_k = 1.0
             b3_k = 1.0

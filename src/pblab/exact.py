@@ -283,7 +283,10 @@ def elementary_symmetric(
     first-order sum is overwritten with the exactly-rounded fsum so it agrees
     bit for bit with the profile mean computed elsewhere.  With
     high_precision the whole triangle is mirrored in exact rationals over
-    the same binary inputs.
+    the same binary inputs.  Every double is an integer over a power of two,
+    so the mirror scales all values to their largest denominator 2^D, runs
+    the triangle in Python ints, and returns e_k as the fraction
+    E_k / 2^(D k), which is the exact rational value.
     """
     vals = [float(v) for v in values]
     if any(math.isnan(v) or v < 0.0 for v in vals):
@@ -301,14 +304,16 @@ def elementary_symmetric(
         e[1] = math.fsum(vals)
     hp: tuple[Fraction, ...] | None = None
     if high_precision:
-        he = [Fraction(0)] * (k_max + 1)
-        he[0] = Fraction(1)
-        for i, v in enumerate(vals):
-            fv = Fraction(v)
-            top = min(i + 1, k_max)
-            for k in range(top, 0, -1):
-                he[k] += fv * he[k - 1]
-        hp = tuple(he)
+        ratios = [v.as_integer_ratio() for v in vals]
+        # Denominators are powers of two: 2^D is the largest one.
+        d = max((den.bit_length() for _, den in ratios), default=1) - 1
+        big = [0] * (k_max + 1)
+        big[0] = 1
+        for i, (num, den) in enumerate(ratios):
+            scaled = num << (d + 1 - den.bit_length())
+            for k in range(min(i + 1, k_max), 0, -1):
+                big[k] += scaled * big[k - 1]
+        hp = tuple(Fraction(x, 1 << (d * k)) for k, x in enumerate(big))
     return SymmetricSums(tuple(e.tolist()), hp)
 
 

@@ -324,6 +324,27 @@ def test_dependent_csv_merges_diagnostics(tmp_path, capsys):
     assert rows[2][7] == "exhaustive"
 
 
+def test_dependent_omits_underflowing_denominators(tmp_path, capsys):
+    # log P(2) and log P(3) of the comparison row are finite; their exp is 0.0.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "product", "p": [1e-300, 1e-300, 1e-300]}))
+    code, out, err = run_cli(["dependent", "--model", str(path)], capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["omitted_k"] == [2, 3]
+    assert [row["ratio"] is None for row in obj["rows"]] == [False, False, True, True]
+
+
+def test_dependent_rejects_runaway_sample_budget(tmp_path, capsys):
+    # The config check fires before the (missing) model file is read.
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run_cli(
+        ["dependent", "--model", missing, "--sample-budget", "1000001"], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "SizeError"
+
+
 def test_dependent_rejects_bad_model_file(tmp_path, capsys):
     bad = tmp_path / "model.json"
     bad.write_text("{not json")

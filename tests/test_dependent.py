@@ -1,17 +1,23 @@
 """Dependent models, joint sums, inclusion-exclusion PMF, scheme diagnostics."""
 
+import dataclasses
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pblab import dependent
 from pblab.dependent import (
     CallableModel,
     MixtureModel,
     ProductModel,
     RareSetSpec,
+    SchemeDiagnostics,
     check_scheme,
     load_model,
     model_from_dict,
@@ -20,7 +26,7 @@ from pblab.dependent import (
     s_tilde,
 )
 from pblab.errors import SizeError, ValidationError
-from pblab.exact import pmf_bruteforce, pmf_dp
+from pblab.exact import elementary_symmetric, pmf_bruteforce, pmf_dp
 from pblab.profiles import BernoulliProfile
 
 # The hand-worked mixture: eps=0.5, p=(0.2, 0.2), q=(0.4, 0.4).
@@ -216,6 +222,14 @@ def test_ratio_report_flags_zero_denominators():
     assert report.omitted_k == (2,)
 
 
+def test_ratio_report_omits_underflowing_denominators():
+    # log P(2) and log P(3) are finite, but their exp is 0.0.
+    m = ProductModel(BernoulliProfile((1e-300,) * 3))
+    report = ratio_report(m, BernoulliProfile(m.marginals), 3)
+    assert report.omitted_k == (2, 3)
+    assert [k for k, _ in report.entries] == [0, 1]
+
+
 def test_ratio_report_validation():
     with pytest.raises(ValidationError):
         ratio_report(WORKED, BernoulliProfile((0.3,)), 1)
@@ -299,6 +313,184 @@ def test_diagnostics_validation():
         check_scheme(WORKED, INDEP, RareSetSpec.empty(), 1, sample_budget=0)
     with pytest.raises(ValidationError):
         check_scheme(WORKED, INDEP, RareSetSpec.contains_any((9,)), 1)
+
+
+def test_diagnostics_sample_budget_cap():
+    # Above the cap the guard fires before any tuple is drawn; the cap itself
+    # is accepted.
+    with pytest.raises(SizeError):
+        check_scheme(WORKED, INDEP, RareSetSpec.empty(), 2, sample_budget=10**6 + 1)
+    diag = check_scheme(WORKED, INDEP, RareSetSpec.empty(), 2, sample_budget=10**6)
+    assert diag.checked_counts == (2, 1)
+
+
+# ----------------------------------------------------------------------
+# array B1 against the scalar loop
+# ----------------------------------------------------------------------
+
+
+def check_scheme_reference(model, indep, rare, k_max, sample_budget=2000, seed=0):
+    """check_scheme with B1 as one scalar joint and math.prod per tuple.
+
+    This is the loop the array version replaced, kept as the reference.
+    """
+    n = model.n
+    probs = indep.probs
+    model_sums = s_tilde(model, k_max).values
+    indep_sums = elementary_symmetric(probs, k_max).values
+    restricted_model_sums = None
+    restricted_indep_sums = None
+    if rare.kind == "contains_any":
+        comp = tuple(i for i in range(n) if i not in rare.indices)
+        if comp:
+            cap = min(k_max, len(comp))
+            restricted_model_sums = s_tilde(model.restrict(comp), cap).values
+            restricted_indep_sums = elementary_symmetric([probs[i] for i in comp], cap).values
+        else:
+            restricted_model_sums = (1.0,)
+            restricted_indep_sums = (1.0,)
+    b2_parts = dependent._nonrare_sums(
+        model_sums, rare, k_max, n, model.joint, restricted_model_sums
+    )
+    b3_parts = dependent._nonrare_sums(
+        indep_sums, rare, k_max, n, lambda t: math.prod(probs[i] for i in t),
+        restricted_indep_sums,
+    )
+    rows = []
+    for k in range(1, k_max + 1):
+        if math.comb(n, k) <= 10**6:
+            tuples = itertools.combinations(range(n), k)
+            mode = "exhaustive"
+        else:
+            rng = random.Random(f"{seed}:{k}")
+            seen = set()
+            attempts = 0
+            while len(seen) < sample_budget and attempts < 20 * sample_budget:
+                seen.add(tuple(sorted(rng.sample(range(n), k))))
+                attempts += 1
+            tuples = sorted(seen)
+            mode = "sampled"
+        worst = 0.0
+        checked = 0
+        zero_hit = False
+        for t in tuples:
+            if rare.is_rare(t):
+                continue
+            checked += 1
+            bt = model.joint(t)
+            pb = math.prod(probs[i] for i in t)
+            if pb == 0.0:
+                if bt > 0.0:
+                    worst = math.inf
+                    zero_hit = True
+                continue
+            dev = abs(bt / pb - 1.0)
+            if dev > worst:
+                worst = dev
+        if rare.kind == "empty":
+            b2_k = b3_k = 1.0
+        else:
+            b2_k = dependent._ratio_or_inf(model_sums[k], b2_parts[k])
+            b3_k = dependent._ratio_or_inf(indep_sums[k], b3_parts[k])
+        rows.append((k, worst, b2_k, b3_k, mode, checked, zero_hit))
+    columns = list(zip(*rows))
+    return SchemeDiagnostics(
+        k_values=columns[0], b1_max_dev=columns[1], b2_ratio=columns[2],
+        b3_ratio=columns[3], modes=columns[4], checked_counts=columns[5],
+        zero_product=columns[6], seed=seed, sample_budget=sample_budget,
+        rare=rare.spec_string(),
+    )
+
+
+def spread_mixture(n, eps=0.05):
+    p = tuple(0.005 + 0.045 * ((i * 7919) % 1009) / 1009 for i in range(n))
+    q = tuple(0.005 + 0.045 * ((i * 104729) % 1013) / 1013 for i in range(n))
+    return MixtureModel(eps, BernoulliProfile(p), BernoulliProfile(q))
+
+
+class NanAtOneTuple(CallableModel):
+    """A callable model whose joint is NaN on {1, 2}; its sums stay finite."""
+
+    def __init__(self, inner):
+        super().__init__(
+            inner.n, lambda s: math.nan if s == {1, 2} else inner.joint(s)
+        )
+        self._inner = inner
+
+    def fast_sums(self, k_max):
+        return self._inner.fast_sums(k_max)
+
+
+def _scheme_cases():
+    m12 = spread_mixture(12)
+    m200 = spread_mixture(200)
+    half = ProductModel(BernoulliProfile((0.5,) * 6))
+    yield "empty", m12, BernoulliProfile(m12.marginals), RareSetSpec.empty(), 4, {}
+    yield "contains_any", m12, BernoulliProfile((0.02,) * 12), RareSetSpec.contains_any(
+        (0, 5)), 4, {}
+    yield "explicit", m12, BernoulliProfile(m12.marginals), RareSetSpec.explicit(
+        ((0, 1), (2, 3, 4), (7,), (11, 3))), 3, {}
+    yield "zero_product", half, BernoulliProfile((0.5, 0.5, 0.0, 0.5, 0.5, 0.5)), \
+        RareSetSpec.empty(), 3, {}
+    yield "sampled", m200, BernoulliProfile(m200.marginals), RareSetSpec.empty(), 3, {
+        "sample_budget": 500, "seed": 11}
+    yield "sampled_contains_any", m200, BernoulliProfile(m200.p_profile.probs), \
+        RareSetSpec.contains_any((3, 50, 199)), 3, {"sample_budget": 300, "seed": 4}
+    # 91,390 tuples at k = 4: many chunks.
+    m40 = spread_mixture(40, eps=0.2)
+    yield "many_chunks", m40, BernoulliProfile(m40.q_profile.probs), RareSetSpec.empty(), 4, {}
+    m10 = spread_mixture(10, eps=0.3)
+    yield "callable", CallableModel(10, m10.joint), BernoulliProfile(m10.marginals), \
+        RareSetSpec.empty(), 4, {}
+    yield "callable_nan", NanAtOneTuple(m10), BernoulliProfile(m10.marginals), \
+        RareSetSpec.explicit(((0, 3), (5,))), 3, {}
+
+
+SCHEME_CASES = {case[0]: case[1:] for case in _scheme_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_CASES))
+def test_array_b1_matches_scalar_reference(name):
+    model, indep, rare, k_max, kwargs = SCHEME_CASES[name]
+    got = check_scheme(model, indep, rare, k_max, **kwargs)
+    want = check_scheme_reference(model, indep, rare, k_max, **kwargs)
+    for field in dataclasses.fields(SchemeDiagnostics):
+        # repr tells 0.0 from -0.0 and matches NaN with NaN.
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def test_array_b1_reference_cases_reach_their_branches():
+    assert math.comb(40, 4) > 20 * dependent._B1_CHUNK
+    diag = check_scheme(*SCHEME_CASES["zero_product"][:4])
+    assert diag.zero_product == (True, True, True)
+    diag = check_scheme(*SCHEME_CASES["sampled"][:4], **SCHEME_CASES["sampled"][4])
+    assert diag.modes == ("exhaustive", "exhaustive", "sampled")
+    nan_model = SCHEME_CASES["callable_nan"][0]
+    assert math.isnan(nan_model.joint((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ProductModel(BernoulliProfile((0.2, 0.0, 5e-324, 1 - 2**-53, 0.7, 1e-200, 0.3, 0.99, 0.5))),
+        spread_mixture(9, eps=0.37),
+        MixtureModel(
+            1e-3,
+            BernoulliProfile((0.2, 0.0, 5e-324, 0.9, 0.7, 1e-200, 0.3, 1 - 2**-53, 0.5)),
+            BernoulliProfile((0.6, 0.1, 0.4, 1e-300, 0.0, 0.8, 0.3, 0.25, 0.999)),
+        ),
+        CallableModel(9, spread_mixture(9).joint),
+    ],
+    ids=["product", "mixture", "mixture_extremes", "callable"],
+)
+def test_joint_many_matches_joint_bitwise(model):
+    for k in (0, 1, 2, 4, 9):
+        combos = list(itertools.combinations(range(model.n), k))
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        want = np.array([model.joint(tuple(t)) for t in idx.tolist()], dtype=float)
+        got = model.joint_many(idx)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), k
 
 
 # ----------------------------------------------------------------------

@@ -238,6 +238,46 @@ def test_rational_mirror_is_exact():
     assert hp[3] == Fraction(1, 64)
 
 
+def _fraction_triangle_reference(values, k_max):
+    """The rational mirror built from Fraction values, kept as the reference."""
+    he = [Fraction(0)] * (k_max + 1)
+    he[0] = Fraction(1)
+    for i, v in enumerate(values):
+        fv = Fraction(v)
+        for k in range(min(i + 1, k_max), 0, -1):
+            he[k] += fv * he[k - 1]
+    return tuple(he)
+
+
+_EXTREMES = (0.0, 5e-324, 1 - 2**-53, 2.0**-1022, 1.0, 0.75, 1.3 * 2.0**-60, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "values, k_max",
+    [
+        ((), 0),
+        ((0.0,) * 4, 4),
+        ((1.0,) * 3, 3),
+        (_EXTREMES, len(_EXTREMES)),
+        # n = 200, every 7th entry extreme, the rest spread over 2^0..2^-39.
+        (
+            tuple(
+                _EXTREMES[(i // 7) % len(_EXTREMES)]
+                if i % 7 == 0
+                else ((i * 7919) % 1009) / 1009 * 2.0 ** -(i % 40)
+                for i in range(200)
+            ),
+            24,
+        ),
+        # n = 200 and the full triangle, on entries like the benchmark's.
+        (tuple(0.005 + 0.045 * ((i * 7919) % 1009) / 1009 for i in range(200)), 200),
+    ],
+)
+def test_rational_mirror_matches_fraction_reference(values, k_max):
+    got = elementary_symmetric(values, k_max, high_precision=True).high_precision_values
+    assert got == _fraction_triangle_reference(values, k_max)
+
+
 def test_elementary_symmetric_validation():
     with pytest.raises(ValidationError):
         elementary_symmetric((0.1, -0.2), 1)
