@@ -272,6 +272,7 @@ _EXTREMES = (0.0, 5e-324, 1 - 2**-53, 2.0**-1022, 1.0, 0.75, 1.3 * 2.0**-60, 1e-
         # n = 200 and the full triangle, on entries like the benchmark's.
         (tuple(0.005 + 0.045 * ((i * 7919) % 1009) / 1009 for i in range(200)), 200),
     ],
+    ids=["empty", "zeros", "ones", "extremes", "n200_mixed_exponents", "n200_full"],
 )
 def test_rational_mirror_matches_fraction_reference(values, k_max):
     got = elementary_symmetric(values, k_max, high_precision=True).high_precision_values
