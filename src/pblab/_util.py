@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .errors import ValidationError
+
 # log(k!) for k = 0..20 is math.log of the exact integer math.factorial(k);
 # lgamma covers the rest.
 _LOG_FACT_TABLE: tuple[float, ...] = tuple(
@@ -40,3 +44,15 @@ def neumaier_sum(terms) -> tuple[float, float]:
             comp += (t - s) + total
         total = s
     return total + comp, total_abs
+
+
+def frozen_row(values, what: str) -> np.ndarray:
+    """A new read-only 1-D float64 copy of values; the caller checks entries."""
+    try:
+        row = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be a row of numbers: {exc}") from exc
+    if row.ndim != 1:
+        raise ValidationError(f"{what} must be one-dimensional, got shape {row.shape}")
+    row.flags.writeable = False
+    return row

@@ -271,20 +271,17 @@ def verify_sandwich(
         )
     phi = window.value(profile.n, summary.lambda_n)
     k_hi = _window_k_hi(phi, profile.n)
-    pmf = pmf_dp(profile, k_hi)
-    p0_log = pmf.log_probs[0]
+    log_exact = pmf_dp(profile, k_hi).log_probs.tolist()
+    p0_log = log_exact[0]
 
     ks = tuple(range(k_hi + 1))
-    log_exact = []
     log_approx = []
     ratios = []
     lower_env = []
     upper_env = []
     mask = []
-    for k in ks:
-        le = pmf.log_probs[k]
+    for k, le in enumerate(log_exact):
         la = approx_pmf(kind, summary, p0_log, k)
-        log_exact.append(le)
         log_approx.append(la)
         ratios.append(math.exp(le - la))
         if kind.tag == "lambda_form":
@@ -399,11 +396,10 @@ def mmm_residual(
         2.0 * math.pi
     )
     lhs = abs(b * pk - gauss)
-    rhs = (
-        c
-        * math.fsum(p * (1.0 - p) * (p * p + (1.0 - p) * (1.0 - p)) for p in profile.probs)
-        / (b * b * b)
+    spread = math.fsum(
+        p * (1.0 - p) * (p * p + (1.0 - p) * (1.0 - p)) for p in memoryview(profile.probs)
     )
+    rhs = c * spread / (b * b * b)
     return lhs, rhs, lhs < rhs
 
 
@@ -416,9 +412,7 @@ def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple
     if min(ks) < 0 or max(ks) > profile.n:
         raise ValidationError("k_values must lie in 0..n")
     pmf = pmf_dp(profile, max(ks))
+    lps = pmf.log_probs.tolist()
     kind = ApproxKind.normal_local()
-    ratios = tuple(
-        math.exp(pmf.log_probs[k] - approx_pmf(kind, summary, pmf.log_probs[0], k))
-        for k in ks
-    )
+    ratios = tuple(math.exp(lps[k] - approx_pmf(kind, summary, lps[0], k)) for k in ks)
     return pmf, ratios

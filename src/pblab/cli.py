@@ -301,10 +301,10 @@ def _cmd_pmf(cfg: ExperimentConfig) -> None:
             profile.probs, profile.n, high_precision=(cfg.precision == "rational")
         )
         k_hi = profile.n if cfg.k_max is None else cfg.k_max
-        log_probs = tuple(
+        log_probs = [
             _log_or_neg_inf(pmf_inclusion_exclusion(sums, k, profile.n))
             for k in range(k_hi + 1)
-        )
+        ]
         pmf = Pmf(log_probs, profile.n, "inclusion_exclusion")
     _deliver(cfg, emit.pmf_table(pmf, summarize(profile)))
 

@@ -74,7 +74,7 @@ class DependentModel(ABC):
         )
 
     @property
-    def marginals(self) -> tuple[float, ...]:
+    def marginals(self) -> np.ndarray | tuple[float, ...]:
         return tuple(self.joint((i,)) for i in range(self.n))
 
     def fast_sums(self, k_max: int) -> tuple[float, ...] | None:
@@ -100,8 +100,10 @@ def _gather_prod(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_keep(keep, n: int) -> tuple[int, ...]:
-    kept = tuple(sorted(set(int(i) for i in keep)))
+def _check_keep(keep, n: int) -> list[int]:
+    kept = sorted(set(int(i) for i in keep))
+    if not kept:
+        raise ValidationError("restriction needs at least one index")
     if any(i < 0 or i >= n for i in kept):
         raise ValidationError(f"restricted indices must lie in 0..{n - 1}")
     return kept
@@ -118,14 +120,13 @@ class ProductModel(DependentModel):
         return self.profile.n
 
     def joint(self, indices) -> float:
-        ps = self.profile.probs
-        return math.prod(ps[i] for i in indices)
+        return math.prod(self.profile.probs[list(indices)].tolist())
 
     def joint_many(self, idx: np.ndarray) -> np.ndarray:
-        return _gather_prod(np.asarray(self.profile.probs), idx)
+        return _gather_prod(self.profile.probs, idx)
 
     @property
-    def marginals(self) -> tuple[float, ...]:
+    def marginals(self) -> np.ndarray:
         return self.profile.probs
 
     def fast_sums(self, k_max: int) -> tuple[float, ...]:
@@ -137,9 +138,7 @@ class ProductModel(DependentModel):
 
     def restrict(self, keep) -> "ProductModel":
         kept = _check_keep(keep, self.n)
-        if not kept:
-            raise ValidationError("restriction needs at least one index")
-        return ProductModel(BernoulliProfile(tuple(self.profile.probs[i] for i in kept)))
+        return ProductModel(BernoulliProfile(self.profile.probs[kept]))
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,10 @@ class MixtureModel(DependentModel):
     q_profile: BernoulliProfile
 
     def __post_init__(self) -> None:
-        eps = float(self.eps)
+        try:
+            eps = float(self.eps)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"mixture weight must be a number, got {self.eps!r}") from exc
         if not 0.0 <= eps <= 1.0:
             raise ValidationError(f"mixture weight must lie in [0, 1], got {eps!r}")
         if self.p_profile.n != self.q_profile.n:
@@ -169,24 +171,19 @@ class MixtureModel(DependentModel):
         return self.p_profile.n
 
     def joint(self, indices) -> float:
-        idx = tuple(indices)
-        ps = self.p_profile.probs
-        qs = self.q_profile.probs
-        return (1.0 - self.eps) * math.prod(ps[i] for i in idx) + self.eps * math.prod(
-            qs[i] for i in idx
-        )
+        idx = list(indices)
+        ps = self.p_profile.probs[idx].tolist()
+        qs = self.q_profile.probs[idx].tolist()
+        return (1.0 - self.eps) * math.prod(ps) + self.eps * math.prod(qs)
 
     def joint_many(self, idx: np.ndarray) -> np.ndarray:
-        ps = _gather_prod(np.asarray(self.p_profile.probs), idx)
-        qs = _gather_prod(np.asarray(self.q_profile.probs), idx)
+        ps = _gather_prod(self.p_profile.probs, idx)
+        qs = _gather_prod(self.q_profile.probs, idx)
         return (1.0 - self.eps) * ps + self.eps * qs
 
     @property
-    def marginals(self) -> tuple[float, ...]:
-        return tuple(
-            (1.0 - self.eps) * p + self.eps * q
-            for p, q in zip(self.p_profile.probs, self.q_profile.probs)
-        )
+    def marginals(self) -> np.ndarray:
+        return (1.0 - self.eps) * self.p_profile.probs + self.eps * self.q_profile.probs
 
     def fast_sums(self, k_max: int) -> tuple[float, ...]:
         ep = elementary_symmetric(self.p_profile.probs, k_max).values
@@ -205,27 +202,24 @@ class MixtureModel(DependentModel):
 
     def closed_form_pmf(self) -> Pmf:
         """Exact PMF as the eps-weighted mixture of the two product PMFs."""
-        lp = np.array(pmf_dp(self.p_profile).log_probs)
-        lq = np.array(pmf_dp(self.q_profile).log_probs)
+        lp = pmf_dp(self.p_profile).log_probs
+        lq = pmf_dp(self.q_profile).log_probs
         if self.eps == 0.0:
             mixed = lp
         elif self.eps == 1.0:
             mixed = lq
         else:
-            mixed = np.logaddexp(
-                math.log1p(-self.eps) + lp, math.log(self.eps) + lq
+            mixed = np.minimum(
+                np.logaddexp(math.log1p(-self.eps) + lp, math.log(self.eps) + lq), 0.0
             )
-        np.minimum(mixed, 0.0, out=mixed)
-        return Pmf(tuple(mixed.tolist()), self.n, "mixture_closed_form")
+        return Pmf(mixed, self.n, "mixture_closed_form")
 
     def restrict(self, keep) -> "MixtureModel":
         kept = _check_keep(keep, self.n)
-        if not kept:
-            raise ValidationError("restriction needs at least one index")
         return MixtureModel(
             self.eps,
-            BernoulliProfile(tuple(self.p_profile.probs[i] for i in kept)),
-            BernoulliProfile(tuple(self.q_profile.probs[i] for i in kept)),
+            BernoulliProfile(self.p_profile.probs[kept]),
+            BernoulliProfile(self.q_profile.probs[kept]),
         )
 
 
@@ -256,8 +250,6 @@ class CallableModel(DependentModel):
 
     def restrict(self, keep) -> "CallableModel":
         kept = _check_keep(keep, self._n)
-        if not kept:
-            raise ValidationError("restriction needs at least one index")
         fn = self._fn
 
         def sub_fn(local_set):
@@ -419,7 +411,7 @@ def ratio_report(
         pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1)
     )
     ind_pmf = pmf_dp(indep, k_max)
-    ind = tuple(math.exp(lp) for lp in ind_pmf.log_probs)
+    ind = tuple(math.exp(lp) for lp in ind_pmf.log_probs.tolist())
     entries = []
     omitted = []
     for k in range(k_max + 1):
@@ -610,9 +602,7 @@ def check_scheme(
         if comp:
             cap = min(k_max, len(comp))
             restricted_model_sums = s_tilde(model.restrict(comp), cap).values
-            restricted_indep_sums = elementary_symmetric(
-                [probs[i] for i in comp], cap
-            ).values
+            restricted_indep_sums = elementary_symmetric(probs[list(comp)], cap).values
         else:
             restricted_model_sums = (1.0,)
             restricted_indep_sums = (1.0,)
@@ -625,7 +615,7 @@ def check_scheme(
         rare,
         k_max,
         n,
-        lambda t: math.prod(probs[i] for i in t),
+        lambda t: math.prod(probs[list(t)].tolist()),
         restricted_indep_sums,
     )
 
@@ -636,10 +626,9 @@ def check_scheme(
     modes = []
     counts = []
     zero_flags = []
-    probs_arr = np.asarray(probs)
     for k in range(1, k_max + 1):
         tuples, mode = _b1_tuples(n, k, sample_budget, seed)
-        worst, checked, zero_hit = _b1_sweep(model, probs_arr, rare, tuples, k)
+        worst, checked, zero_hit = _b1_sweep(model, probs, rare, tuples, k)
         if rare.kind == "empty":
             b2_k = 1.0
             b3_k = 1.0
@@ -692,11 +681,9 @@ def model_from_dict(data: dict) -> DependentModel:
     if missing:
         raise ValidationError(f"model spec missing keys {sorted(missing)}")
     if kind == "product":
-        return ProductModel(BernoulliProfile(tuple(data["p"])))
+        return ProductModel(BernoulliProfile(data["p"]))
     return MixtureModel(
-        float(data["eps"]),
-        BernoulliProfile(tuple(data["p"])),
-        BernoulliProfile(tuple(data["q"])),
+        data["eps"], BernoulliProfile(data["p"]), BernoulliProfile(data["q"])
     )
 
 

@@ -165,7 +165,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
-    rows = [(k, math.exp(lp), lp) for k, lp in enumerate(pmf.log_probs)]
+    rows = [(k, math.exp(lp), lp) for k, lp in enumerate(pmf.log_probs.tolist())]
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
             "summary": asdict(summary)}
     return Table(("k", "prob", "log_prob"), rows, meta)

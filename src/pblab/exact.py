@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import log_factorial, neumaier_sum
+from ._util import frozen_row, log_factorial, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
 from .profiles import BernoulliProfile
 
@@ -49,32 +49,33 @@ _EPS = 2.220446049250313e-16
 _LOG_UNDERFLOW = -746.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Distribution of the count, stored as log probabilities.
 
     log_probs[k] = log P(V = k) for k = 0..support_max, with -inf marking
     exact zeros.  Log storage keeps tails usable where linear probabilities
     underflow (a zero-probability anchor near e^-745 is still a number we
-    can divide by).
+    can divide by).  log_probs is a 1-D read-only float64 array, copied
+    from the input at construction; Pmfs compare by identity.
     """
 
-    log_probs: tuple[float, ...]
+    log_probs: np.ndarray
     n: int
     provenance: str
 
     def __post_init__(self) -> None:
-        lp = tuple(map(float, self.log_probs))
-        if len(lp) < 1:
+        lp = frozen_row(self.log_probs, "log_probs")
+        if not len(lp):
             raise ValidationError("pmf needs at least the k=0 entry")
         if len(lp) - 1 > self.n:
             raise ValidationError("pmf support exceeds n")
         if self.provenance not in PROVENANCES:
             raise ValidationError(f"unknown provenance {self.provenance!r}")
-        # max and sum run in C and allocate nothing; a NaN makes the sum NaN.
-        if max(lp) > 0.0 or math.isnan(sum(lp)):
-            k = next(k for k, x in enumerate(lp) if math.isnan(x) or x > 0.0)
-            raise ValidationError(f"log_probs[{k}] = {lp[k]!r} is not a log probability")
+        # max propagates NaN, and a NaN fails the comparison.
+        if not lp.max() <= 0.0:
+            k = int(np.flatnonzero(~(lp <= 0.0))[0])
+            raise ValidationError(f"log_probs[{k}] = {float(lp[k])!r} is not a log probability")
         object.__setattr__(self, "log_probs", lp)
 
     @property
@@ -82,13 +83,13 @@ class Pmf:
         return len(self.log_probs) - 1
 
     def probs(self) -> np.ndarray:
-        return np.exp(np.array(self.log_probs, dtype=np.float64))
+        return np.exp(self.log_probs)
 
     def prob(self, k: int) -> float:
         return math.exp(self.log_probs[k])
 
     def log_prob(self, k: int) -> float:
-        return self.log_probs[k]
+        return float(self.log_probs[k])
 
     def total_mass(self) -> float:
         return float(math.fsum(self.probs().tolist()))
@@ -97,7 +98,7 @@ class Pmf:
 def _finish_log(log_f: np.ndarray, n: int, provenance: str) -> Pmf:
     # Rounding can push a log probability a hair above 0; the invariant says <= 0.
     np.minimum(log_f, 0.0, out=log_f)
-    return Pmf(tuple(log_f.tolist()), n, provenance)
+    return Pmf(log_f, n, provenance)
 
 
 def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
@@ -119,7 +120,7 @@ def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     stay = np.empty(size)
     shift = np.empty(size)
     hi = 0  # highest attainable count so far, bounds the active slice
-    for p in profile.probs:
+    for p in memoryview(profile.probs):
         if p == 0.0:
             continue
         hi = min(hi + 1, k_max)
@@ -213,7 +214,7 @@ def pmf_dc(profile: BernoulliProfile) -> Pmf:
     run to run, and subquadratic for large n thanks to the FFT merges at
     the top.
     """
-    coeffs = _product_coeffs(profile.as_array())
+    coeffs = _product_coeffs(profile.probs)
     with np.errstate(divide="ignore"):
         log_f = np.log(coeffs)
     return _finish_log(log_f, profile.n, "divide_conquer")
@@ -228,7 +229,7 @@ def pmf_bruteforce(profile: BernoulliProfile) -> Pmf:
     n = profile.n
     if n > _BRUTE_MAX_N:
         raise SizeError(f"brute force is guarded at n <= {_BRUTE_MAX_N}, got {n}")
-    p = profile.as_array()
+    p = profile.probs
     q = 1.0 - p
     acc = np.zeros(n + 1)
     chunk = 1 << 16
@@ -288,15 +289,14 @@ def elementary_symmetric(
     the triangle in Python ints, and returns e_k as the fraction
     E_k / 2^(D k), which is the exact rational value.
     """
-    vals = [float(v) for v in values]
-    if any(math.isnan(v) or v < 0.0 for v in vals):
+    vals = np.array(values, dtype=np.float64)
+    if not np.all(vals >= 0.0):  # a NaN fails the comparison too
         raise ValidationError("symmetric sums need nonnegative values")
     if not 0 <= k_max <= len(vals):
         raise ValidationError(f"k_max={k_max} outside 0..{len(vals)}")
     e = np.zeros(k_max + 1)
     e[0] = 1.0
-    arr = np.asarray(vals)
-    for i, v in enumerate(arr):
+    for i, v in enumerate(vals):
         top = min(i + 1, k_max)
         if top >= 1:
             e[1 : top + 1] = e[1 : top + 1] + v * e[:top]
@@ -304,7 +304,7 @@ def elementary_symmetric(
         e[1] = math.fsum(vals)
     hp: tuple[Fraction, ...] | None = None
     if high_precision:
-        ratios = [v.as_integer_ratio() for v in vals]
+        ratios = [v.as_integer_ratio() for v in vals.tolist()]
         # Denominators are powers of two: 2^D is the largest one.
         d = max((den.bit_length() for _, den in ratios), default=1) - 1
         big = [0] * (k_max + 1)
@@ -364,7 +364,7 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
 
 def prob_zero_log(profile: BernoulliProfile) -> float:
     """log P(V = 0) = sum of log(1 - p_i), the exactly-rounded log1p sum."""
-    return math.fsum(math.log1p(-p) for p in profile.probs)
+    return math.fsum(math.log1p(-p) for p in memoryview(profile.probs))
 
 
 @dataclass(frozen=True)

@@ -13,41 +13,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import frozen_row
 from .errors import HypothesisError, ValidationError
 
 FAMILY_KINDS = ("constant_total", "constant_p", "row_power", "index_power", "from_file")
 WINDOW_KINDS = ("power", "power_of_lambda", "constant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernoulliProfile:
     """One row of success probabilities, each in [0, 1).
+
+    probs is a 1-D read-only float64 array, copied from the input at
+    construction, so later changes to the caller's data do not reach it.
+    Profiles compare by identity (compare probs to compare rows).
 
     Entries equal to 1 are rejected: they make the odds sum and the log
     survival sum infinite, and every downstream bound assumes 1-p > 0.
     Zero entries are allowed; they are inert in every formula.
     """
 
-    probs: tuple[float, ...]
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        coerced = tuple(map(float, self.probs))
-        if len(coerced) < 1:
+        probs = frozen_row(self.probs, "profile")
+        if not len(probs):
             raise ValidationError("profile needs at least one entry")
-        # min, max and sum run in C and allocate nothing; a NaN makes the sum NaN.
-        if not (0.0 <= min(coerced) and max(coerced) < 1.0) or math.isnan(sum(coerced)):
-            i = next(i for i, p in enumerate(coerced) if not 0.0 <= p < 1.0)
-            raise ValidationError(
-                f"profile entry {i} is {coerced[i]!r}, must lie in [0, 1)"
-            )
-        object.__setattr__(self, "probs", coerced)
+        # min and max propagate NaN, and a NaN fails either comparison.
+        if not (0.0 <= probs.min() and probs.max() < 1.0):
+            i = int(np.flatnonzero(~((probs >= 0.0) & (probs < 1.0)))[0])
+            raise ValidationError(f"profile entry {i} is {float(probs[i])!r}, must lie in [0, 1)")
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n(self) -> int:
         return len(self.probs)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.probs, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,15 @@ def summarize(profile: BernoulliProfile) -> ProfileSummary:
 
     math.fsum keeps each scalar independent of entry order, which makes
     summarize permutation-invariant bit for bit.  log1p(-p) keeps alpha_n
-    accurate when entries are as small as 1e-12.
+    accurate when entries are as small as 1e-12.  The sums read the row
+    through a memoryview, one Python float at a time: an n-long list would
+    hold n float objects at once.
     """
-    ps = profile.probs
+    ps = memoryview(profile.probs)
     return ProfileSummary(
         n=len(ps),
         lambda_n=math.fsum(ps),
-        m_n=max(ps),
+        m_n=float(profile.probs.max()),
         alpha_n=math.fsum(math.log1p(-p) for p in ps),
         beta_n=math.fsum(p / (1.0 - p) for p in ps),
         sum_sq=math.fsum(p * p for p in ps),
@@ -183,7 +185,7 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
                 f"family {family.spec_string()} yields entry {v!r} at index {i} "
                 f"for n={n}, outside [0, 1)"
             )
-    return BernoulliProfile(tuple(values))
+    return BernoulliProfile(values)
 
 
 def load_profile(path: str) -> BernoulliProfile:
@@ -211,7 +213,7 @@ def load_profile(path: str) -> BernoulliProfile:
         values.append(value)
     if not values:
         raise ValidationError(f"profile file {path} contains no values")
-    return BernoulliProfile(tuple(values))
+    return BernoulliProfile(values)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Approximants, envelopes, sandwich verification, distances, normal ratios."""
 
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from pblab.asymptotics import (
     poisson_form_bracket,
     verify_sandwich,
 )
+from pblab.dependent import MixtureModel, RareSetSpec, check_scheme, ratio_report
 from pblab.errors import HypothesisError, ValidationError
 from pblab.exact import pmf_dp, prob_zero_log
 from pblab.profiles import BernoulliProfile, GrowthWindow, summarize
@@ -369,3 +371,38 @@ def test_normal_local_spot_values():
     assert normal == pytest.approx(0.0797885, abs=1e-7)
     exact = math.comb(100, 50) / 2**100
     assert ratios[0] == pytest.approx(exact * math.sqrt(50 * math.pi), rel=1e-10)
+
+
+# ----------------------------------------------------------------------
+# report fields are Python floats, not numpy scalars
+# ----------------------------------------------------------------------
+
+
+def _float_leaves(obj):
+    """Every float-like value in a report dataclass, tuples and nesting included."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _float_leaves(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _float_leaves(x)
+    elif isinstance(obj, float):
+        yield obj
+
+
+def test_report_floats_are_python_floats():
+    prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
+    model = MixtureModel(0.3, prof, BernoulliProfile([0.1, 0.2, 0.1, 0.2, 0.1, 0.2]))
+    reports = [
+        summarize(prof),
+        dehpfeif_report(prof),
+        verify_sandwich(prof, ApproxKind.lambda_form(), GrowthWindow.constant(4.0)),
+        verify_sandwich(prof, ApproxKind.beta_form(), GrowthWindow.constant(4.0)),
+        ratio_report(model, prof, 4),
+        check_scheme(model, prof, RareSetSpec.explicit([(0, 1), (2,)]), 3),
+        check_scheme(model, prof, RareSetSpec.contains_any([1]), 3),
+    ]
+    for report in reports:
+        leaves = list(_float_leaves(report))
+        assert leaves
+        assert all(type(x) is float for x in leaves), type(report).__name__

@@ -345,6 +345,23 @@ def test_dependent_rejects_runaway_sample_budget(tmp_path, capsys):
     assert json.loads(err)["error"] == "SizeError"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "product", "p": ["a"]},
+    {"kind": "product", "p": 0.5},
+    {"kind": "product", "p": [[0.1, 0.2]]},
+    {"kind": "product", "p": [None]},
+    {"kind": "mixture", "eps": "x", "p": [0.1], "q": [0.2]},
+    {"kind": "mixture", "eps": None, "p": [0.1], "q": [0.2]},
+], ids=["p_string", "p_scalar", "p_2d", "p_null", "eps_string", "eps_null"])
+def test_dependent_rejects_malformed_model_values(tmp_path, capsys, spec):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["dependent", "--model", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 def test_dependent_rejects_bad_model_file(tmp_path, capsys):
     bad = tmp_path / "model.json"
     bad.write_text("{not json")

@@ -53,7 +53,7 @@ def test_product_model_joint_and_marginals():
     assert m.n == 3
     assert m.joint(()) == 1.0
     assert m.joint((0, 2)) == pytest.approx(0.16, abs=1e-16)
-    assert m.marginals == (0.2, 0.5, 0.8)
+    assert m.marginals.tolist() == [0.2, 0.5, 0.8]
 
 
 def test_mixture_joint_closed_form():
@@ -81,12 +81,24 @@ def test_restrict_keeps_named_indices():
     )
     sub = m.restrict((0, 2))
     assert sub.n == 2
-    assert sub.p_profile.probs == (0.1, 0.3)
-    assert sub.q_profile.probs == (0.4, 0.6)
+    assert sub.p_profile.probs.tolist() == [0.1, 0.3]
+    assert sub.q_profile.probs.tolist() == [0.4, 0.6]
     with pytest.raises(ValidationError):
         m.restrict(())
     with pytest.raises(ValidationError):
         m.restrict((0, 3))
+
+
+@pytest.mark.parametrize("model", [
+    ProductModel(BernoulliProfile((0.1, 0.2))),
+    MixtureModel(0.5, BernoulliProfile((0.1, 0.2)), BernoulliProfile((0.3, 0.4))),
+    CallableModel(2, lambda s: 0.5 ** len(s)),
+], ids=["product", "mixture", "callable"])
+def test_restrict_rejects_empty_keep(model):
+    with pytest.raises(ValidationError, match="^restriction needs at least one index$"):
+        model.restrict(())
+    with pytest.raises(ValidationError, match="must lie in 0..1"):
+        model.restrict((0, 2))
 
 
 def test_callable_model_wraps_function():
@@ -335,7 +347,7 @@ def check_scheme_reference(model, indep, rare, k_max, sample_budget=2000, seed=0
     This is the loop the array version replaced, kept as the reference.
     """
     n = model.n
-    probs = indep.probs
+    probs = indep.probs.tolist()
     model_sums = s_tilde(model, k_max).values
     indep_sums = elementary_symmetric(probs, k_max).values
     restricted_model_sums = None
@@ -556,7 +568,7 @@ def test_load_model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"kind": "product", "p": [0.25, 0.75]}')
     m = load_model(str(path))
-    assert m.marginals == (0.25, 0.75)
+    assert m.marginals.tolist() == [0.25, 0.75]
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValidationError):

@@ -83,11 +83,32 @@ def test_pmf_rejects_unknown_provenance():
         Pmf((-0.5,), n=1, provenance="magic")
 
 
+def test_pmf_log_probs_are_a_read_only_float64_row():
+    src = np.log([0.5, 0.25, 0.25])
+    pmf = Pmf(src, n=2, provenance="dp")
+    src[0] = -9.0
+    assert pmf.log_probs.dtype == np.float64
+    assert pmf.log_probs.ndim == 1
+    assert pmf.log_probs.tolist() == np.log([0.5, 0.25, 0.25]).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        pmf.log_probs[0] = 0.0
+    for engine in (pmf_dp, pmf_dc, pmf_bruteforce):
+        assert not engine(WORKED).log_probs.flags.writeable
+    assert pmf != Pmf(pmf.log_probs, n=2, provenance="dp")
+
+
+@pytest.mark.parametrize("bad", [-0.5, [[-0.5, -1.0]], np.zeros((1, 1))])
+def test_pmf_rejects_input_that_is_not_one_row(bad):
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        Pmf(bad, n=2, provenance="dp")
+
+
 def test_pmf_accessors():
     pmf = pmf_dp(WORKED)
     assert pmf.support_max == 3
     assert pmf.prob(1) == pytest.approx(0.398, abs=1e-15)
     assert pmf.log_prob(0) == pytest.approx(math.log(0.504), abs=1e-14)
+    assert type(pmf.prob(1)) is float and type(pmf.log_prob(0)) is float
     assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
     assert pmf.provenance == "dp"
 
@@ -117,7 +138,7 @@ def test_dp_truncation_is_prefix_of_full_run():
     prof = BernoulliProfile(tuple((i % 7 + 1) / 10 for i in range(40)))
     full = pmf_dp(prof)
     head = pmf_dp(prof, k_max=5)
-    assert head.log_probs == full.log_probs[:6]
+    assert head.log_probs.tobytes() == full.log_probs[:6].tobytes()
 
 
 def test_dp_handles_zero_entries():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ probs_strategy = st.lists(
 def test_profile_accepts_zero_entries():
     prof = BernoulliProfile((0.0, 0.5, 0.0))
     assert prof.n == 3
-    assert prof.probs == (0.0, 0.5, 0.0)
+    assert prof.probs.tolist() == [0.0, 0.5, 0.0]
 
 
 def test_profile_rejects_one():
@@ -68,6 +69,45 @@ def test_profile_rejects_empty():
 def test_profile_coerces_to_floats():
     prof = BernoulliProfile((0, 0.5))
     assert isinstance(prof.probs[0], float)
+
+
+def test_profile_probs_are_a_read_only_float64_row():
+    prof = BernoulliProfile([0, 0.25, 0.5])
+    assert isinstance(prof.probs, np.ndarray)
+    assert prof.probs.dtype == np.float64
+    assert prof.probs.ndim == 1
+    with pytest.raises(ValueError, match="read-only"):
+        prof.probs[0] = 0.75
+
+
+def test_profile_copies_its_input():
+    src = np.array([0.1, 0.2, 0.3])
+    prof = BernoulliProfile(src)
+    src[0] = 0.9
+    assert prof.probs.tolist() == [0.1, 0.2, 0.3]
+    assert prof.probs.flags.owndata
+
+
+def test_profile_compares_by_identity():
+    a = BernoulliProfile((0.1, 0.2))
+    b = BernoulliProfile((0.1, 0.2))
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    0.5, [[0.1, 0.2]], [[0.1], [0.2]], np.zeros((2, 2)), np.float64(0.5),
+], ids=["scalar", "row_2d", "column_2d", "array_2d", "array_0d"])
+def test_profile_rejects_input_that_is_not_one_row(bad):
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        BernoulliProfile(bad)
+
+
+@pytest.mark.parametrize("bad", [["a"], [0.1, {}], [[0.1], [0.2, 0.3]], [10**400]])
+def test_profile_rejects_entries_that_are_not_numbers(bad):
+    with pytest.raises(ValidationError, match="^profile must be a row of numbers"):
+        BernoulliProfile(bad)
 
 
 # ----------------------------------------------------------------------
@@ -120,28 +160,28 @@ def test_summary_scalar_inequalities(probs):
 
 def test_family_constant_total():
     prof = generate(ProfileFamily.constant_total(2.0), 8)
-    assert prof.probs == (0.25,) * 8
+    assert prof.probs.tolist() == [0.25] * 8
 
 
 def test_family_constant_p():
     prof = generate(ProfileFamily.constant_p(0.3), 5)
-    assert prof.probs == (0.3,) * 5
+    assert prof.probs.tolist() == [0.3] * 5
 
 
 def test_family_row_power():
     prof = generate(ProfileFamily.row_power(1.0, 0.75), 16)
-    assert prof.probs == (16.0**-0.75,) * 16
+    assert prof.probs.tolist() == [16.0**-0.75] * 16
 
 
 def test_family_index_power():
     prof = generate(ProfileFamily.index_power(0.5, 0.5), 4)
-    expected = tuple(0.5 * i**-0.5 for i in (1, 2, 3, 4))
-    assert prof.probs == expected
+    expected = [0.5 * i**-0.5 for i in (1, 2, 3, 4)]
+    assert prof.probs.tolist() == expected
 
 
 def test_family_generation_is_deterministic():
     fam = ProfileFamily.index_power(0.5, 0.5)
-    assert generate(fam, 100).probs == generate(fam, 100).probs
+    assert generate(fam, 100).probs.tobytes() == generate(fam, 100).probs.tobytes()
 
 
 def test_family_out_of_range_at_small_n():
@@ -162,7 +202,7 @@ def test_family_from_file_requires_matching_n(tmp_path):
     path = tmp_path / "row.txt"
     path.write_text("0.1\n0.2\n")
     fam = ProfileFamily.from_file(str(path))
-    assert generate(fam, 2).probs == (0.1, 0.2)
+    assert generate(fam, 2).probs.tolist() == [0.1, 0.2]
     with pytest.raises(ValidationError):
         generate(fam, 3)
 
@@ -181,7 +221,7 @@ def test_load_profile_comments_and_blanks(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("# header\n0.25\n\n 0.5 \n# tail\n1e-3\n")
     prof = load_profile(str(path))
-    assert prof.probs == (0.25, 0.5, 0.001)
+    assert prof.probs.tolist() == [0.25, 0.5, 0.001]
 
 
 def test_load_profile_reports_line_numbers(tmp_path):
