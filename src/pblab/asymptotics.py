@@ -168,6 +168,16 @@ def envelope_thm2(
     return eps, eps < 1.0
 
 
+def _upper_rail(summary: ProfileSummary, eps2: float) -> float:
+    """e^(sum b^2) (1 + eps2); inf when eps2 is not finite or the product overflows."""
+    if math.isfinite(eps2):
+        try:
+            return math.exp(summary.sum_sq) * (1.0 + eps2)
+        except OverflowError:
+            pass
+    return math.inf
+
+
 def envelope_thm3(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
     """The stated display around the plain Poisson form: (lower, upper, valid).
 
@@ -180,8 +190,7 @@ def envelope_thm3(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
     if summary.m_n >= 0.5:
         raise HypothesisError(f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}")
     eps1, eps2, valid = envelope_thm1(summary, k)
-    upper = math.exp(summary.sum_sq) * (1.0 + eps2) if math.isfinite(eps2) else math.inf
-    return 1.0 - eps1, upper, valid
+    return 1.0 - eps1, _upper_rail(summary, eps2), valid
 
 
 def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
@@ -199,8 +208,7 @@ def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float,
         raise HypothesisError(f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}")
     eps1, eps2, valid = envelope_thm1(summary, k)
     lower = math.exp(-summary.sum_sq) * (1.0 - eps1)
-    upper = math.exp(summary.sum_sq) * (1.0 + eps2) if math.isfinite(eps2) else math.inf
-    return lower, upper, valid
+    return lower, _upper_rail(summary, eps2), valid
 
 
 @dataclass(frozen=True)

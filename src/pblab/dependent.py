@@ -51,8 +51,9 @@ class DependentModel(ABC):
 
     joint(()) must be 1 and adding an index must never increase the value;
     set-valued input keeps it symmetric by construction.  Subclasses may
-    provide closed-form k-fold sums to dodge the subset enumeration, and a
-    vector joint_many that evaluates many index tuples in one array pass.
+    provide closed-form k-fold sums through fast_sums to dodge the subset
+    enumeration, and a vector joint_many that evaluates many index tuples
+    in one array pass.
     """
 
     @property
@@ -77,10 +78,12 @@ class DependentModel(ABC):
     def marginals(self) -> np.ndarray | tuple[float, ...]:
         return tuple(self.joint((i,)) for i in range(self.n))
 
-    def fast_sums(self, k_max: int) -> tuple[float, ...] | None:
-        return None
+    def fast_sums(self, k_max: int, high_precision: bool = False) -> list | None:
+        """Closed-form S_0..S_k_max, or None to make s_tilde enumerate subsets.
 
-    def fast_sums_fraction(self, k_max: int) -> tuple[Fraction, ...] | None:
+        Floats by default; with high_precision, the exact rationals over the
+        binary float inputs (s_tilde rounds them for the float column).
+        """
         return None
 
     @abstractmethod
@@ -129,12 +132,9 @@ class ProductModel(DependentModel):
     def marginals(self) -> np.ndarray:
         return self.profile.probs
 
-    def fast_sums(self, k_max: int) -> tuple[float, ...]:
-        return elementary_symmetric(self.profile.probs, k_max).values
-
-    def fast_sums_fraction(self, k_max: int) -> tuple[Fraction, ...]:
-        sums = elementary_symmetric(self.profile.probs, k_max, high_precision=True)
-        return sums.high_precision_values
+    def fast_sums(self, k_max: int, high_precision: bool = False) -> list:
+        sums = elementary_symmetric(self.profile.probs, k_max, high_precision)
+        return list(sums.high_precision_values) if high_precision else sums.values.tolist()
 
     def restrict(self, keep) -> "ProductModel":
         kept = _check_keep(keep, self.n)
@@ -185,20 +185,11 @@ class MixtureModel(DependentModel):
     def marginals(self) -> np.ndarray:
         return (1.0 - self.eps) * self.p_profile.probs + self.eps * self.q_profile.probs
 
-    def fast_sums(self, k_max: int) -> tuple[float, ...]:
-        ep = elementary_symmetric(self.p_profile.probs, k_max).values
-        eq = elementary_symmetric(self.q_profile.probs, k_max).values
-        return tuple((1.0 - self.eps) * a + self.eps * b for a, b in zip(ep, eq))
-
-    def fast_sums_fraction(self, k_max: int) -> tuple[Fraction, ...]:
-        ep = elementary_symmetric(
-            self.p_profile.probs, k_max, high_precision=True
-        ).high_precision_values
-        eq = elementary_symmetric(
-            self.q_profile.probs, k_max, high_precision=True
-        ).high_precision_values
-        w = Fraction(self.eps)
-        return tuple((1 - w) * a + w * b for a, b in zip(ep, eq))
+    def fast_sums(self, k_max: int, high_precision: bool = False) -> list:
+        w = Fraction(self.eps) if high_precision else self.eps
+        ep = ProductModel(self.p_profile).fast_sums(k_max, high_precision)
+        eq = ProductModel(self.q_profile).fast_sums(k_max, high_precision)
+        return [(1 - w) * a + w * b for a, b in zip(ep, eq)]
 
     def closed_form_pmf(self) -> Pmf:
         """Exact PMF as the eps-weighted mixture of the two product PMFs."""
@@ -327,38 +318,33 @@ def _guard_generic(n: int) -> None:
         )
 
 
+def _fraction_sum(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
 def s_tilde(
     model: DependentModel, k_max: int, high_precision: bool = False
 ) -> SymmetricSums:
     """k-fold joint sums S_0..S_k_max of the model.
 
-    Uses the model's closed form when it has one; otherwise sums the joint
-    over every k-subset (guarded at n <= 25).  In high-precision mode the
-    sums are carried as exact rationals over the binary float joints and the
-    float column is their correctly rounded image.
+    Uses the model's fast_sums closed form when it has one; otherwise sums
+    the joint over every k-subset (guarded at n <= 25) with math.fsum.  In
+    high-precision mode either route gives exact rationals over the binary
+    float joints, and the float column is their correctly rounded image.
     """
     if not 0 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 0..{model.n}")
-    if high_precision:
-        hp = model.fast_sums_fraction(k_max)
-        if hp is None:
-            _guard_generic(model.n)
-            hp = tuple(
-                sum(
-                    (Fraction(model.joint(c)) for c in itertools.combinations(range(model.n), k)),
-                    Fraction(0),
-                )
-                for k in range(k_max + 1)
-            )
-        return SymmetricSums(tuple(float(x) for x in hp), tuple(hp))
-    vals = model.fast_sums(k_max)
+    vals = model.fast_sums(k_max, high_precision)
     if vals is None:
         _guard_generic(model.n)
-        vals = tuple(
-            math.fsum(model.joint(c) for c in itertools.combinations(range(model.n), k))
+        total = _fraction_sum if high_precision else math.fsum
+        vals = [
+            total(model.joint(c) for c in itertools.combinations(range(model.n), k))
             for k in range(k_max + 1)
-        )
-    return SymmetricSums(tuple(vals))
+        ]
+    if high_precision:
+        return SymmetricSums([float(x) for x in vals], vals)
+    return SymmetricSums(vals)
 
 
 def pmf_dependent(model: DependentModel, k: int, high_precision: bool = False) -> float:
@@ -434,9 +420,10 @@ class SchemeDiagnostics:
 
     b1_max_dev[j] is the worst |joint/product - 1| seen at k = k_values[j]
     over non-rare tuples (inf when a product vanished under a positive
-    joint; zero_product flags those k).  b2_ratio and b3_ratio divide the
-    full k-fold sums by their non-rare parts, computed exactly from
-    restriction identities, so they sit at exactly 1.0 for empty rare sets.
+    joint; zero_product flags those k).  b2_ratio divides the model's full
+    k-fold sums by their non-rare parts, computed exactly from restriction
+    identities, and b3_ratio is the same for the comparison row as a
+    product model; both are exactly 1.0 for empty rare sets.
     modes records whether B1 swept every tuple or a seeded sample.
     """
 
@@ -470,35 +457,29 @@ def _ratio_or_inf(num: float, den: float) -> float:
     return 1.0 if num == 0.0 else math.inf
 
 
-def _nonrare_sums(
-    full: tuple[float, ...],
-    rare: RareSetSpec,
-    k_max: int,
-    n: int,
-    joint_fn,
-    restricted_sums: tuple[float, ...] | None,
-) -> list[float]:
-    """Sum of joints over non-rare k-tuples, for k = 0..k_max, exactly.
+def _nonrare_ratios(model: DependentModel, rare: RareSetSpec, k_max: int) -> list[float]:
+    """Full k-fold sum over its non-rare part, for k = 1..k_max, exactly.
 
-    empty: the full sums.  contains_any(J): non-rare tuples avoid J
-    entirely, so the sum IS the k-fold sum of the model restricted to the
-    complement (passed in).  explicit: subtract the listed tuples' joints.
+    empty: 1.0 for every k, with no sums computed.  contains_any(J):
+    non-rare tuples avoid J entirely, so the part IS the k-fold sum of the
+    model restricted to the complement.  explicit: subtract the listed
+    tuples' joints.
     """
     if rare.kind == "empty":
-        return list(full[: k_max + 1])
+        return [1.0] * k_max
+    full = s_tilde(model, k_max).values.tolist()
     if rare.kind == "contains_any":
-        out = []
-        for k in range(k_max + 1):
-            if restricted_sums is not None and k < len(restricted_sums):
-                out.append(restricted_sums[k])
-            else:
-                out.append(0.0)
-        return out
-    out = list(full[: k_max + 1])
-    for t in rare.tuples:
-        if 1 <= len(t) <= k_max and len(set(t)) == len(t) and all(0 <= i < n for i in t):
-            out[len(t)] = max(0.0, out[len(t)] - joint_fn(t))
-    return out
+        comp = [i for i in range(model.n) if i not in rare.indices]
+        part = [1.0] + [0.0] * k_max
+        if comp:
+            cap = min(k_max, len(comp))
+            part[: cap + 1] = s_tilde(model.restrict(comp), cap).values.tolist()
+    else:
+        part = list(full)
+        for t in rare.tuples:
+            if 1 <= len(t) <= k_max and len(set(t)) == len(t) and all(0 <= i < model.n for i in t):
+                part[len(t)] = max(0.0, part[len(t)] - model.joint(t))
+    return [_ratio_or_inf(full[k], part[k]) for k in range(1, k_max + 1)]
 
 
 def validate_sample_budget(sample_budget: int) -> None:
@@ -580,76 +561,31 @@ def check_scheme(
     model.joint_many and the comparison products with the same column
     gather, so each deviation is the one a scalar loop over the tuples
     would compute.  B2 and B3 use closed restriction identities rather than
-    sampling, so they carry no Monte Carlo noise at all.
+    sampling, so they carry no Monte Carlo noise at all; B3 is B2 of the
+    comparison row as a ProductModel.
     """
     if indep.n != model.n:
         raise ValidationError(f"comparison row has n={indep.n}, model has n={model.n}")
     if not 1 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 1..{model.n}")
     validate_sample_budget(sample_budget)
-    n = model.n
-    probs = indep.probs
-
-    model_sums = s_tilde(model, k_max).values
-    indep_sums = elementary_symmetric(probs, k_max).values
-
-    restricted_model_sums: tuple[float, ...] | None = None
-    restricted_indep_sums: tuple[float, ...] | None = None
-    if rare.kind == "contains_any":
-        if any(i < 0 or i >= n for i in rare.indices):
-            raise ValidationError(f"rare indices must lie in 0..{n - 1}")
-        comp = tuple(i for i in range(n) if i not in rare.indices)
-        if comp:
-            cap = min(k_max, len(comp))
-            restricted_model_sums = s_tilde(model.restrict(comp), cap).values
-            restricted_indep_sums = elementary_symmetric(probs[list(comp)], cap).values
-        else:
-            restricted_model_sums = (1.0,)
-            restricted_indep_sums = (1.0,)
-
-    b2_parts = _nonrare_sums(
-        model_sums, rare, k_max, n, model.joint, restricted_model_sums
-    )
-    b3_parts = _nonrare_sums(
-        indep_sums,
-        rare,
-        k_max,
-        n,
-        lambda t: math.prod(probs[list(t)].tolist()),
-        restricted_indep_sums,
-    )
-
-    ks = []
-    b1 = []
-    b2 = []
-    b3 = []
-    modes = []
-    counts = []
-    zero_flags = []
+    if rare.kind == "contains_any" and any(i < 0 or i >= model.n for i in rare.indices):
+        raise ValidationError(f"rare indices must lie in 0..{model.n - 1}")
+    b2 = _nonrare_ratios(model, rare, k_max)
+    b3 = _nonrare_ratios(ProductModel(indep), rare, k_max)
+    rows = []
     for k in range(1, k_max + 1):
-        tuples, mode = _b1_tuples(n, k, sample_budget, seed)
-        worst, checked, zero_hit = _b1_sweep(model, probs, rare, tuples, k)
-        if rare.kind == "empty":
-            b2_k = 1.0
-            b3_k = 1.0
-        else:
-            b2_k = _ratio_or_inf(model_sums[k], b2_parts[k])
-            b3_k = _ratio_or_inf(indep_sums[k], b3_parts[k])
-        ks.append(k)
-        b1.append(worst)
-        b2.append(b2_k)
-        b3.append(b3_k)
-        modes.append(mode)
-        counts.append(checked)
-        zero_flags.append(zero_hit)
+        tuples, mode = _b1_tuples(model.n, k, sample_budget, seed)
+        rows.append((*_b1_sweep(model, indep.probs, rare, tuples, k), mode))
+    b1, counts, zero_flags, modes = zip(*rows)
     return SchemeDiagnostics(
-        k_values=tuple(ks),
-        b1_max_dev=tuple(b1),
+        k_values=tuple(range(1, k_max + 1)),
+        b1_max_dev=b1,
         b2_ratio=tuple(b2),
         b3_ratio=tuple(b3),
-        modes=tuple(modes),
-        checked_counts=tuple(counts),
-        zero_product=tuple(zero_flags),
+        modes=modes,
+        checked_counts=counts,
+        zero_product=zero_flags,
         seed=seed,
         sample_budget=sample_budget,
         rare=rare.spec_string(),

@@ -244,25 +244,28 @@ def pmf_bruteforce(profile: BernoulliProfile) -> Pmf:
     return _finish_log(log_f, n, "brute_force")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricSums:
     """The k-fold sums S_0..S_K over all k-subsets of a value sequence.
 
-    S_0 = 1 by the empty-product convention.  high_precision_values, when
-    present, mirrors values as exact rationals computed from the same
-    (binary) inputs; it feeds the exact inclusion-exclusion path.
+    S_0 = 1 by the empty-product convention.  values is a 1-D read-only
+    float64 array, copied from the input at construction; sums compare by
+    identity.  high_precision_values, when present, mirrors values as exact
+    rationals computed from the same (binary) inputs; it feeds the exact
+    inclusion-exclusion path.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     high_precision_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        vals = tuple(float(x) for x in self.values)
-        if len(vals) < 1 or vals[0] != 1.0:
+        vals = frozen_row(self.values, "symmetric sums")
+        if not len(vals) or vals[0] != 1.0:
             raise ValidationError("symmetric sums must start with S_0 = 1")
-        for k, v in enumerate(vals):
-            if math.isnan(v) or v < 0.0:
-                raise ValidationError(f"S_{k} = {v!r} must be a nonnegative real")
+        # min propagates NaN, and a NaN fails the comparison.
+        if not vals.min() >= 0.0:
+            k = int(np.flatnonzero(~(vals >= 0.0))[0])
+            raise ValidationError(f"S_{k} = {float(vals[k])!r} must be a nonnegative real")
         if self.high_precision_values is not None:
             hp = tuple(Fraction(x) for x in self.high_precision_values)
             if len(hp) != len(vals):
@@ -314,7 +317,7 @@ def elementary_symmetric(
             for k in range(min(i + 1, k_max), 0, -1):
                 big[k] += scaled * big[k - 1]
         hp = tuple(Fraction(x, 1 << (d * k)) for k, x in enumerate(big))
-    return SymmetricSums(tuple(e.tolist()), hp)
+    return SymmetricSums(e, hp)
 
 
 def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
@@ -339,12 +342,13 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
             term = math.comb(k + l, k) * sums.high_precision_values[k + l]
             total += -term if l & 1 else term
         return min(1.0, max(0.0, float(total)))
+    values = sums.values.tolist()
 
     def terms():
         for l in range(0, n - k + 1):
             c = math.comb(k + l, k)
             try:
-                t = float(c) * sums.values[k + l]
+                t = float(c) * values[k + l]
             except OverflowError as exc:
                 raise ConditioningError(
                     f"binomial weight C({k + l},{k}) overflows float range"
@@ -371,20 +375,17 @@ def prob_zero_log(profile: BernoulliProfile) -> float:
 class PoissonRef:
     """Poisson reference with log-domain evaluation and tail truncation.
 
-    The CDF is materialized up to the point where the remaining tail mass
-    drops below tail_mass (default 1e-15), certified by the geometric-ratio
-    tail bound rather than by summing to machine-limited cumulative values.
+    truncation_k finds where the remaining tail mass drops below a given
+    cap, certified by the geometric-ratio tail bound rather than by summing
+    to machine-limited cumulative values.
     """
 
     lam: float
-    tail_mass: float = 1e-15
 
     def __post_init__(self) -> None:
         lam = float(self.lam)
         if not (math.isfinite(lam) and lam > 0.0):
             raise HypothesisError(f"Poisson reference needs lambda > 0, got {lam!r}")
-        if not 0.0 < self.tail_mass < 1.0:
-            raise ValidationError("tail_mass must lie in (0, 1)")
         object.__setattr__(self, "lam", lam)
 
     def log_pmf(self, k: int) -> float:
@@ -392,16 +393,17 @@ class PoissonRef:
             raise ValidationError("k must be nonnegative")
         return -self.lam + k * math.log(self.lam) - log_factorial(k)
 
-    def truncation_k(self, tail_mass: float | None = None) -> int:
-        """Smallest K (up to stride) with certified tail mass below the cap.
+    def truncation_k(self, tail_mass: float) -> int:
+        """Smallest K (up to stride) with certified tail mass below tail_mass.
 
         For K+1 > lam the terms decay at least geometrically with ratio
         lam/(K+1), so tail(K) <= pmf(K) / (1 - lam/(K+1)).
         """
-        cap = self.tail_mass if tail_mass is None else tail_mass
+        if not 0.0 < tail_mass < 1.0:
+            raise ValidationError("tail_mass must lie in (0, 1)")
         lam = self.lam
         k = int(math.ceil(lam + 10.0 * math.sqrt(lam) + 20.0))
-        log_cap = math.log(cap)
+        log_cap = math.log(tail_mass)
         while True:
             ratio = lam / (k + 1.0)
             bound = self.log_pmf(k) - math.log1p(-ratio)

@@ -179,13 +179,17 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
                 f"profile file {family.path} has {prof.n} entries, expected n={n}"
             )
         return prof
-    for i, v in enumerate(values):
-        if not 0.0 <= v < 1.0:
-            raise ValidationError(
-                f"family {family.spec_string()} yields entry {v!r} at index {i} "
-                f"for n={n}, outside [0, 1)"
-            )
-    return BernoulliProfile(values)
+    try:
+        return BernoulliProfile(values)
+    except ValidationError:
+        # Walk the row only to name the first offending entry.
+        for i, v in enumerate(values):
+            if not 0.0 <= v < 1.0:
+                raise ValidationError(
+                    f"family {family.spec_string()} yields entry {v!r} at index {i} "
+                    f"for n={n}, outside [0, 1)"
+                ) from None
+        raise
 
 
 def load_profile(path: str) -> BernoulliProfile:

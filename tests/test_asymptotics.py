@@ -390,6 +390,15 @@ def _float_leaves(obj):
         yield obj
 
 
+def test_poisson_form_upper_rail_is_inf_once_exp_overflows():
+    # sum b^2 = 810 > log(DBL_MAX) ~ 709.78: e^(sum b^2) is not a float.
+    s = make_summary((0.45,) * 4000)
+    assert s.sum_sq > 709.79
+    assert envelope_thm3(s, 2)[1] == math.inf
+    lower, upper, _ = poisson_form_bracket(s, 2)
+    assert (lower, upper) == (0.0, math.inf)
+
+
 def test_report_floats_are_python_floats():
     prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
     model = MixtureModel(0.3, prof, BernoulliProfile([0.1, 0.2, 0.1, 0.2, 0.1, 0.2]))
@@ -399,6 +408,7 @@ def test_report_floats_are_python_floats():
         verify_sandwich(prof, ApproxKind.lambda_form(), GrowthWindow.constant(4.0)),
         verify_sandwich(prof, ApproxKind.beta_form(), GrowthWindow.constant(4.0)),
         ratio_report(model, prof, 4),
+        ratio_report(model, prof, 4, high_precision=True),
         check_scheme(model, prof, RareSetSpec.explicit([(0, 1), (2,)]), 3),
         check_scheme(model, prof, RareSetSpec.contains_any([1]), 3),
     ]

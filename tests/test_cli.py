@@ -173,6 +173,41 @@ def test_verify_flat_row_poisson_envelope_holds(capsys):
     assert all(row["valid"] for row in obj["rows"])
 
 
+def test_verify_poisson_form_past_exp_overflow(capsys):
+    # sum b^2 = 810: the upper rail e^(sum b^2) (1 + eps2) is not a float.
+    code, out, err = run_cli(
+        [
+            "verify",
+            "--family", "constant_p:0.45",
+            "--n", "4000",
+            "--kind", "poisson",
+            "--phi", "constant:4",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["upper_env"] for row in rows] == ["inf"] * 3
+
+
+def test_sweep_poisson_form_past_exp_overflow(capsys):
+    code, out, err = run_cli(
+        [
+            "sweep",
+            "--family", "constant_p:0.45",
+            "--grid", "1000,4000",
+            "--kind", "poisson",
+            "--phi", "constant:4",
+            "--format", "csv",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert [row[header.index("n")] for row in rows] == ["1000", "4000"]
+    assert [row[header.index("violations")] for row in rows] == ["0", "0"]
+
+
 def test_verify_csv_column_order(tmp_path, capsys):
     path = write_profile(tmp_path, WORKED_PROBS)
     code, out, _ = run_cli(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pblab import dependent
 from pblab.dependent import (
     CallableModel,
+    DependentModel,
     MixtureModel,
     ProductModel,
     RareSetSpec,
@@ -124,7 +125,7 @@ def test_joint_sums_worked_example():
 
 
 def test_joint_sums_k_max_zero():
-    assert s_tilde(WORKED, 0).values == (1.0,)
+    assert s_tilde(WORKED, 0).values.tolist() == [1.0]
 
 
 def test_joint_sums_independent_reduction():
@@ -132,7 +133,8 @@ def test_joint_sums_independent_reduction():
     degenerate = MixtureModel(0.0, p, BernoulliProfile((0.9, 0.9, 0.9)))
     from pblab.exact import elementary_symmetric
 
-    assert s_tilde(degenerate, 3).values == elementary_symmetric(p.probs, 3).values
+    want = elementary_symmetric(p.probs, 3).values
+    assert s_tilde(degenerate, 3).values.tobytes() == want.tobytes()
 
 
 def test_joint_sums_generic_path_matches_fast_path():
@@ -156,6 +158,32 @@ def test_joint_sums_rational_mode_is_exact():
     q = Fraction(0.4)
     assert sums.high_precision_values[1] == 2 * (half * p + half * q)
     assert sums.high_precision_values[2] == half * p * p + half * q * q
+
+
+def test_fast_sums_is_one_hook_for_both_precisions():
+    m = mixture(0.3, 0.15, 0.45, 8)
+    p, q = m.p_profile.probs, m.q_profile.probs
+    ep, eq = (elementary_symmetric(v, 5).values.tolist() for v in (p, q))
+    assert m.fast_sums(5) == [(1.0 - 0.3) * a + 0.3 * b for a, b in zip(ep, eq)]
+    hp, hq = (elementary_symmetric(v, 5, True).high_precision_values for v in (p, q))
+    w = Fraction(0.3)
+    assert m.fast_sums(5, True) == [(1 - w) * a + w * b for a, b in zip(hp, hq)]
+    assert ProductModel(m.p_profile).fast_sums(5, True) == list(hp)
+    assert not hasattr(DependentModel, "fast_sums_fraction")
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["fast", "generic"])
+def test_joint_sums_float_column_rounds_the_rational_mirror(closed_form):
+    m = mixture(0.3, 0.15, 0.45, 8)
+    model = m if closed_form else CallableModel(8, m.joint)
+    sums = s_tilde(model, 6, high_precision=True)
+    assert sums.values.tolist() == [float(x) for x in sums.high_precision_values]
+    if not closed_form:
+        want = [
+            sum((Fraction(m.joint(c)) for c in itertools.combinations(range(8), k)), Fraction(0))
+            for k in range(7)
+        ]
+        assert list(sums.high_precision_values) == want
 
 
 def test_joint_sums_k_max_validation():
@@ -341,30 +369,57 @@ def test_diagnostics_sample_budget_cap():
 # ----------------------------------------------------------------------
 
 
+def nonrare_sums_reference(full, rare, k_max, n, joint_fn, restricted_sums):
+    """Sum of joints over non-rare k-tuples, for k = 0..k_max.
+
+    The B2/B3 helper that B3-as-B2-of-the-comparison-row replaced, kept as
+    the reference: empty gives the full sums, contains_any the restricted
+    sums passed in, explicit subtracts the listed tuples' joints.
+    """
+    if rare.kind == "empty":
+        return list(full[: k_max + 1])
+    if rare.kind == "contains_any":
+        out = []
+        for k in range(k_max + 1):
+            if restricted_sums is not None and k < len(restricted_sums):
+                out.append(restricted_sums[k])
+            else:
+                out.append(0.0)
+        return out
+    out = list(full[: k_max + 1])
+    for t in rare.tuples:
+        if 1 <= len(t) <= k_max and len(set(t)) == len(t) and all(0 <= i < n for i in t):
+            out[len(t)] = max(0.0, out[len(t)] - joint_fn(t))
+    return out
+
+
 def check_scheme_reference(model, indep, rare, k_max, sample_budget=2000, seed=0):
     """check_scheme with B1 as one scalar joint and math.prod per tuple.
 
-    This is the loop the array version replaced, kept as the reference.
+    This is the loop the array version replaced, kept as the reference,
+    together with the separate B2 and B3 sums it used.
     """
     n = model.n
     probs = indep.probs.tolist()
-    model_sums = s_tilde(model, k_max).values
-    indep_sums = elementary_symmetric(probs, k_max).values
+    model_sums = s_tilde(model, k_max).values.tolist()
+    indep_sums = elementary_symmetric(probs, k_max).values.tolist()
     restricted_model_sums = None
     restricted_indep_sums = None
     if rare.kind == "contains_any":
         comp = tuple(i for i in range(n) if i not in rare.indices)
         if comp:
             cap = min(k_max, len(comp))
-            restricted_model_sums = s_tilde(model.restrict(comp), cap).values
-            restricted_indep_sums = elementary_symmetric([probs[i] for i in comp], cap).values
+            restricted_model_sums = s_tilde(model.restrict(comp), cap).values.tolist()
+            restricted_indep_sums = elementary_symmetric(
+                [probs[i] for i in comp], cap
+            ).values.tolist()
         else:
             restricted_model_sums = (1.0,)
             restricted_indep_sums = (1.0,)
-    b2_parts = dependent._nonrare_sums(
+    b2_parts = nonrare_sums_reference(
         model_sums, rare, k_max, n, model.joint, restricted_model_sums
     )
-    b3_parts = dependent._nonrare_sums(
+    b3_parts = nonrare_sums_reference(
         indep_sums, rare, k_max, n, lambda t: math.prod(probs[i] for i in t),
         restricted_indep_sums,
     )
@@ -429,8 +484,8 @@ class NanAtOneTuple(CallableModel):
         )
         self._inner = inner
 
-    def fast_sums(self, k_max):
-        return self._inner.fast_sums(k_max)
+    def fast_sums(self, k_max, high_precision=False):
+        return self._inner.fast_sums(k_max, high_precision)
 
 
 def _scheme_cases():
@@ -442,6 +497,15 @@ def _scheme_cases():
         (0, 5)), 4, {}
     yield "explicit", m12, BernoulliProfile(m12.marginals), RareSetSpec.explicit(
         ((0, 1), (2, 3, 4), (7,), (11, 3))), 3, {}
+    # The complement holds 2 indices, fewer than k_max: no non-rare 3- or 4-tuples.
+    yield "contains_most", m12, BernoulliProfile(m12.marginals), RareSetSpec.contains_any(
+        range(10)), 4, {}
+    yield "contains_all", half, BernoulliProfile((0.5,) * 6), RareSetSpec.contains_any(
+        range(6)), 2, {}
+    # Subtracting every pair's joint from S_2 rounds to a negative part.
+    triple = ProductModel(BernoulliProfile((0.3, 0.2, 0.05)))
+    yield "explicit_all_pairs", triple, triple.profile, RareSetSpec.explicit(
+        itertools.combinations(range(3), 2)), 2, {}
     yield "zero_product", half, BernoulliProfile((0.5, 0.5, 0.0, 0.5, 0.5, 0.5)), \
         RareSetSpec.empty(), 3, {}
     yield "sampled", m200, BernoulliProfile(m200.marginals), RareSetSpec.empty(), 3, {
@@ -471,6 +535,21 @@ def test_array_b1_matches_scalar_reference(name):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
 
 
+def test_diagnostics_generic_model_past_the_guard_with_empty_rare_set():
+    # B2 = B3 = 1 needs no sums with an empty rare set, so a generic model
+    # with n > 25 gets B1 diagnostics instead of a SizeError.
+    m = spread_mixture(30)
+    model = CallableModel(30, m.joint)
+    indep = BernoulliProfile(m.marginals)
+    diag = check_scheme(model, indep, RareSetSpec.empty(), 2)
+    assert diag.b2_ratio == diag.b3_ratio == (1.0, 1.0)
+    assert diag.checked_counts == (30, 435)
+    assert repr(diag) == repr(check_scheme(m, indep, RareSetSpec.empty(), 2))
+    # A rare set whose B2 needs the model's sums still hits the guard.
+    with pytest.raises(SizeError):
+        check_scheme(model, indep, RareSetSpec.contains_any((0,)), 2)
+
+
 def test_array_b1_reference_cases_reach_their_branches():
     assert math.comb(40, 4) > 20 * dependent._B1_CHUNK
     diag = check_scheme(*SCHEME_CASES["zero_product"][:4])
@@ -479,6 +558,13 @@ def test_array_b1_reference_cases_reach_their_branches():
     assert diag.modes == ("exhaustive", "exhaustive", "sampled")
     nan_model = SCHEME_CASES["callable_nan"][0]
     assert math.isnan(nan_model.joint((1, 2)))
+    diag = check_scheme(*SCHEME_CASES["contains_most"][:4])
+    assert diag.b2_ratio[2:] == diag.b3_ratio[2:] == (math.inf, math.inf)
+    diag = check_scheme(*SCHEME_CASES["contains_all"][:4])
+    assert diag.checked_counts == (0, 0)
+    assert diag.b2_ratio == diag.b3_ratio == (math.inf, math.inf)
+    diag = check_scheme(*SCHEME_CASES["explicit_all_pairs"][:4])
+    assert diag.b2_ratio[1] == diag.b3_ratio[1] == math.inf
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,18 @@ def test_rational_mirror_matches_fraction_reference(values, k_max):
     assert got == _fraction_triangle_reference(values, k_max)
 
 
+def test_poisson_truncation_takes_its_cap():
+    ref = PoissonRef(3.0)
+    with pytest.raises(TypeError):
+        ref.truncation_k()
+    with pytest.raises(TypeError):
+        PoissonRef(3.0, 1e-15)
+    for bad in (0.0, 1.0, -1e-3, math.nan):
+        with pytest.raises(ValidationError):
+            ref.truncation_k(bad)
+    assert ref.truncation_k(1e-15) >= ref.truncation_k(1e-12)
+
+
 def test_elementary_symmetric_validation():
     with pytest.raises(ValidationError):
         elementary_symmetric((0.1, -0.2), 1)
@@ -317,6 +329,40 @@ def test_symmetric_sums_type_validation():
     with pytest.raises(ValidationError):
         SymmetricSums((1.0, 0.5), (Fraction(1),))
 
+
+def test_symmetric_sums_values_are_a_read_only_float64_row():
+    from pblab.exact import SymmetricSums
+
+    src = [1.0, 0.5, 0.0625]
+    sums = SymmetricSums(src)
+    assert sums.values.dtype == np.float64
+    assert sums.values.ndim == 1
+    assert not sums.values.flags.writeable
+    src[1] = 0.25
+    assert sums.values.tolist() == [1.0, 0.5, 0.0625]
+    assert sums == sums
+    assert sums != SymmetricSums([1.0, 0.5, 0.0625])
+    assert not elementary_symmetric((0.5, 0.25), 2).values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, 0.5, math.nan, -1.0), "S_2 = nan must be a nonnegative real"),
+        ((1.0, 0.5, -1.0, math.nan), "S_2 = -1.0 must be a nonnegative real"),
+        ((1.0, -0.0, -5e-324), "S_2 = -5e-324 must be a nonnegative real"),
+        ((), "symmetric sums must start with S_0 = 1"),
+        ((1.0, "a"), "symmetric sums must be a row of numbers"),
+        (((1.0, 0.5),), "symmetric sums must be one-dimensional"),
+    ],
+    ids=["nan_first", "negative_first", "negative_zero_ok", "empty", "not_numbers", "2d"],
+)
+def test_symmetric_sums_name_the_first_offending_entry(values, message):
+    from pblab.exact import SymmetricSums
+
+    with pytest.raises(ValidationError) as info:
+        SymmetricSums(values)
+    assert str(info.value).startswith(message)
 
 def test_inclusion_exclusion_worked_example():
     sums = elementary_symmetric(WORKED.probs, 3)

@@ -186,9 +186,18 @@ def test_family_generation_is_deterministic():
 
 def test_family_out_of_range_at_small_n():
     # constant_total(2) at n=2 would need entries exactly 1.
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         generate(ProfileFamily.constant_total(2.0), 2)
+    assert str(info.value) == (
+        "family constant_total:2 yields entry 1.0 at index 0 for n=2, outside [0, 1)"
+    )
     generate(ProfileFamily.constant_total(2.0), 3)  # fine from n=3 on
+    # The message names the first offending index, not the first entry.
+    with pytest.raises(ValidationError) as info:
+        generate(ProfileFamily.index_power(0.5, -0.5), 5)
+    assert str(info.value) == (
+        "family index_power:0.5,-0.5 yields entry 1.0 at index 3 for n=5, outside [0, 1)"
+    )
 
 
 def test_family_arity_checked():
