@@ -9,7 +9,12 @@ and the Poisson underflow cutoff went in.  The cases `sweep_kind_out`,
 and recorded, before the per-report emitters became one table per report.
 The cases `dependent_rational` and `dependent_sampled` were added, and
 recorded, before B1 ran over arrays of tuples and the rational triangles
-over integers.  A green run means those changes left every emitted byte
+over integers.  The `verify_*`, `approx_*`, `sweep_beta` and
+`sweep_poisson_inf` cases were added, and recorded, before each
+approximation form's anchor, rate and rails were stated once: they pin the
+beta form with its default and an explicit cap, a lambda form with inf upper
+rails, every approx kind, and a poisson sweep past the exp overflow of its
+upper rail.  A green run means those changes left every emitted byte
 unchanged.
 
 Two cases guard those code paths in particular: `pmf --engine dc` at
@@ -87,6 +92,24 @@ CASES = {
     "dependent_rational": ["dependent", "--model", "{model100}", "--k-max", "4",
                            "--precision", "rational"],
     "dependent_sampled": ["dependent", "--model", "{model200}", "--k-max", "3"],
+    "verify_beta": ["verify", "--family", "row_power:1,0.75", "--n", "2000", "--kind", "beta",
+                    "--phi", "power:1,0.5"],
+    "verify_beta_cap": ["verify", "--family", "row_power:1,0.75", "--n", "2000", "--kind",
+                        "beta", "--phi", "power:1,0.5", "--beta-cap", "0.7"],
+    "verify_lambda_inf": ["verify", "--family", "constant_p:0.3", "--n", "200", "--kind",
+                          "lambda", "--phi", "constant:30"],
+    "approx_lambda": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind", "lambda",
+                      "--k-max", "12"],
+    "approx_beta": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind", "beta",
+                    "--k-max", "12"],
+    "approx_poisson_limit": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind",
+                             "poisson-limit:2.5", "--k-max", "12"],
+    "approx_normal": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind", "normal",
+                      "--k-max", "12"],
+    "sweep_beta": ["sweep", "--family", "constant_total:2", "--grid", "8,16", "--kind", "beta",
+                   "--beta-cap", "0.5", "--phi", "constant:4"],
+    "sweep_poisson_inf": ["sweep", "--family", "constant_p:0.45", "--grid", "1000,3000",
+                          "--kind", "poisson", "--phi", "constant:4"],
 }
 
 GOLDEN = {
@@ -95,6 +118,30 @@ GOLDEN = {
     },
     ('approx', 'csv'): {
         'stdout': '3d7c74a8e0425e93f910eb97d212f4758a55c396b27522322283a413c4ddd7f3',
+    },
+    ('approx_beta', 'json'): {
+        'stdout': '870a8eddffe7903496c947069d2bbe1b4f6bad1ec5a8f9cd5daf76a7f42ec3d4',
+    },
+    ('approx_beta', 'csv'): {
+        'stdout': '234f277422eb41ff1548f743d60857d51d90f3dbe010bd7a1b6f920cbfc29145',
+    },
+    ('approx_lambda', 'json'): {
+        'stdout': '04f798891e4905c92fb3207f34dd6414219611d02925c911fdb48c53e48adf5c',
+    },
+    ('approx_lambda', 'csv'): {
+        'stdout': '6873fdab2379775ab6f799157d4752bd867140d6493119d3d427f5ebafa6e94d',
+    },
+    ('approx_normal', 'json'): {
+        'stdout': '1ae7b2a3593bf93f34e69add633b308adbb08ec3bfc1a66556e1cdb8d5beb397',
+    },
+    ('approx_normal', 'csv'): {
+        'stdout': '5d941669b7636b941bfc9b29ef19f3d8d338b590c2c6cc7d865a0d6b2b734e4f',
+    },
+    ('approx_poisson_limit', 'json'): {
+        'stdout': '409d61c34f3d7421e3194bf018cc463d2de91855009b91bc003a58cfbd39b2ce',
+    },
+    ('approx_poisson_limit', 'csv'): {
+        'stdout': '6359a5e67bf248d42e2bf394c8fb7b200dae49bd012a3a7872deb8ba32735e50',
     },
     ('conditions', 'json'): {
         'stdout': '9225ec04fd2d6757ff231df461d4c0a8c433f2588a9b9de7e1598628b9b5e60f',
@@ -164,6 +211,12 @@ GOLDEN = {
     ('pmf_ie', 'csv'): {
         'stdout': '184c62b591de1219668714017c45cfb71822db810120c37fc379de50521f840f',
     },
+    ('sweep_beta', 'json'): {
+        'stdout': 'a7b46ee0fa31a613db12602cfa7cee9cfea1f26d05362808c9bca155d4398890',
+    },
+    ('sweep_beta', 'csv'): {
+        'stdout': 'd99f6a52cc0a9ed2d6135210713e01595dc9a4489637dd61cd2abd34b44328e4',
+    },
     ('sweep_kind', 'json'): {
         'stdout': '42316846a7f093095409b80497f71db40f9c420233ff77ff0a6d59d3c746a527',
     },
@@ -196,11 +249,35 @@ GOLDEN = {
         'point_n400.csv': '9b601a68ca9eb6b6219dd66f0abb7ea33bcdb6f4a145c33407f1fa3545b07bee',
         'point_n50.csv': '360c0fa03e4dbad5e0d106af750c7a13d13cd7fd964c49abecfed49ecc42aaf2',
     },
+    ('sweep_poisson_inf', 'json'): {
+        'stdout': '6449fb9f6c06d6849abaab744ddd135935d8643d1b5efecec7cebd2a5a4963ce',
+    },
+    ('sweep_poisson_inf', 'csv'): {
+        'stdout': '04204063a1b70c07ff9164cf697d9cb3f53e72b0786ccd4af19960eaccc1e0cd',
+    },
     ('verify', 'json'): {
         'stdout': '19b3bebf8df2e6f61852f08154763d99f695fc06a9d405fa6cc8f8cdbfcb3524',
     },
     ('verify', 'csv'): {
         'stdout': '510f4bc243c98ea74b6ffa3562922c20175d5a3512546c572ea56085a743a198',
+    },
+    ('verify_beta', 'json'): {
+        'stdout': '5effcd12a6047f824bbcd1b00f671ed544137426c09115d400cef35460e01473',
+    },
+    ('verify_beta', 'csv'): {
+        'stdout': '02885186167103f117901adcf03e36143d4e3f8fd59d436f788a8ec2d30baee3',
+    },
+    ('verify_beta_cap', 'json'): {
+        'stdout': '181a19bd8188c4ebdcabf3a49f44f5f32937dc134b3bce33ee84510fedc6d69c',
+    },
+    ('verify_beta_cap', 'csv'): {
+        'stdout': '0a9fdf5d6186f62d5d71e2fff5b774f36a7f43d65013747c9f7181cf2ebf888f',
+    },
+    ('verify_lambda_inf', 'json'): {
+        'stdout': '21b75f1f4f2d4a05d5f03755b2f9e1a962cff023f673cc9fd363caf58fd04779',
+    },
+    ('verify_lambda_inf', 'csv'): {
+        'stdout': 'b2645cb9d01cf4c14940594b660b62d854bd105e04d44adfad16a096c7b02e5d',
     },
 }
 
