@@ -1,6 +1,8 @@
 """Local approximations to the count distribution and their error envelopes.
 
-Three Poisson-type forms share the shape approx(k) = anchor * rate^k / k!:
+Three Poisson-type forms share the shape approx(k) = anchor * rate^k / k!,
+and each is one (anchor, rate, rails) entry: _poisson_type gives its anchor
+and rate, _sandwich_rails its k -> (lower, upper, valid) rails.
 
 * lambda_form: anchor P(V=0), rate lambda_n.  Two-sided envelope
   [1 - eps1, 1 + eps2] with eps1 = k^2 m/lambda, eps2 = km/(1-km).
@@ -12,10 +14,11 @@ Three Poisson-type forms share the shape approx(k) = anchor * rate^k / k!:
   entries below 1/2) turns the lambda_form envelope into a fully explicit
   bracket around the plain Poisson pmf.
 
-plus poisson_limit (a fixed external rate) and normal_local (the Gaussian
-density at integer points).  Envelope side conditions are explicit: the
-derivations need k*m < 1 and eps1 < 1 at the working (n, k), which is what
-"n large enough" buys in the limit.  Validity flags carry exactly that.
+plus poisson_limit (anchor e^(-lam), rate lam for a fixed external rate,
+no rails) and normal_local (the Gaussian density at integer points).
+Envelope side conditions are explicit: the derivations need k*m < 1 and
+eps1 < 1 at the working (n, k), which is what "n large enough" buys in the
+limit.  Validity flags carry exactly that.
 
 A note on the poisson_form bracket: combining the two ingredients above
 gives e^(-sum b^2) * (1 - eps1) <= ratio <= 1 + eps2.  The wider display
@@ -28,6 +31,7 @@ the sandwich verifier uses the provable rails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +90,19 @@ class ApproxKind:
         return self.tag
 
 
+def _poisson_type(
+    kind: ApproxKind, summary: ProfileSummary, p0_log: float
+) -> tuple[float, float, str]:
+    """(log anchor, rate, rate name) of a Poisson-type form."""
+    if kind.tag == "lambda_form":
+        return p0_log, summary.lambda_n, "lambda_n"
+    if kind.tag == "beta_form":
+        return p0_log, summary.beta_n, "beta_n"
+    if kind.tag == "poisson_form":
+        return -summary.lambda_n, summary.lambda_n, "lambda_n"
+    return -kind.lam, kind.lam, "lam"  # poisson_limit: rate validated at construction
+
+
 def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k: int) -> float:
     """Log of the named approximant at k.
 
@@ -94,32 +111,17 @@ def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k: int)
     """
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    tag = kind.tag
-    if tag == "lambda_form":
-        if k == 0:
-            return p0_log
-        if summary.lambda_n <= 0.0:
-            raise HypothesisError("lambda_form needs lambda_n > 0 for k >= 1")
-        return p0_log + k * math.log(summary.lambda_n) - log_factorial(k)
-    if tag == "beta_form":
-        if k == 0:
-            return p0_log
-        if summary.beta_n <= 0.0:
-            raise HypothesisError("beta_form needs beta_n > 0 for k >= 1")
-        return p0_log + k * math.log(summary.beta_n) - log_factorial(k)
-    if tag == "poisson_form":
-        if k == 0:
-            return -summary.lambda_n
-        if summary.lambda_n <= 0.0:
-            raise HypothesisError("poisson_form needs lambda_n > 0 for k >= 1")
-        return -summary.lambda_n + k * math.log(summary.lambda_n) - log_factorial(k)
-    if tag == "poisson_limit":
-        lam = float(kind.lam)  # validated at construction
-        return -lam + k * math.log(lam) - log_factorial(k)
-    if summary.var_n <= 0.0:
-        raise HypothesisError("normal_local needs var_n > 0")
-    var = summary.var_n
-    return -0.5 * math.log(2.0 * math.pi * var) - (k - summary.lambda_n) ** 2 / (2.0 * var)
+    if kind.tag == "normal_local":
+        if summary.var_n <= 0.0:
+            raise HypothesisError("normal_local needs var_n > 0")
+        var = summary.var_n
+        return -0.5 * math.log(2.0 * math.pi * var) - (k - summary.lambda_n) ** 2 / (2.0 * var)
+    anchor, rate, name = _poisson_type(kind, summary, p0_log)
+    if k == 0:
+        return anchor
+    if rate <= 0.0:
+        raise HypothesisError(f"{kind.tag} needs {name} > 0 for k >= 1")
+    return anchor + k * math.log(rate) - log_factorial(k)
 
 
 def envelope_thm1(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
@@ -169,13 +171,11 @@ def envelope_thm2(
 
 
 def _upper_rail(summary: ProfileSummary, eps2: float) -> float:
-    """e^(sum b^2) (1 + eps2); inf when eps2 is not finite or the product overflows."""
-    if math.isfinite(eps2):
-        try:
-            return math.exp(summary.sum_sq) * (1.0 + eps2)
-        except OverflowError:
-            pass
-    return math.inf
+    """e^(sum b^2) (1 + eps2); inf when eps2 is inf or the product overflows."""
+    try:
+        return math.exp(summary.sum_sq) * (1.0 + eps2)
+    except OverflowError:
+        return math.inf
 
 
 def envelope_thm3(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
@@ -204,11 +204,8 @@ def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float,
     m_n < 1/2 for the zero-probability bracket and the thm1 side conditions
     (carried in the flag) for the eps terms.
     """
-    if summary.m_n >= 0.5:
-        raise HypothesisError(f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}")
-    eps1, eps2, valid = envelope_thm1(summary, k)
-    lower = math.exp(-summary.sum_sq) * (1.0 - eps1)
-    return lower, _upper_rail(summary, eps2), valid
+    lower, upper, valid = envelope_thm3(summary, k)
+    return math.exp(-summary.sum_sq) * lower, upper, valid
 
 
 @dataclass(frozen=True)
@@ -236,13 +233,18 @@ class EnvelopeReport:
     beta_cap: float | None = None
 
 
-def _window_k_hi(phi: float, n: int) -> int:
-    k = int(math.floor(math.sqrt(phi)))
-    while (k + 1) * (k + 1) <= phi:
-        k += 1
-    while k > 0 and k * k > phi:
-        k -= 1
-    return min(k, n)
+def _sandwich_rails(tag: str, summary: ProfileSummary, cap: float | None):
+    """The form's k -> (lower, upper, valid) rails around its ratio."""
+    if tag == "lambda_form":
+        def rails(k: int) -> tuple[float, float, bool]:
+            eps1, eps2, valid = envelope_thm1(summary, k)
+            return 1.0 - eps1, 1.0 + eps2, valid
+        return rails
+    if tag == "beta_form":
+        # The upper half is unconditional; a nonpositive lower rail is simply
+        # vacuous, so every k participates in violation counting.
+        return lambda k: (1.0 - envelope_thm2(summary, cap, k)[0], 1.0, True)
+    return functools.partial(poisson_form_bracket, summary)
 
 
 def verify_sandwich(
@@ -254,12 +256,14 @@ def verify_sandwich(
 ) -> EnvelopeReport:
     """Check one profile's exact/approx ratios against the proved envelope.
 
-    Evaluates every integer k with k^2 <= phi(n), the exact PMF coming from
-    the dp engine in log domain.  The approximant is anchored at the
+    Evaluates every integer k <= n with k^2 <= phi(n), the exact PMF coming
+    from the dp engine in log domain.  The approximant is anchored at the
     engine's own k=0 entry, so the ratio at k=0 is exactly 1 for the
     anchored forms.  A missing beta cap defaults to (m_n + 1)/2, halfway
     between the largest entry and 1; sweeps over n should fix an explicit
-    cap instead so the envelope means the same thing at every n.
+    cap instead so the envelope means the same thing at every n.  The
+    rails are evaluated once at k = 0 before the dp runs, so a cap below
+    m_n, or a poisson form with m_n >= 1/2, fails at once.
     """
     if kind.tag not in _SANDWICH_TAGS:
         raise ValidationError(
@@ -273,61 +277,34 @@ def verify_sandwich(
         cap = float(beta_cap) if beta_cap is not None else (summary.m_n + 1.0) / 2.0
     elif beta_cap is not None:
         raise ValidationError(f"beta_cap applies to beta_form only, not {kind.tag}")
-    if kind.tag == "poisson_form" and summary.m_n >= 0.5:
-        raise HypothesisError(
-            f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}"
-        )
-    phi = window.value(profile.n, summary.lambda_n)
-    k_hi = _window_k_hi(phi, profile.n)
-    log_exact = pmf_dp(profile, k_hi).log_probs.tolist()
-    p0_log = log_exact[0]
-
+    rails = _sandwich_rails(kind.tag, summary, cap)
+    rails(0)  # a cap below m_n, or m_n >= 1/2, raises here rather than after the dp
+    n = profile.n
+    phi = window.value(n, summary.lambda_n)
+    k_hi = n if phi >= (n + 1) ** 2 else math.isqrt(int(phi))
     ks = tuple(range(k_hi + 1))
-    log_approx = []
-    ratios = []
-    lower_env = []
-    upper_env = []
-    mask = []
-    for k, le in enumerate(log_exact):
-        la = approx_pmf(kind, summary, p0_log, k)
-        log_approx.append(la)
-        ratios.append(math.exp(le - la))
-        if kind.tag == "lambda_form":
-            eps1, eps2, valid = envelope_thm1(summary, k)
-            lower_env.append(1.0 - eps1)
-            upper_env.append(1.0 + eps2 if math.isfinite(eps2) else math.inf)
-            mask.append(valid)
-        elif kind.tag == "beta_form":
-            eps, _ = envelope_thm2(summary, cap, k)
-            lower_env.append(1.0 - eps)
-            upper_env.append(1.0)
-            # The upper half is unconditional; a nonpositive lower rail is
-            # simply vacuous, so every k participates in violation counting.
-            mask.append(True)
-        else:
-            lo, up, valid = poisson_form_bracket(summary, k)
-            lower_env.append(lo)
-            upper_env.append(up)
-            mask.append(valid)
+    log_exact = tuple(pmf_dp(profile, k_hi).log_probs.tolist())
+    log_approx = tuple(approx_pmf(kind, summary, log_exact[0], k) for k in ks)
+    ratios = tuple(math.exp(le - la) for le, la in zip(log_exact, log_approx))
+    lower_env, upper_env, mask = zip(*(rails(k) for k in ks))
     violations = sum(
         1
         for r, lo, up, ok in zip(ratios, lower_env, upper_env, mask)
         if ok and (r < lo - margin or r > up + margin)
     )
-    max_abs_dev = max(abs(r - 1.0) for r in ratios)
     return EnvelopeReport(
         kind=kind.tag,
-        n=profile.n,
+        n=n,
         window=window.spec_string(),
         k_values=ks,
-        log_exact=tuple(log_exact),
-        log_approx=tuple(log_approx),
-        ratios=tuple(ratios),
-        lower_env=tuple(lower_env),
-        upper_env=tuple(upper_env),
-        validity_mask=tuple(mask),
+        log_exact=log_exact,
+        log_approx=log_approx,
+        ratios=ratios,
+        lower_env=lower_env,
+        upper_env=upper_env,
+        validity_mask=mask,
         violations=violations,
-        max_abs_dev=max_abs_dev,
+        max_abs_dev=max(abs(r - 1.0) for r in ratios),
         margin=margin,
         beta_cap=cap,
     )
@@ -372,11 +349,6 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
     tv = tv_distance(pmf, ref)
     predicted = (summary.sum_sq / summary.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
     return DistanceReport(summary, sup_cdf, tv, predicted, tv / predicted)
-
-
-def dehpfeif_ratio(profile: BernoulliProfile) -> float:
-    """Shorthand for dehpfeif_report(profile).ratio."""
-    return dehpfeif_report(profile).ratio
 
 
 def mmm_residual(

@@ -99,10 +99,6 @@ _DEFAULTS = {
 
 def parse_family(spec: str) -> ProfileFamily:
     kind, _, rest = spec.partition(":")
-    if kind == "from_file":
-        if not rest:
-            raise ValidationError("from_file family needs a path, e.g. from_file:probs.txt")
-        return ProfileFamily.from_file(rest)
     if not rest:
         raise ValidationError(f"family spec {spec!r} needs parameters after ':'")
     try:

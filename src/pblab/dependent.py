@@ -322,6 +322,14 @@ def _fraction_sum(values) -> Fraction:
     return sum(map(Fraction, values), Fraction(0))
 
 
+def _round_fraction(x: Fraction) -> float:
+    """float(x), or inf with x's sign when x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def s_tilde(
     model: DependentModel, k_max: int, high_precision: bool = False
 ) -> SymmetricSums:
@@ -343,7 +351,7 @@ def s_tilde(
             for k in range(k_max + 1)
         ]
     if high_precision:
-        return SymmetricSums([float(x) for x in vals], vals)
+        return SymmetricSums([_round_fraction(x) for x in vals], vals)
     return SymmetricSums(vals)
 
 
@@ -463,7 +471,7 @@ def _nonrare_ratios(model: DependentModel, rare: RareSetSpec, k_max: int) -> lis
     empty: 1.0 for every k, with no sums computed.  contains_any(J):
     non-rare tuples avoid J entirely, so the part IS the k-fold sum of the
     model restricted to the complement.  explicit: subtract the listed
-    tuples' joints.
+    tuples' joints; a part that rounds to <= 0 reads as empty.
     """
     if rare.kind == "empty":
         return [1.0] * k_max
@@ -478,7 +486,7 @@ def _nonrare_ratios(model: DependentModel, rare: RareSetSpec, k_max: int) -> lis
         part = list(full)
         for t in rare.tuples:
             if 1 <= len(t) <= k_max and len(set(t)) == len(t) and all(0 <= i < model.n for i in t):
-                part[len(t)] = max(0.0, part[len(t)] - model.joint(t))
+                part[len(t)] -= model.joint(t)
     return [_ratio_or_inf(full[k], part[k]) for k in range(1, k_max + 1)]
 
 

@@ -299,10 +299,13 @@ def elementary_symmetric(
         raise ValidationError(f"k_max={k_max} outside 0..{len(vals)}")
     e = np.zeros(k_max + 1)
     e[0] = 1.0
-    for i, v in enumerate(vals):
-        top = min(i + 1, k_max)
-        if top >= 1:
-            e[1 : top + 1] = e[1 : top + 1] + v * e[:top]
+    # Sums past the float range become inf.  Zero entries change nothing,
+    # and skipping them keeps 0 * inf from turning a sum into NaN.
+    with np.errstate(over="ignore"):
+        for i, v in enumerate(vals[vals > 0.0]):
+            top = min(i + 1, k_max)
+            if top >= 1:
+                e[1 : top + 1] = e[1 : top + 1] + v * e[:top]
     if k_max >= 1:
         e[1] = math.fsum(vals)
     hp: tuple[Fraction, ...] | None = None
@@ -326,9 +329,10 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
     Alternating sums of huge binomial-weighted terms cancel catastrophically
     as n grows, so the float path tracks its own rounding noise (machine
     epsilon times the sum of absolute terms) and refuses to return a value
-    whose noise exceeds 1e-6 of its magnitude.  The rational path is exact
-    and rounds once at the end.  Use beyond n of about 25 is an oracle-only
-    affair; the dp and divide-and-conquer engines are the production routes.
+    whose noise exceeds 1e-6 of its magnitude, or a NaN from sums past the
+    float range.  The rational path is exact and rounds once at the end.
+    Use beyond n of about 25 is an oracle-only affair; the dp and
+    divide-and-conquer engines are the production routes.
     """
     if not 0 <= k <= n:
         raise ValidationError(f"k={k} outside 0..{n}")
@@ -357,7 +361,8 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
 
     total, total_abs = neumaier_sum(terms())
     noise = _EPS * total_abs
-    if noise > _IE_COND_LIMIT * abs(total):
+    # "not <=" so that a NaN total (inf - inf, sums past the float range) fails too.
+    if not noise <= _IE_COND_LIMIT * abs(total):
         raise ConditioningError(
             f"alternating sum at k={k} lost too much precision "
             f"(noise estimate {noise:.3g} vs magnitude {abs(total):.3g}); "

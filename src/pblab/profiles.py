@@ -16,7 +16,7 @@ import numpy as np
 from ._util import frozen_row
 from .errors import HypothesisError, ValidationError
 
-FAMILY_KINDS = ("constant_total", "constant_p", "row_power", "index_power", "from_file")
+FAMILY_KINDS = ("constant_total", "constant_p", "row_power", "index_power")
 WINDOW_KINDS = ("power", "power_of_lambda", "constant")
 
 
@@ -101,27 +101,21 @@ class ProfileFamily:
       constant_p(p)      entries p         (classical binomial row)
       row_power(c, a)    entries c * n^-a  (flat row, shrinking with n)
       index_power(c, a)  entries c * i^-a  for i = 1..n
-      from_file(path)    entries read from a text file; n must match
     """
 
     kind: str
     params: tuple[float, ...] = ()
-    path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValidationError(f"unknown family kind {self.kind!r}")
         arity = {"constant_total": 1, "constant_p": 1, "row_power": 2,
-                 "index_power": 2, "from_file": 0}[self.kind]
+                 "index_power": 2}[self.kind]
         coerced = tuple(float(x) for x in self.params)
         if len(coerced) != arity:
             raise ValidationError(
                 f"family {self.kind} takes {arity} parameter(s), got {len(coerced)}"
             )
-        if self.kind == "from_file" and not self.path:
-            raise ValidationError("from_file family needs a path")
-        if self.kind != "from_file" and self.path is not None:
-            raise ValidationError(f"family {self.kind} takes no path")
         object.__setattr__(self, "params", coerced)
 
     @classmethod
@@ -140,13 +134,7 @@ class ProfileFamily:
     def index_power(cls, c: float, a: float) -> "ProfileFamily":
         return cls("index_power", (c, a))
 
-    @classmethod
-    def from_file(cls, path: str) -> "ProfileFamily":
-        return cls("from_file", (), path)
-
     def spec_string(self) -> str:
-        if self.kind == "from_file":
-            return f"from_file:{self.path}"
         inner = ",".join(format(x, "g") for x in self.params)
         return f"{self.kind}:{inner}"
 
@@ -169,16 +157,9 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     elif kind == "row_power":
         c, a = family.params
         values = [c * float(n) ** -a] * n
-    elif kind == "index_power":
+    else:
         c, a = family.params
         values = [c * float(i) ** -a for i in range(1, n + 1)]
-    else:
-        prof = load_profile(family.path or "")
-        if prof.n != n:
-            raise ValidationError(
-                f"profile file {family.path} has {prof.n} entries, expected n={n}"
-            )
-        return prof
     try:
         return BernoulliProfile(values)
     except ValidationError:
@@ -225,7 +206,8 @@ class GrowthWindow:
     """A positive scalar function of n used to bound the k-range k^2 <= phi(n).
 
     Kinds: power(c, a) -> c*n^a; power_of_lambda(c, a) -> c*lambda_n^a;
-    constant(c) -> c.  c must be positive so phi stays positive.
+    constant(c) -> c.  c must be positive so phi stays positive.  A power
+    past the float range is inf.
     """
 
     kind: str
@@ -256,12 +238,17 @@ class GrowthWindow:
         if self.kind == "constant":
             return self.c
         if self.kind == "power":
-            return self.c * float(n) ** self.a
-        if lambda_n is None or lambda_n <= 0.0:
+            base = float(n)
+        elif lambda_n is None or lambda_n <= 0.0:
             raise HypothesisError(
                 "power_of_lambda window needs lambda_n > 0"
             )
-        return self.c * lambda_n ** self.a
+        else:
+            base = lambda_n
+        try:
+            return self.c * base ** self.a
+        except OverflowError:
+            return math.inf
 
     def spec_string(self) -> str:
         if self.kind == "constant":

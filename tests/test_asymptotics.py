@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pblab import asymptotics
 from pblab.asymptotics import (
     ApproxKind,
     approx_pmf,
-    dehpfeif_ratio,
     dehpfeif_report,
     envelope_thm1,
     envelope_thm2,
@@ -279,6 +279,29 @@ def test_sandwich_input_rules():
         verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind.poisson_form(), w)
 
 
+def test_sandwich_preconditions_fail_before_the_dp(monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("pmf_dp ran before the rails were checked")
+
+    monkeypatch.setattr(asymptotics, "pmf_dp", no_dp)
+    w = GrowthWindow.constant(4.0)
+    with pytest.raises(HypothesisError, match="beta cap 0.2 must satisfy"):
+        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.2)
+    with pytest.raises(HypothesisError, match="needs m_n < 1/2"):
+        verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind.poisson_form(), w)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [GrowthWindow.constant(168.0), GrowthWindow.constant(169.0), GrowthWindow.power(1, 400)],
+    ids=["below_13_squared", "13_squared", "past_float_range"],
+)
+def test_sandwich_window_covers_every_k_once_phi_reaches_n_plus_1_squared(window):
+    prof = BernoulliProfile((0.05,) * 12)
+    report = verify_sandwich(prof, ApproxKind.lambda_form(), window)
+    assert report.k_values == tuple(range(13))
+
+
 def test_sandwich_window_growth_never_shrinks_deviation():
     """k-sets nest as phi grows, so the sup of |ratio - 1| cannot drop."""
     prof = BernoulliProfile(tuple((i % 3 + 1) / 30 for i in range(60)))
@@ -315,7 +338,7 @@ def test_distance_single_entry_is_well_defined():
 
 def test_distance_zero_profile_rejected():
     with pytest.raises(HypothesisError):
-        dehpfeif_ratio(BernoulliProfile((0.0, 0.0)))
+        dehpfeif_report(BernoulliProfile((0.0, 0.0)))
 
 
 def test_distance_flat_row_spot_value():

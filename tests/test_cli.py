@@ -208,6 +208,28 @@ def test_sweep_poisson_form_past_exp_overflow(capsys):
     assert [row[header.index("violations")] for row in rows] == ["0", "0"]
 
 
+@pytest.mark.parametrize("phi", ["power:1,400", "power_of_lambda:1,1e6"])
+def test_verify_window_past_float_range_covers_every_k(phi, capsys):
+    code, out, err = run_cli(
+        ["verify", "--family", "constant_total:2", "--n", "50", "--kind", "lambda",
+         "--phi", phi],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert [row["k"] for row in json.loads(out)["rows"]] == list(range(51))
+
+
+def test_conditions_window_past_float_range(capsys):
+    code, out, err = run_cli(
+        ["conditions", "--family", "constant_total:2", "--grid", "4,16", "--phi", "power:1,400"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert rows[0]["phi"] == pytest.approx(4.0**400)
+    assert rows[1]["phi"] == "inf"
+
+
 def test_verify_csv_column_order(tmp_path, capsys):
     path = write_profile(tmp_path, WORKED_PROBS)
     code, out, _ = run_cli(
@@ -582,6 +604,22 @@ def test_exit_code_conditioning_error(capsys):
         capsys,
     )
     assert code == 4
+    assert json.loads(err)["error"] == "ConditioningError"
+
+
+def test_exit_code_conditioning_error_past_float_range(tmp_path, capsys):
+    # The k-fold sums of 1100 entries of 0.99 overflow: inf - inf in the
+    # alternating sum is refused, not reported as a zero probability.
+    code, _, err = run_cli(
+        ["pmf", "--family", "constant_p:0.99", "--n", "1100", "--engine", "ie", "--k-max", "2"],
+        capsys,
+    )
+    assert code == 4
+    assert json.loads(err)["error"] == "ConditioningError"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "product", "p": [0.99] * 1100}))
+    code, out, err = run_cli(["dependent", "--model", str(path), "--k-max", "2"], capsys)
+    assert (code, out) == (4, "")
     assert json.loads(err)["error"] == "ConditioningError"
 
 

@@ -186,6 +186,22 @@ def test_joint_sums_float_column_rounds_the_rational_mirror(closed_form):
         assert list(sums.high_precision_values) == want
 
 
+class HugeSums(CallableModel):
+    """A model whose rational S_1 lies past the float range."""
+
+    def __init__(self):
+        super().__init__(2, lambda s: 0.5 ** len(s))
+
+    def fast_sums(self, k_max, high_precision=False):
+        return [Fraction(1), Fraction(10**400), Fraction(1)][: k_max + 1]
+
+
+def test_joint_sums_round_an_out_of_range_rational_to_inf():
+    sums = s_tilde(HugeSums(), 2, high_precision=True)
+    assert sums.values.tolist() == [1.0, math.inf, 1.0]
+    assert sums.high_precision_values == (Fraction(1), Fraction(10**400), Fraction(1))
+
+
 def test_joint_sums_k_max_validation():
     with pytest.raises(ValidationError):
         s_tilde(WORKED, 3)

@@ -392,6 +392,30 @@ def test_inclusion_exclusion_conditioning_guard():
     assert exact == pytest.approx(0.1**20, rel=1e-12)
 
 
+def test_elementary_symmetric_skips_zero_entries_bit_for_bit():
+    vals = [0.1, 0.0, 0.3, 0.0, 0.25, 0.7, 0.0]
+    ref = np.zeros(len(vals) + 1)
+    ref[0] = 1.0
+    for i, v in enumerate(vals):
+        top = min(i + 1, len(vals))
+        ref[1 : top + 1] = ref[1 : top + 1] + v * ref[:top]
+    ref[1] = math.fsum(vals)
+    assert elementary_symmetric(vals, len(vals)).values.tobytes() == ref.tobytes()
+
+
+def test_sums_past_the_float_range_are_refused_not_zero():
+    # C(1100, 550) 0.99^550 is past the float range; a zero entry after
+    # the overflow must not turn the triangle into NaN through 0 * inf.
+    vals = [0.99] * 1100 + [0.0]
+    sums = elementary_symmetric(vals, len(vals))
+    e = sums.values
+    assert not np.isnan(e).any()
+    assert e[550] == math.inf
+    assert e[:-1].tobytes() == elementary_symmetric(vals[:-1], 1100).values.tobytes()
+    with pytest.raises(ConditioningError):
+        pmf_inclusion_exclusion(sums, 0, len(vals))
+
+
 def test_inclusion_exclusion_needs_full_sums():
     sums = elementary_symmetric(WORKED.probs, 2)
     with pytest.raises(ValidationError):

@@ -207,15 +207,6 @@ def test_family_arity_checked():
         ProfileFamily("nonsense", (1.0,))
 
 
-def test_family_from_file_requires_matching_n(tmp_path):
-    path = tmp_path / "row.txt"
-    path.write_text("0.1\n0.2\n")
-    fam = ProfileFamily.from_file(str(path))
-    assert generate(fam, 2).probs.tolist() == [0.1, 0.2]
-    with pytest.raises(ValidationError):
-        generate(fam, 3)
-
-
 def test_spec_string_round_trip_shape():
     assert ProfileFamily.row_power(1, 0.75).spec_string() == "row_power:1,0.75"
     assert ProfileFamily.constant_p(0.3).spec_string() == "constant_p:0.3"
@@ -279,6 +270,12 @@ def test_window_power_of_lambda_needs_lambda():
         w.value(10)
     with pytest.raises(HypothesisError):
         w.value(10, lambda_n=0.0)
+
+
+def test_window_past_the_float_range_is_inf():
+    assert GrowthWindow.power(1, 400).value(50) == math.inf
+    assert GrowthWindow.power_of_lambda(1, 1e6).value(50, lambda_n=2.0) == math.inf
+    assert GrowthWindow.power(2, 3).value(10) == 2000.0
 
 
 def test_window_rejects_nonpositive_scale():
