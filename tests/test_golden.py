@@ -14,8 +14,11 @@ over integers.  The `verify_*`, `approx_*`, `sweep_beta` and
 approximation form's anchor, rate and rails were stated once: they pin the
 beta form with its default and an explicit cap, a lambda form with inf upper
 rails, every approx kind, and a poisson sweep past the exp overflow of its
-upper rail.  A green run means those changes left every emitted byte
-unchanged.
+upper rail.  The `config_*` cases take their options from a `--config` file
+(a JSON grid list, a float margin, engine, precision, seed and sample
+budget); they were added, and recorded, before flags and config values
+shared one converter per option.  A green run means those changes left
+every emitted byte unchanged.
 
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 runs the rfft merges at the top of the tree and has exact-zero
@@ -65,7 +68,7 @@ def mixture_spec(n):
 ZERO_ROW = (0.2, 0.3, 0.0)
 
 # name -> argv without --format; {profile}, {zprofile}, {model}, {model100},
-# {model200}, {out} and {outfile} are filled in.
+# {model200}, {out}, {outfile} and {config} are filled in.
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
     "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
@@ -110,6 +113,19 @@ CASES = {
                    "--beta-cap", "0.5", "--phi", "constant:4"],
     "sweep_poisson_inf": ["sweep", "--family", "constant_p:0.45", "--grid", "1000,3000",
                           "--kind", "poisson", "--phi", "constant:4"],
+    "config_pmf_dc": ["pmf", "--config", "{config}"],
+    "config_sweep": ["sweep", "--config", "{config}"],
+    "config_dependent": ["dependent", "--config", "{config}", "--model", "{model200}"],
+}
+
+# name -> the JSON object written to {config} for that case.
+CONFIGS = {
+    "config_pmf_dc": {"command": "pmf", "family": "index_power:0.5,0.5", "n": 300,
+                      "engine": "dc", "k_max": 40},
+    "config_sweep": {"command": "sweep", "family": "constant_total:2", "grid": [8, 16, 32],
+                     "kind": "lambda", "phi": "constant:4", "margin": 0.25, "out": "{out}"},
+    "config_dependent": {"command": "dependent", "k_max": 3, "precision": "rational",
+                         "seed": 7, "sample_budget": 300},
 }
 
 GOLDEN = {
@@ -148,6 +164,32 @@ GOLDEN = {
     },
     ('conditions', 'csv'): {
         'stdout': 'b2491bb2a78d807207cfd671cac9b2b089e5984ff5adc9a1ba346e355a27828f',
+    },
+    ('config_dependent', 'json'): {
+        'stdout': '600a7ebde96a3b9b4e5774b40fe4a73063de4d09c75843b220204650c3d5299b',
+    },
+    ('config_dependent', 'csv'): {
+        'stdout': 'f3be4d0525647f87cdbbf9602b08a10e0c6fd14c5df3f52ba37a8ca00491d3b0',
+    },
+    ('config_pmf_dc', 'json'): {
+        'stdout': '5fe01f01b0f9b70c173e381875db7cf45a6892f74dc907566de29604005e7253',
+    },
+    ('config_pmf_dc', 'csv'): {
+        'stdout': '41504f6ca34b1e35f48d76e9af2a8a5788286b9c1ac50ea7c78d228c16cc9968',
+    },
+    ('config_sweep', 'json'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'aggregate.json': 'f32ec2113d13c41321ea69442bf02403f578e43cc68bf8c14b874cfe46627687',
+        'point_n16.json': '5a0966939751d16808323851e79701bab09d107812a96ca8605c96c19953c156',
+        'point_n32.json': '5b19a3171d7fd741d1ab747577c005d52dd418723db3078ef49bd4d587f6e939',
+        'point_n8.json': '273767f0a7cfc5553c3b2aa325c50f3ade7c2c3fcfcae7bf318d666fac174e8f',
+    },
+    ('config_sweep', 'csv'): {
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'aggregate.csv': '24cb345180c32ac41dba3425f5fe725d579b0b8e50b58fbb97e169a56566eab6',
+        'point_n16.csv': '7989000c6219a8d53303bc81d8f4c0a09cf6d3e1949d05d3c7a6e650ce0ef5ca',
+        'point_n32.csv': '561c6ef77b22d68301234d02ab29892ef7e426fcd1c9e4d0f6457c024e597fd8',
+        'point_n8.csv': '0c9660d18f3b8edf21c79cdd3e276d30fcb99fea04e3edaf4548bdabc22fb03c',
     },
     ('dependent', 'json'): {
         'stdout': 'c3506c990e5e96b1ee18266d849ac0c5340028a43376bdc58bcd0cf517f0a661',
@@ -295,9 +337,13 @@ def run_case(name, fmt, tmp_path):
     model200 = tmp_path / "model200.json"
     model200.write_text(json.dumps(mixture_spec(200)))
     out_dir = tmp_path / "out"
+    config = tmp_path / "config.json"
     fill = {"{profile}": str(profile), "{zprofile}": str(zprofile), "{model}": str(model),
             "{model100}": str(model100), "{model200}": str(model200),
-            "{out}": str(out_dir), "{outfile}": str(out_dir / "report.txt")}
+            "{out}": str(out_dir), "{outfile}": str(out_dir / "report.txt"),
+            "{config}": str(config)}
+    config.write_text(json.dumps({k: fill.get(v, v) if isinstance(v, str) else v
+                                  for k, v in CONFIGS.get(name, {}).items()}))
     argv = [fill.get(arg, arg) for arg in CASES[name]] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
