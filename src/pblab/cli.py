@@ -1,14 +1,21 @@
 """Command line harness: reproducible experiments over the library.
 
-Commands: pmf, approx, verify, sweep, distance, dependent, conditions.
-Parameters come from an optional JSON config file plus flags; flags win.
-Every run with the same effective config (seed included) emits byte
-identical output: floats are fixed at 17 significant digits and files are
-written atomically, so a failed run never leaves a partial file behind.
+Two tables state the whole input surface.  `_OPTIONS` gives each option
+one converter, which turns a flag string and a JSON config-file value into
+the same `ExperimentConfig` field.  `_COMMANDS` gives each command
+(pmf, approx, verify, sweep, distance, dependent, conditions) its handler,
+the options it reads and the options it requires.  A command accepts only
+the options it reads, plus --out, --format and --config, as flags or as
+config keys; flags win over the file, and a null config value counts as
+not given.  Every run with the same effective config (seed included)
+emits byte identical output: floats are fixed at 17 significant digits and
+files are written atomically, so a failed run never leaves a partial file
+behind.
 
 Exit codes: 0 success, 2 configuration or input errors, 3 violated
 mathematical preconditions, 4 numerically untrustworthy alternating sums.
-Errors are emitted to stderr as a one-object JSON report.
+Errors are emitted to stderr as a one-object JSON report; argparse's own
+errors (an unknown command or flag) print its usage text instead.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ from .exact import (
     pmf_dc,
     pmf_dp,
     pmf_inclusion_exclusion,
-    prob_zero_log,
 )
 from .profiles import (
+    FAMILY_KINDS,
     BernoulliProfile,
     GrowthWindow,
     ProfileFamily,
@@ -54,7 +61,6 @@ from .profiles import (
     summarize,
 )
 
-COMMANDS = ("pmf", "approx", "verify", "sweep", "distance", "dependent", "conditions")
 ENGINES = ("dp", "dc", "brute", "ie")
 FORMATS = ("csv", "json")
 PRECISIONS = ("float", "rational")
@@ -91,14 +97,70 @@ class ExperimentConfig:
     model: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 _DEFAULTS = {
     f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"
 }
 
 
+def _int(value) -> int:
+    out = int(value)
+    if isinstance(value, float) and value != out:
+        raise ValueError(value)
+    return out
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _choice(choices: tuple[str, ...]):
+    def convert(value) -> str:
+        if value not in choices:
+            raise ValueError(value)
+        return value
+    return convert
+
+
+def _grid(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return tuple(_int(v) for v in value)
+
+
+# option -> (converter of a flag string or a config-file value, help text)
+_OPTIONS = {
+    "profile": (_str, "profile file (one probability per line)"),
+    "family": (_str, "family spec, e.g. constant_total:2"),
+    "n": (_int, "row size for family-based profiles"),
+    "grid": (_grid, "comma list of n values, e.g. 100,1000 (a JSON list in a config file)"),
+    "phi": (_str, "window spec, e.g. power:1,0.5"),
+    "kind": (_str, "lambda|beta|poisson|poisson-limit:rate|normal"),
+    "beta_cap": (float, "cap for the beta-form envelope"),
+    "k_max": (_int, "largest k to evaluate"),
+    "engine": (_choice(ENGINES), f"{'|'.join(ENGINES)}: the pmf engine (default dp)"),
+    "precision": (_choice(PRECISIONS), f"{'|'.join(PRECISIONS)} (default float)"),
+    "seed": (_int, "seed for sampled diagnostics"),
+    "out": (_str, "output file (sweep: output directory)"),
+    "format": (_choice(FORMATS), f"{'|'.join(FORMATS)} (default json)"),
+    "margin": (float, "float tolerance for envelope checks"),
+    "threshold": (float, "smallness cutoff for condition verdicts"),
+    "sample_budget": (_int, "tuples sampled per k when enumeration is too large"),
+    "model": (_str, "dependent model spec JSON file"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def parse_family(spec: str) -> ProfileFamily:
     kind, _, rest = spec.partition(":")
+    if kind not in FAMILY_KINDS:
+        raise ValidationError(f"unknown family kind {kind!r}")
     if not rest:
         raise ValidationError(f"family spec {spec!r} needs parameters after ':'")
     try:
@@ -142,21 +204,6 @@ def parse_kind(spec: str) -> ApproxKind:
     return ApproxKind(tag)
 
 
-def _parse_grid(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse grid {value!r}") from exc
-    if isinstance(value, (list, tuple)):
-        try:
-            return tuple(int(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"cannot parse grid {value!r}") from exc
-    raise ValidationError(f"grid must be a comma list or array, got {value!r}")
-
-
 def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,9 +214,9 @@ def _load_config_file(path: str, command: str) -> dict:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {"command", *_reads(command)}
     if unknown:
-        raise ValidationError(f"unknown config keys {sorted(unknown)}")
+        raise ValidationError(f"unknown config keys {sorted(unknown)} for {command}")
     file_command = data.pop("command", None)
     if file_command is not None and file_command != command:
         raise ValidationError(
@@ -179,52 +226,32 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _coerce(name: str, value):
-    if value is None:
-        return None
+    convert, help_text = _OPTIONS[name]
     try:
-        if name in ("n", "k_max", "seed", "sample_budget"):
-            out = int(value)
-            if isinstance(value, float) and value != out:
-                raise ValueError
-            return out
-        if name in ("beta_cap", "margin", "threshold"):
-            return float(value)
-        if name == "grid":
-            return _parse_grid(value)
-        if name in ("profile", "family", "phi", "kind", "engine", "precision", "out", "format", "model"):
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config field {name!r} has invalid value {value!r}") from exc
-    raise ValidationError(f"unknown config field {name!r}")
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} has invalid value {value!r}; expected {help_text}") from exc
 
 
 def build_config(command: str, flag_values: dict, config_path: str | None) -> ExperimentConfig:
-    """Merge defaults, config file, and flags (flags win), then validate."""
+    """Merge defaults, config file, and flags (flags win), then validate.
+
+    A null config value or a None flag means "not given".
+    """
+    if command not in _COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
     merged = dict(_DEFAULTS)
-    if config_path:
-        for key, value in _load_config_file(config_path, command).items():
-            merged[key] = _coerce(key, value)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = _coerce(key, value)
+    for given in (_load_config_file(config_path, command) if config_path else {}, flag_values):
+        merged.update((k, _coerce(k, v)) for k, v in given.items() if v is not None)
     cfg = ExperimentConfig(command=command, **merged)
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.command not in COMMANDS:
-        raise ValidationError(f"unknown command {cfg.command!r}")
-    if cfg.engine not in ENGINES:
-        raise ValidationError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
-    if cfg.format not in FORMATS:
-        raise ValidationError(f"format must be one of {FORMATS}, got {cfg.format!r}")
-    if cfg.precision not in PRECISIONS:
-        raise ValidationError(
-            f"precision must be one of {PRECISIONS}, got {cfg.precision!r}"
-        )
+    for name in _COMMANDS[cfg.command][3]:
+        if getattr(cfg, name) is None:
+            raise ValidationError(f"{cfg.command} needs {_flag(name)}")
     if cfg.beta_cap is not None and not 0.0 < cfg.beta_cap < 1.0:
         raise ValidationError(f"beta_cap must lie in (0, 1), got {cfg.beta_cap!r}")
     if cfg.n is not None and cfg.n < 1:
@@ -259,7 +286,7 @@ def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:
         if cfg.n is None:
             raise ValidationError("a family needs --n to produce a profile")
         return generate(parse_family(cfg.family), cfg.n)
-    raise ValidationError("command needs --profile or --family with --n")
+    raise ValidationError(f"{cfg.command} needs --profile or --family with --n")
 
 
 def _deliver(cfg: ExperimentConfig, table: emit.Table, path: str | None = None) -> None:
@@ -306,23 +333,16 @@ def _cmd_pmf(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_approx(cfg: ExperimentConfig) -> None:
-    if cfg.kind is None:
-        raise ValidationError("approx needs --kind")
     kind = parse_kind(cfg.kind)
     profile = _resolve_profile(cfg)
     summary = summarize(profile)
     k_hi = profile.n if cfg.k_max is None else min(cfg.k_max, profile.n)
-    p0 = prob_zero_log(profile)
     ks = list(range(k_hi + 1))
-    log_vals = [approx_pmf(kind, summary, p0, k) for k in ks]
+    log_vals = [approx_pmf(kind, summary, summary.alpha_n, k) for k in ks]
     _deliver(cfg, emit.approx_table(kind.spec_string(), summary, ks, log_vals))
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> None:
-    if cfg.kind is None:
-        raise ValidationError("verify needs --kind lambda|beta|poisson")
-    if cfg.phi is None:
-        raise ValidationError("verify needs --phi")
     kind = parse_kind(cfg.kind)
     window = parse_window(cfg.phi)
     profile = _resolve_profile(cfg)
@@ -338,10 +358,6 @@ def _cmd_distance(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_conditions(cfg: ExperimentConfig) -> None:
-    if cfg.family is None or cfg.grid is None:
-        raise ValidationError("conditions needs --family and --grid")
-    if cfg.phi is None:
-        raise ValidationError("conditions needs --phi")
     family = parse_family(cfg.family)
     window = parse_window(cfg.phi)
     report = check_conditions(family, cfg.grid, window, threshold=cfg.threshold)
@@ -349,8 +365,6 @@ def _cmd_conditions(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_dependent(cfg: ExperimentConfig) -> None:
-    if cfg.model is None:
-        raise ValidationError("dependent needs --model (a model spec JSON file)")
     model = load_model(cfg.model)
     if cfg.profile is not None:
         indep = load_profile(cfg.profile)
@@ -373,14 +387,12 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
     )
 
 
-def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, n: int):
+def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: int):
     """One grid point: its aggregate row and its own (envelope or distance) table."""
     profile = generate(family, n)
     summary = summarize(profile)
     row: tuple = (n, summary.lambda_n, summary.m_n, summary.sum_sq)
-    if cfg.kind is not None:
-        kind = parse_kind(cfg.kind)
-        window = parse_window(cfg.phi or "")
+    if kind is not None:
         report = verify_sandwich(
             profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
         )
@@ -391,7 +403,7 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, n: int):
         point = emit.distance_table(report)
     if summary.lambda_n > 0.0 and summary.sum_sq > 0.0:
         # Without --kind the point's table is already this report.
-        dist = report if cfg.kind is None else dehpfeif_report(profile)
+        dist = report if kind is None else dehpfeif_report(profile)
         row += (dist.sup_cdf, dist.tv, dist.ratio)
     else:
         row += (None, None, None)
@@ -399,18 +411,19 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, n: int):
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:
-    if cfg.family is None or cfg.grid is None:
-        raise ValidationError("sweep needs --family and --grid")
-    if cfg.kind is not None and cfg.phi is None:
-        raise ValidationError("sweep with --kind needs --phi")
-    if cfg.kind is not None and parse_kind(cfg.kind).tag == "beta_form" and cfg.beta_cap is None:
-        raise ValidationError(
-            "sweep over a beta-form envelope needs an explicit --beta-cap "
-            "(a per-n default would change meaning across the grid)"
-        )
+    kind = window = None
+    if cfg.kind is not None:
+        if cfg.phi is None:
+            raise ValidationError("sweep with --kind needs --phi")
+        kind, window = parse_kind(cfg.kind), parse_window(cfg.phi)
+        if kind.tag == "beta_form" and cfg.beta_cap is None:
+            raise ValidationError(
+                "sweep over a beta-form envelope needs an explicit --beta-cap "
+                "(a per-n default would change meaning across the grid)"
+            )
     family = parse_family(cfg.family)
     grid = list(cfg.grid)
-    results = [_sweep_point(cfg, family, n) for n in grid]
+    results = [_sweep_point(cfg, family, kind, window, n) for n in grid]
     meta = {
         "command": "sweep",
         "family": family.spec_string(),
@@ -418,9 +431,9 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
         "kind": cfg.kind,
         "beta_cap": cfg.beta_cap,
         "grid": grid,
-        "seed": cfg.seed,
+        "seed": 0,  # a sweep draws nothing; the key keeps the aggregate's bytes
     }
-    aggregate = emit.sweep_table(meta, [row for row, _ in results], cfg.kind is not None)
+    aggregate = emit.sweep_table(meta, [row for row, _ in results], kind is not None)
     if not cfg.out:
         _deliver(cfg, aggregate)
         return
@@ -430,20 +443,35 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
     _deliver(cfg, aggregate, os.path.join(cfg.out, f"aggregate.{cfg.format}"))
 
 
-_HANDLERS = {
-    "pmf": _cmd_pmf,
-    "approx": _cmd_approx,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "distance": _cmd_distance,
-    "dependent": _cmd_dependent,
-    "conditions": _cmd_conditions,
+# command -> (handler, help text, options it reads besides --out and --format,
+#             options it requires)
+_COMMANDS = {
+    "pmf": (_cmd_pmf, "exact distribution of the count by a selectable engine",
+            ("profile", "family", "n", "k_max", "engine", "precision"), ()),
+    "approx": (_cmd_approx, "values of a named local approximant",
+               ("profile", "family", "n", "kind", "k_max"), ("kind",)),
+    "verify": (_cmd_verify, "exact/approx ratios against the proved envelope",
+               ("profile", "family", "n", "kind", "phi", "beta_cap", "margin"),
+               ("kind", "phi")),
+    "sweep": (_cmd_sweep, "verify or distance across an n grid with per-point files",
+              ("family", "grid", "kind", "phi", "beta_cap", "margin"), ("family", "grid")),
+    "distance": (_cmd_distance, "Poisson distance and its first-order prediction",
+                 ("profile", "family", "n"), ()),
+    "dependent": (_cmd_dependent, "dependent-model PMF, ratios, and scheme diagnostics",
+                  ("model", "profile", "k_max", "precision", "seed", "sample_budget"),
+                  ("model",)),
+    "conditions": (_cmd_conditions, "family smallness diagnostics along an n grid",
+                   ("family", "grid", "phi", "threshold"), ("family", "grid", "phi")),
 }
+
+
+def _reads(command: str) -> tuple[str, ...]:
+    return (*_COMMANDS[command][2], "out", "format")
 
 
 def run(cfg: ExperimentConfig) -> None:
     """Dispatch one validated experiment."""
-    _HANDLERS[cfg.command](cfg)
+    _COMMANDS[cfg.command][0](cfg)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -452,56 +480,23 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact Bernoulli-sum distributions and their local approximations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("pmf", "exact distribution of the count by a selectable engine"),
-        ("approx", "values of a named local approximant"),
-        ("verify", "exact/approx ratios against the proved envelope"),
-        ("sweep", "verify or distance across an n grid with per-point files"),
-        ("distance", "Poisson distance and its first-order prediction"),
-        ("dependent", "dependent-model PMF, ratios, and scheme diagnostics"),
-        ("conditions", "family smallness diagnostics along an n grid"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--profile", help="profile file (one probability per line)")
-        p.add_argument("--family", help="family spec, e.g. constant_total:2")
-        p.add_argument("--n", type=int, help="row size for family-based profiles")
-        p.add_argument("--grid", help="comma list of n values, e.g. 100,1000")
-        p.add_argument("--phi", help="window spec, e.g. power:1,0.5")
-        p.add_argument(
-            "--kind", help="lambda|beta|poisson|poisson-limit:rate|normal"
-        )
-        p.add_argument("--beta-cap", dest="beta_cap", type=float, help="cap for the beta-form envelope")
-        p.add_argument("--k-max", dest="k_max", type=int, help="largest k to evaluate")
-        p.add_argument("--engine", choices=ENGINES, help="pmf engine (default dp)")
-        p.add_argument("--precision", choices=PRECISIONS, help="float or rational")
-        p.add_argument("--seed", type=int, help="seed for sampled diagnostics")
-        p.add_argument("--out", help="output file (sweep: output directory)")
-        p.add_argument("--format", choices=FORMATS, help="csv or json (default json)")
-        p.add_argument("--margin", type=float, help="float tolerance for envelope checks")
-        p.add_argument("--threshold", type=float, help="smallness cutoff for condition verdicts")
-        p.add_argument(
-            "--sample-budget", dest="sample_budget", type=int,
-            help="tuples sampled per k when enumeration is too large",
-        )
-        p.add_argument("--model", help="dependent model spec JSON file")
+        for name in _reads(command):
+            p.add_argument(_flag(name), dest=name, help=_OPTIONS[name][1])
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    flag_values = {
-        key: getattr(args, key)
-        for key in _CONFIG_KEYS
-        if key != "command" and hasattr(args, key)
-    }
+    command, config_path = args.pop("command"), args.pop("config")
     try:
-        cfg = build_config(args.command, flag_values, args.config)
-        run(cfg)
+        run(build_config(command, args, config_path))
     except PblabError as exc:
         sys.stderr.write(emit.render_json(emit.error_obj(exc)))
         return getattr(exc, "exit_code", 2)

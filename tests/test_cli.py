@@ -8,13 +8,16 @@ rather than as a silently changed report format.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 
 import pytest
 
+from pblab import cli
 from pblab.cli import main
 from pblab.exact import prob_zero_log
 from pblab.profiles import BernoulliProfile
@@ -673,3 +676,174 @@ def test_out_untouched_on_failure(tmp_path, capsys):
     assert not target.exists()
     leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert leftovers == []
+
+
+# ------------------------------------------------------- the option tables
+
+# Per command: the options it reads besides --out and --format, and the
+# ones it requires.
+READS = {
+    "pmf": {"profile", "family", "n", "k_max", "engine", "precision"},
+    "approx": {"profile", "family", "n", "kind", "k_max"},
+    "verify": {"profile", "family", "n", "kind", "phi", "beta_cap", "margin"},
+    "sweep": {"family", "grid", "kind", "phi", "beta_cap", "margin"},
+    "distance": {"profile", "family", "n"},
+    "dependent": {"model", "profile", "k_max", "precision", "seed", "sample_budget"},
+    "conditions": {"family", "grid", "phi", "threshold"},
+}
+REQUIRES = {
+    "approx": ("kind",),
+    "verify": ("kind", "phi"),
+    "sweep": ("family", "grid"),
+    "dependent": ("model",),
+    "conditions": ("family", "grid", "phi"),
+}
+ALL_OPTIONS = {"out", "format"}.union(*READS.values())
+# A well-formed value for every option, as a flag string.
+SAMPLE = {
+    "profile": "p.txt", "family": "constant_total:2", "n": "8", "grid": "4,8",
+    "phi": "constant:4", "kind": "lambda", "beta_cap": "0.5", "k_max": "2",
+    "engine": "dc", "precision": "rational", "seed": "3", "out": "o.json",
+    "format": "csv", "margin": "0.1", "threshold": "0.2", "sample_budget": "5",
+    "model": "m.json",
+}
+
+
+def flag(option):
+    return "--" + option.replace("_", "-")
+
+
+def base_argv(command, tmp_path):
+    """A small valid invocation of each command."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "product", "p": [0.1, 0.2, 0.3]}))
+    family = ["--family", "constant_total:2"]
+    return {
+        "pmf": ["pmf", *family, "--n", "8"],
+        "approx": ["approx", *family, "--n", "8", "--kind", "lambda"],
+        "verify": ["verify", *family, "--n", "8", "--kind", "lambda", "--phi", "constant:4"],
+        "sweep": ["sweep", *family, "--grid", "4,8"],
+        "distance": ["distance", *family, "--n", "8"],
+        "dependent": ["dependent", "--model", str(model)],
+        "conditions": ["conditions", *family, "--grid", "4,8", "--phi", "constant:4"],
+    }[command]
+
+
+def drop(argv, option):
+    """argv without the flag of option and its value."""
+    f = flag(option)
+    return [a for i, a in enumerate(argv) if a != f and argv[i - 1] != f]
+
+
+def write_config(tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command in sorted(READS)
+    for option in sorted(ALL_OPTIONS - READS[command] - {"out", "format"})
+])
+def test_option_the_command_does_not_read_exits_2(command, option, tmp_path, capsys):
+    argv = base_argv(command, tmp_path)
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, err = run_cli(argv + [flag(option), SAMPLE[option]], capsys)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag(option)}" in err
+    config = write_config(tmp_path, {option: SAMPLE[option]})
+    code, out, err = run_cli(argv + ["--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"unknown config keys [{option!r}] for {command}",
+    }
+
+
+def test_option_tables_match_the_config_fields():
+    config_fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert set(cli._OPTIONS) == config_fields - {"command"} == ALL_OPTIONS
+    assert set(cli._COMMANDS) == set(READS)
+    read_by_some_command = {"out", "format"}
+    for command, (_, _, reads, requires) in cli._COMMANDS.items():
+        assert set(reads) == READS[command]
+        assert tuple(requires) == REQUIRES.get(command, ())
+        read_by_some_command.update(reads)
+    assert read_by_some_command == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_options_the_command_reads(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--out", "--format", *map(flag, READS[command])}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("pmf", "engine", "nope"),
+    ("pmf", "n", "abc"),
+    ("pmf", "k_max", "2.5"),
+    ("dependent", "precision", "exact"),
+    ("dependent", "seed", "1.5"),
+    ("sweep", "grid", "4,x"),
+    ("verify", "margin", "wide"),
+    ("distance", "format", "xml"),
+    ("conditions", "threshold", ""),
+])
+def test_bad_value_gives_one_error_as_flag_or_config(command, option, value, tmp_path, capsys):
+    argv = drop(base_argv(command, tmp_path), option)
+    by_flag = run_cli(argv + [flag(option), value], capsys)
+    by_file = run_cli(argv + ["--config", write_config(tmp_path, {option: value})], capsys)
+    assert by_flag == by_file
+    code, out, err = by_flag
+    assert (code, out) == (2, "")
+    obj = json.loads(err)
+    assert obj["error"] == "ValidationError"
+    assert obj["message"].startswith(f"{option} has invalid value {value!r}; expected ")
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, options in REQUIRES.items() for option in options
+])
+def test_missing_required_option_is_named(command, option, tmp_path, capsys):
+    code, out, err = run_cli(drop(base_argv(command, tmp_path), option), capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError", "message": f"{command} needs {flag(option)}",
+    }
+
+
+def test_null_config_value_means_not_given(tmp_path, capsys):
+    argv = base_argv("pmf", tmp_path)
+    plain = run_cli(argv, capsys)
+    config = write_config(tmp_path, {"engine": None, "n": None, "format": None})
+    assert run_cli(argv + ["--config", config], capsys) == plain
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("foo:bar", "unknown family kind 'foo'"),
+    ("foo:1", "unknown family kind 'foo'"),
+    ("foo", "unknown family kind 'foo'"),
+    ("constant_p:bar", "cannot parse family parameters in 'constant_p:bar'"),
+    ("constant_p", "family spec 'constant_p' needs parameters after ':'"),
+])
+def test_family_kind_is_checked_before_its_parameters(spec, message, capsys):
+    code, out, err = run_cli(["pmf", "--family", spec, "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+def test_sweep_parses_kind_and_window_once_per_run(monkeypatch, capsys):
+    calls = []
+    for name in ("parse_kind", "parse_window"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda spec, real=real: calls.append(spec) or real(spec))
+
+    def count(grid):
+        calls.clear()
+        argv = ["sweep", "--family", "constant_total:2", "--grid", grid,
+                "--kind", "lambda", "--phi", "constant:4"]
+        assert run_cli(argv, capsys)[0] == 0
+        return len(calls)
+
+    assert count("8,16") == count("8,16,32,64")
