@@ -214,14 +214,14 @@ def _load_config_file(path: str, command: str) -> dict:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    unknown = set(data) - {"command", *_reads(command)}
-    if unknown:
-        raise ValidationError(f"unknown config keys {sorted(unknown)} for {command}")
     file_command = data.pop("command", None)
     if file_command is not None and file_command != command:
         raise ValidationError(
             f"config file is for command {file_command!r}, invoked as {command!r}"
         )
+    unknown = set(data) - set(_reads(command))
+    if unknown:
+        raise ValidationError(f"unknown config keys {sorted(unknown)} for {command}")
     return data
 
 

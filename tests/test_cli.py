@@ -564,6 +564,14 @@ def test_config_command_must_match_invocation(tmp_path, capsys):
     assert "verify" in json.loads(err)["message"]
 
 
+def test_config_for_another_command_is_named_before_its_keys(tmp_path, capsys):
+    # kind and phi are not pmf options; the mismatched command is the error.
+    config = write_config(tmp_path, {"command": "verify", "kind": "lambda", "phi": "constant:1"})
+    code, _, err = run_cli(["pmf", "--config", config, "--family", "constant_p:0.3"], capsys)
+    assert code == 2
+    assert json.loads(err)["message"] == "config file is for command 'verify', invoked as 'pmf'"
+
+
 def test_config_rejects_fractional_integer_fields(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(
@@ -730,9 +738,11 @@ def base_argv(command, tmp_path):
 
 
 def drop(argv, option):
-    """argv without the flag of option and its value."""
-    f = flag(option)
-    return [a for i, a in enumerate(argv) if a != f and argv[i - 1] != f]
+    """argv without the flag of option and its value, if it has them."""
+    if flag(option) not in argv:
+        return argv
+    i = argv.index(flag(option))
+    return argv[:i] + argv[i + 2:]
 
 
 def write_config(tmp_path, obj):
