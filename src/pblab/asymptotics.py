@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from ._util import log_factorial
 from .errors import HypothesisError, ValidationError
-from .exact import Pmf, PoissonRef, pmf_dc, pmf_dp, sup_cdf_distance, tv_distance
+from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, sup_cdf_distance, tv_distance
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary, summarize
 
 APPROX_TAGS = ("lambda_form", "beta_form", "poisson_form", "poisson_limit", "normal_local")
@@ -257,13 +257,15 @@ def verify_sandwich(
     """Check one profile's exact/approx ratios against the proved envelope.
 
     Evaluates every integer k <= n with k^2 <= phi(n), the exact PMF coming
-    from the dp engine in log domain.  The approximant is anchored at the
-    engine's own k=0 entry, so the ratio at k=0 is exactly 1 for the
-    anchored forms.  A missing beta cap defaults to (m_n + 1)/2, halfway
-    between the largest entry and 1; sweeps over n should fix an explicit
-    cap instead so the envelope means the same thing at every n.  The
-    rails are evaluated once at k = 0 before the dp runs, so a cap below
-    m_n, or a poisson form with m_n >= 1/2, fails at once.
+    from the product-tree engine (pmf_tree) in log domain, truncated at the
+    window's top; pmf_dp stays the oracle it is checked against.  The
+    approximant is anchored at the engine's own k=0 entry, so the ratio at
+    k=0 is exactly 1 for the anchored forms.  A missing beta cap defaults
+    to (m_n + 1)/2, halfway between the largest entry and 1; sweeps over n
+    should fix an explicit cap instead so the envelope means the same thing
+    at every n.  The rails are evaluated once at k = 0 before the engine
+    runs, so a cap below m_n, or a poisson form with m_n >= 1/2, fails at
+    once.
     """
     if kind.tag not in _SANDWICH_TAGS:
         raise ValidationError(
@@ -278,12 +280,12 @@ def verify_sandwich(
     elif beta_cap is not None:
         raise ValidationError(f"beta_cap applies to beta_form only, not {kind.tag}")
     rails = _sandwich_rails(kind.tag, summary, cap)
-    rails(0)  # a cap below m_n, or m_n >= 1/2, raises here rather than after the dp
+    rails(0)  # a cap below m_n, or m_n >= 1/2, raises here rather than after the engine
     n = profile.n
     phi = window.value(n, summary.lambda_n)
     k_hi = n if phi >= (n + 1) ** 2 else math.isqrt(int(phi))
     ks = tuple(range(k_hi + 1))
-    log_exact = tuple(pmf_dp(profile, k_hi).log_probs.tolist())
+    log_exact = tuple(pmf_tree(profile, k_hi).log_probs.tolist())
     log_approx = tuple(approx_pmf(kind, summary, log_exact[0], k) for k in ks)
     ratios = tuple(math.exp(le - la) for le, la in zip(log_exact, log_approx))
     lower_env, upper_env, mask = zip(*(rails(k) for k in ks))
@@ -369,7 +371,7 @@ def mmm_residual(
         raise HypothesisError("normal residual needs var_n > 0 (nondegenerate count)")
     b = math.sqrt(summary.var_n)
     if k <= profile.n:
-        pk = pmf_dp(profile, k).prob(k)
+        pk = pmf_tree(profile, k).prob(k)
     else:
         pk = 0.0
     gauss = math.exp(-((k - summary.lambda_n) ** 2) / (2.0 * summary.var_n)) / math.sqrt(
@@ -384,14 +386,19 @@ def mmm_residual(
 
 
 def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple[float, ...]]:
-    """Exact PMF (dp) plus normal_local ratios at the requested k values."""
+    """Exact PMF plus normal_local ratios at the requested k values.
+
+    The PMF comes from the product-tree engine (pmf_tree), truncated at the
+    largest requested k; pmf_dp stays the log-domain oracle it is checked
+    against.
+    """
     summary = summarize(profile)
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValidationError("k_values must be nonempty")
     if min(ks) < 0 or max(ks) > profile.n:
         raise ValidationError("k_values must lie in 0..n")
-    pmf = pmf_dp(profile, max(ks))
+    pmf = pmf_tree(profile, max(ks))
     lps = pmf.log_probs.tolist()
     kind = ApproxKind.normal_local()
     ratios = tuple(math.exp(lps[k] - approx_pmf(kind, summary, lps[0], k)) for k in ks)

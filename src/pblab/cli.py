@@ -103,10 +103,19 @@ _DEFAULTS = {
 
 
 def _int(value) -> int:
+    # A JSON true is a Python int; it is not a count.
+    if isinstance(value, bool):
+        raise TypeError(value)
     out = int(value)
     if isinstance(value, float) and value != out:
         raise ValueError(value)
     return out
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
 
 
 def _str(value) -> str:
@@ -139,15 +148,15 @@ _OPTIONS = {
     "grid": (_grid, "comma list of n values, e.g. 100,1000 (a JSON list in a config file)"),
     "phi": (_str, "window spec, e.g. power:1,0.5"),
     "kind": (_str, "lambda|beta|poisson|poisson-limit:rate|normal"),
-    "beta_cap": (float, "cap for the beta-form envelope"),
+    "beta_cap": (_float, "cap for the beta-form envelope"),
     "k_max": (_int, "largest k to evaluate"),
     "engine": (_choice(ENGINES), f"{'|'.join(ENGINES)}: the pmf engine (default dp)"),
     "precision": (_choice(PRECISIONS), f"{'|'.join(PRECISIONS)} (default float)"),
     "seed": (_int, "seed for sampled diagnostics"),
     "out": (_str, "output file (sweep: output directory)"),
     "format": (_choice(FORMATS), f"{'|'.join(FORMATS)} (default json)"),
-    "margin": (float, "float tolerance for envelope checks"),
-    "threshold": (float, "smallness cutoff for condition verdicts"),
+    "margin": (_float, "float tolerance for envelope checks"),
+    "threshold": (_float, "smallness cutoff for condition verdicts"),
     "sample_budget": (_int, "tuples sampled per k when enumeration is too large"),
     "model": (_str, "dependent model spec JSON file"),
 }

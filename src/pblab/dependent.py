@@ -34,6 +34,7 @@ from .exact import (
     elementary_symmetric,
     pmf_dp,
     pmf_inclusion_exclusion,
+    pmf_tree,
 )
 from .profiles import BernoulliProfile
 
@@ -193,8 +194,8 @@ class MixtureModel(DependentModel):
 
     def closed_form_pmf(self) -> Pmf:
         """Exact PMF as the eps-weighted mixture of the two product PMFs."""
-        lp = pmf_dp(self.p_profile).log_probs
-        lq = pmf_dp(self.q_profile).log_probs
+        lp = pmf_tree(self.p_profile).log_probs
+        lq = pmf_tree(self.q_profile).log_probs
         if self.eps == 0.0:
             mixed = lp
         elif self.eps == 1.0:

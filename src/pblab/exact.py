@@ -1,8 +1,12 @@
 """Exact distribution engines for sums of independent Bernoulli variables.
 
-Four mutually checking routes to the same PMF:
+Five mutually checking routes to the same PMF:
 
-* pmf_dp: the convolution recurrence in log domain, exact under truncation.
+* pmf_tree: the production engine.  A product tree of the factors
+  (1 - p) + p z, merged level by level in log domain over all pairs at
+  once, truncated at k_max; no entry can underflow to a false -inf.
+* pmf_dp: the convolution recurrence in log domain, exact under truncation,
+  one entry at a time; kept as the log-domain oracle for pmf_tree.
 * pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: every
   leaf is expanded in one batched pass, then the leaves are multiplied up a
   fixed tree of pairs (direct convolution, rfft for long products).
@@ -27,6 +31,7 @@ from .errors import ConditioningError, HypothesisError, SizeError, ValidationErr
 from .profiles import BernoulliProfile
 
 PROVENANCES = (
+    "product_tree",
     "dp",
     "divide_conquer",
     "brute_force",
@@ -132,6 +137,53 @@ def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
         np.add(log_f[:s], lq, out=stay[:s])
         np.logaddexp(stay[:s], shift[:s], out=log_f[:s])
     return _finish_log(log_f, n, "dp")
+
+
+def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
+    """Product tree of the factors (1 - p) + p z, multiplied in log domain.
+
+    Every nonzero entry p is a leaf [log1p(-p), log(p)].  Adjacent nodes are
+    merged in pairs, one level at a time, an odd node out paired with the
+    identity [0, -inf, ...].  A merge is the log-domain convolution
+    C[k] = logaddexp over j of A[j] + B[k - j], one np.add and one
+    np.logaddexp per j over all pairs of the level, and every node keeps
+    its first k_max + 1 coefficients.  No value leaves log domain, so none
+    underflows: log P(V = k) is -inf exactly for k above the number of
+    nonzero entries.  The tree's shape depends on the row alone and C[k]
+    never reads above k, so a truncated run is a bit-for-bit prefix of the
+    full run, as for pmf_dp.
+    """
+    n = profile.n
+    if k_max is None:
+        k_max = n
+    if not 0 <= k_max <= n:
+        raise ValidationError(f"k_max={k_max} outside 0..{n}")
+    size = k_max + 1
+    p = profile.probs[profile.probs > 0.0]
+    # Row k of a level holds coefficient k of every node; a row without
+    # nonzero entries is the identity alone.
+    level = np.vstack([np.log1p(-p), np.log(p)])[:size] if len(p) else np.zeros((1, 1))
+    while level.shape[1] > 1:
+        width = len(level)
+        if level.shape[1] % 2:
+            identity = np.full((width, 1), -np.inf)
+            identity[0] = 0.0
+            level = np.hstack([level, identity])
+        a = np.ascontiguousarray(level[:, 0::2])
+        b = np.ascontiguousarray(level[:, 1::2])
+        out_width = min(2 * width - 1, size)
+        merged = np.empty((out_width, b.shape[1]))
+        np.add(a[0], b, out=merged[:width])
+        merged[width:] = -np.inf
+        term = np.empty_like(b)
+        for j in range(1, width):
+            top = min(width, out_width - j)
+            np.add(a[j], b[:top], out=term[:top])
+            np.logaddexp(merged[j : j + top], term[:top], out=merged[j : j + top])
+        level = merged
+    log_f = np.full(size, -np.inf)
+    log_f[: len(level)] = level[:, 0]
+    return _finish_log(log_f, n, "product_tree")
 
 
 def _leaf_sizes(n: int) -> list[int]:
@@ -331,7 +383,7 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
     epsilon times the sum of absolute terms) and refuses to return a value
     whose noise exceeds 1e-6 of its magnitude, or a NaN from sums past the
     float range.  The rational path is exact and rounds once at the end.
-    Use beyond n of about 25 is an oracle-only affair; the dp and
+    Use beyond n of about 25 is an oracle-only affair; the product-tree and
     divide-and-conquer engines are the production routes.
     """
     if not 0 <= k <= n:

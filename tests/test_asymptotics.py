@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pblab import asymptotics
+from pblab import asymptotics, dependent, exact
 from pblab.asymptotics import (
     ApproxKind,
     approx_pmf,
@@ -280,15 +280,36 @@ def test_sandwich_input_rules():
 
 
 def test_sandwich_preconditions_fail_before_the_dp(monkeypatch):
-    def no_dp(*args, **kwargs):
-        raise AssertionError("pmf_dp ran before the rails were checked")
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the exact engine ran before the rails were checked")
 
-    monkeypatch.setattr(asymptotics, "pmf_dp", no_dp)
+    monkeypatch.setattr(asymptotics, "pmf_tree", no_engine)
     w = GrowthWindow.constant(4.0)
     with pytest.raises(HypothesisError, match="beta cap 0.2 must satisfy"):
         verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.2)
     with pytest.raises(HypothesisError, match="needs m_n < 1/2"):
         verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind.poisson_form(), w)
+    # The stub sits where verify_sandwich takes its exact PMF: a valid call reaches it.
+    with pytest.raises(AssertionError, match="exact engine ran"):
+        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.5)
+
+
+def test_production_paths_do_not_call_the_dp_oracle(monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("pmf_dp ran on a production path")
+
+    monkeypatch.setattr(exact, "pmf_dp", no_dp)
+    monkeypatch.setattr(asymptotics, "pmf_dp", no_dp, raising=False)
+    monkeypatch.setattr(dependent, "pmf_dp", no_dp)
+    prof = BernoulliProfile(tuple((i % 5 + 1) / 20 for i in range(60)))
+    w = GrowthWindow.constant(9.0)
+    for kind in (ApproxKind.lambda_form(), ApproxKind.beta_form(), ApproxKind.poisson_form()):
+        assert verify_sandwich(prof, kind, w).violations == 0
+    pmf, _ = normal_local_report(prof, (3, 9))
+    assert pmf.provenance == "product_tree"
+    assert mmm_residual(prof, 9, 1.0)[2]
+    model = MixtureModel(0.3, prof, BernoulliProfile(tuple(reversed(prof.probs.tolist()))))
+    assert model.closed_form_pmf().total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -799,13 +799,15 @@ def test_help_lists_exactly_the_options_the_command_reads(command, capsys):
     ("verify", "margin", "wide"),
     ("distance", "format", "xml"),
     ("conditions", "threshold", ""),
+    ("pmf", "n", True),
+    ("verify", "margin", True),
 ])
 def test_bad_value_gives_one_error_as_flag_or_config(command, option, value, tmp_path, capsys):
     argv = drop(base_argv(command, tmp_path), option)
-    by_flag = run_cli(argv + [flag(option), value], capsys)
     by_file = run_cli(argv + ["--config", write_config(tmp_path, {option: value})], capsys)
-    assert by_flag == by_file
-    code, out, err = by_flag
+    if isinstance(value, str):  # a JSON boolean has no flag spelling
+        assert run_cli(argv + [flag(option), value], capsys) == by_file
+    code, out, err = by_file
     assert (code, out) == (2, "")
     obj = json.loads(err)
     assert obj["error"] == "ValidationError"

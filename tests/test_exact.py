@@ -24,6 +24,7 @@ from pblab.exact import (
     pmf_dc,
     pmf_dp,
     pmf_inclusion_exclusion,
+    pmf_tree,
     prob_zero_log,
     sup_cdf_distance,
     tv_distance,
@@ -92,7 +93,7 @@ def test_pmf_log_probs_are_a_read_only_float64_row():
     assert pmf.log_probs.tolist() == np.log([0.5, 0.25, 0.25]).tolist()
     with pytest.raises(ValueError, match="read-only"):
         pmf.log_probs[0] = 0.0
-    for engine in (pmf_dp, pmf_dc, pmf_bruteforce):
+    for engine in (pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce):
         assert not engine(WORKED).log_probs.flags.writeable
     assert pmf != Pmf(pmf.log_probs, n=2, provenance="dp")
 
@@ -118,14 +119,14 @@ def test_pmf_accessors():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", [pmf_dp, pmf_dc, pmf_bruteforce])
+@pytest.mark.parametrize("engine", [pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce])
 def test_engines_match_worked_example(engine):
     """All engines reproduce the eight-outcome hand computation."""
     got = engine(WORKED).probs()
     assert got == pytest.approx(WORKED_PMF, abs=1e-14)
 
 
-@pytest.mark.parametrize("engine", [pmf_dp, pmf_dc, pmf_bruteforce])
+@pytest.mark.parametrize("engine", [pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce])
 def test_engines_match_binomial_closed_form(engine):
     n, p = 12, 0.37
     got = engine(BernoulliProfile((p,) * n)).probs()
@@ -161,6 +162,73 @@ def test_dp_log_domain_survives_underflow():
     pmf = pmf_dp(prof)
     assert pmf.log_probs[0] == pytest.approx(600 * math.log(0.1), rel=1e-13)
     assert pmf.total_mass() == pytest.approx(1.0, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the product tree against the dp oracle
+# ----------------------------------------------------------------------
+
+
+def _tree_rows():
+    rng = np.random.default_rng(2018)
+    zeros = rng.uniform(0.0, 0.9, 301)
+    zeros[::4] = 0.0
+    tiny = rng.uniform(0.0, 0.5, 257)
+    tiny[::5] = 5e-324
+    tiny[3::11] = 0.0
+    # lambda near 940 > 745: P(V = 0) alone is far below the smallest double.
+    heavy = rng.uniform(0.1, 0.5, 4096)
+    heavy[::7] = 5e-324
+    heavy[::11] = 0.0
+    return {"zeros": zeros, "tiny": tiny, "heavy": heavy, "all_zero": np.zeros(9),
+            "one": np.array([0.25])}
+
+
+@pytest.mark.parametrize("name", ["zeros", "tiny", "heavy", "all_zero", "one"])
+def test_tree_matches_dp_in_log_with_the_same_zero_set(name):
+    prof = BernoulliProfile(_tree_rows()[name])
+    nnz = int(np.count_nonzero(prof.probs))
+    for k_max in sorted({0, 1, min(31, prof.n), prof.n}):
+        tree = pmf_tree(prof, k_max)
+        dp = pmf_dp(prof, k_max)
+        assert tree.provenance == "product_tree" and tree.support_max == k_max
+        got, want = np.array(tree.log_probs), np.array(dp.log_probs)
+        impossible = np.arange(k_max + 1) > nnz
+        assert np.array_equal(np.isneginf(got), impossible)
+        assert np.array_equal(np.isneginf(want), impossible)
+        ok = ~impossible
+        assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 301, 4097])
+def test_tree_truncation_is_prefix_of_full_run(n):
+    rng = np.random.default_rng(n)
+    p = rng.uniform(0.0, 0.9, n)
+    p[::5] = 0.0
+    prof = BernoulliProfile(p)
+    full = pmf_tree(prof).log_probs
+    for k_max in sorted({0, min(1, n), min(2, n), min(5, n), min(31, n), n // 2, n}):
+        head = pmf_tree(prof, k_max).log_probs
+        assert head.tobytes() == full[: k_max + 1].tobytes()
+
+
+def test_tree_k_max_validation():
+    with pytest.raises(ValidationError):
+        pmf_tree(WORKED, k_max=4)
+    with pytest.raises(ValidationError):
+        pmf_tree(WORKED, k_max=-1)
+
+
+def test_tree_is_accurate_to_rounding_on_a_constant_row_at_scale():
+    """row_power:1.2,0.65 at n = 10^5 has lambda near 67.9; pmf_dp is 5e-11 off here."""
+    n = 10**5
+    v = 1.2 * n**-0.65
+    got = pmf_tree(BernoulliProfile(np.full(n, v)), 40).log_probs
+    want = [
+        math.log(math.comb(n, k)) + k * math.log(v) + (n - k) * math.log1p(-v)
+        for k in range(41)
+    ]
+    assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
 def test_dc_crosses_merge_thresholds():
@@ -537,6 +605,7 @@ def test_tv_dominates_sup_cdf():
 @given(small_profiles)
 def test_property_engines_agree_with_brute(prof):
     brute = pmf_bruteforce(prof).probs()
+    assert pmf_tree(prof).probs() == pytest.approx(list(brute), abs=1e-12)
     assert pmf_dp(prof).probs() == pytest.approx(list(brute), abs=1e-12)
     assert pmf_dc(prof).probs() == pytest.approx(list(brute), abs=1e-12)
     sums = elementary_symmetric(prof.probs, prof.n, high_precision=True)
@@ -577,3 +646,18 @@ def test_property_zero_class_identity(prof):
     assert math.exp(prob_zero_log(prof)) == pytest.approx(
         pmf_dp(prof).prob(0), rel=1e-12
     )
+
+
+twenty_entry_profiles = st.lists(
+    st.floats(min_value=0.0, max_value=0.999, allow_nan=False),
+    min_size=1,
+    max_size=20,
+).map(lambda xs: BernoulliProfile(tuple(xs)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(twenty_entry_profiles, st.integers(min_value=0, max_value=20))
+def test_property_tree_matches_brute(prof, k_max):
+    k_max = min(k_max, prof.n)
+    brute = pmf_bruteforce(prof).probs()[: k_max + 1]
+    assert pmf_tree(prof, k_max).probs() == pytest.approx(list(brute), abs=1e-13)

@@ -34,11 +34,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
-from pblab.cli import main
+from pblab.cli import main, parse_family
+from pblab.profiles import generate
 
 DC_N = 4200
 
@@ -361,6 +364,25 @@ def run_case(name, fmt, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_golden_bytes(name, fmt, tmp_path):
     assert run_case(name, fmt, tmp_path) == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("name", ["verify", "verify_beta", "verify_beta_cap", "verify_lambda_inf"])
+def test_verify_exact_column_is_the_binomial(name):
+    """The verify cases run flat rows, so their exact column is a binomial pmf."""
+    argv = CASES[name] + ["--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    n = int(argv[argv.index("--n") + 1])
+    probs = generate(parse_family(argv[argv.index("--family") + 1]), n).probs
+    v = float(probs[0])
+    assert np.all(probs == v)
+    rows = json.loads(out.getvalue())["rows"]
+    assert rows
+    for row in rows:
+        k = row["k"]
+        want = math.log(math.comb(n, k)) + k * math.log(v) + (n - k) * math.log1p(-v)
+        assert abs(math.log(row["exact"]) - want) <= 1e-12
 
 
 if __name__ == "__main__":
