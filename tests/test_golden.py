@@ -20,6 +20,14 @@ budget); they were added, and recorded, before flags and config values
 shared one converter per option.  A green run means those changes left
 every emitted byte unchanged.
 
+Sixteen digests were re-recorded on purpose when `verify` and `sweep
+--kind` took their exact PMF from the log-domain product tree instead of
+the dp: those of `verify`, `verify_beta`, `verify_beta_cap`,
+`verify_lambda_inf`, `sweep_beta`, `sweep_kind`, `sweep_kind_out` and
+`config_sweep`, in both formats.  Their exact values moved by at most
+2.2e-13 in log, toward the closed-form binomial, and no verdict, violation
+count or validity flag changed.
+
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 runs the rfft merges at the top of the tree and has exact-zero
 probabilities in its profile, and `distance` at n = 20000 (lambda near
@@ -182,17 +190,17 @@ GOLDEN = {
     },
     ('config_sweep', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.json': 'f32ec2113d13c41321ea69442bf02403f578e43cc68bf8c14b874cfe46627687',
-        'point_n16.json': '5a0966939751d16808323851e79701bab09d107812a96ca8605c96c19953c156',
-        'point_n32.json': '5b19a3171d7fd741d1ab747577c005d52dd418723db3078ef49bd4d587f6e939',
-        'point_n8.json': '273767f0a7cfc5553c3b2aa325c50f3ade7c2c3fcfcae7bf318d666fac174e8f',
+        'aggregate.json': '3e6ed002151eef4c4a83a6a79a0da49a25f72676adca8d8595a094b197353108',
+        'point_n16.json': '0bc7466ac51d40fb3e098bc622e9fcb1c28ebf3a415a8863b8e549f213a69e52',
+        'point_n32.json': '1094b898d30683648bdf447ccbf53702d164f22aa21ca311e9b4e2cdddd4800a',
+        'point_n8.json': '60898a475ce4ca18550a4311ef3c4450a448ed3a51d8cd1ce984818fd6be12ec',
     },
     ('config_sweep', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.csv': '24cb345180c32ac41dba3425f5fe725d579b0b8e50b58fbb97e169a56566eab6',
-        'point_n16.csv': '7989000c6219a8d53303bc81d8f4c0a09cf6d3e1949d05d3c7a6e650ce0ef5ca',
-        'point_n32.csv': '561c6ef77b22d68301234d02ab29892ef7e426fcd1c9e4d0f6457c024e597fd8',
-        'point_n8.csv': '0c9660d18f3b8edf21c79cdd3e276d30fcb99fea04e3edaf4548bdabc22fb03c',
+        'aggregate.csv': '1c97dc05f2b384af35afe7a7b7203ab340fe1558ed27b68350a2b7b19751e0c0',
+        'point_n16.csv': '713e6372005d4c62d462761868846ce5fedaa4164fd79675003c79676a02fb41',
+        'point_n32.csv': '1ed96ee8f46d4766f6ca4d417d1352881de7d8584f88e787c3d0d18b21d65f6d',
+        'point_n8.csv': '9d6afb8d0e0c3314799bdd05505ac67368b1d3bda21c4d389afa759525cd554f',
     },
     ('dependent', 'json'): {
         'stdout': 'c3506c990e5e96b1ee18266d849ac0c5340028a43376bdc58bcd0cf517f0a661',
@@ -257,28 +265,28 @@ GOLDEN = {
         'stdout': '184c62b591de1219668714017c45cfb71822db810120c37fc379de50521f840f',
     },
     ('sweep_beta', 'json'): {
-        'stdout': 'a7b46ee0fa31a613db12602cfa7cee9cfea1f26d05362808c9bca155d4398890',
+        'stdout': 'befd4384d2c5f773c54ee61ac114be6fe45606e7154e22e34ede109bffaebbb7',
     },
     ('sweep_beta', 'csv'): {
-        'stdout': 'd99f6a52cc0a9ed2d6135210713e01595dc9a4489637dd61cd2abd34b44328e4',
+        'stdout': '4e2bea243639126770a98d027e1640a6d19ea755440c1f6e4d60dae0d67f6ed3',
     },
     ('sweep_kind', 'json'): {
-        'stdout': '42316846a7f093095409b80497f71db40f9c420233ff77ff0a6d59d3c746a527',
+        'stdout': '0162033886dda0b0e9b5cbb6cc2c500ee8dbaa626d21a34a2525e31fb133fb64',
     },
     ('sweep_kind', 'csv'): {
-        'stdout': 'f93bd0c16a56bdfb90883281d609efb60696caa4ad2381ea96460bd879dba5b3',
+        'stdout': '7b284331de02362251cdef5e8179597d42fe790aebe8c29998882c63b6bab626',
     },
     ('sweep_kind_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.json': '42316846a7f093095409b80497f71db40f9c420233ff77ff0a6d59d3c746a527',
-        'point_n16.json': 'f595ce095374b0bcc61bdb8467c691354ca825be6255e7a282cd5ebc926062b6',
-        'point_n8.json': 'd31dd45751c20f300ff0fdc82c843a075ea6e2141bc96214f47765e2989fe9eb',
+        'aggregate.json': '0162033886dda0b0e9b5cbb6cc2c500ee8dbaa626d21a34a2525e31fb133fb64',
+        'point_n16.json': '10ea3e54991eea4c6a0aeabbba2d5bdb817f124c882d3f41d69a3000930b98b5',
+        'point_n8.json': '81fcae1342feea7ea1d149fcffb87afe73c440b8e537c295aa3252c6ea271d22',
     },
     ('sweep_kind_out', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.csv': 'f93bd0c16a56bdfb90883281d609efb60696caa4ad2381ea96460bd879dba5b3',
-        'point_n16.csv': '7989000c6219a8d53303bc81d8f4c0a09cf6d3e1949d05d3c7a6e650ce0ef5ca',
-        'point_n8.csv': '0c9660d18f3b8edf21c79cdd3e276d30fcb99fea04e3edaf4548bdabc22fb03c',
+        'aggregate.csv': '7b284331de02362251cdef5e8179597d42fe790aebe8c29998882c63b6bab626',
+        'point_n16.csv': '713e6372005d4c62d462761868846ce5fedaa4164fd79675003c79676a02fb41',
+        'point_n8.csv': '9d6afb8d0e0c3314799bdd05505ac67368b1d3bda21c4d389afa759525cd554f',
     },
     ('sweep_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -301,28 +309,28 @@ GOLDEN = {
         'stdout': '04204063a1b70c07ff9164cf697d9cb3f53e72b0786ccd4af19960eaccc1e0cd',
     },
     ('verify', 'json'): {
-        'stdout': '19b3bebf8df2e6f61852f08154763d99f695fc06a9d405fa6cc8f8cdbfcb3524',
+        'stdout': '23e4e7dffebc9619e2355134d5f497ef549cc2175f58b238df1f1dd66273febc',
     },
     ('verify', 'csv'): {
-        'stdout': '510f4bc243c98ea74b6ffa3562922c20175d5a3512546c572ea56085a743a198',
+        'stdout': '43d722131a908ab4118d03d73558f5522a8630f540b0326084963946073155b0',
     },
     ('verify_beta', 'json'): {
-        'stdout': '5effcd12a6047f824bbcd1b00f671ed544137426c09115d400cef35460e01473',
+        'stdout': 'b827debaec7762c101c638538158e1ee479297031290a5569356343104b84eaf',
     },
     ('verify_beta', 'csv'): {
-        'stdout': '02885186167103f117901adcf03e36143d4e3f8fd59d436f788a8ec2d30baee3',
+        'stdout': '0d2d0f519d20b49620ec2264eace8e7d6c815a3d48311dc50af215fd40ea6a5d',
     },
     ('verify_beta_cap', 'json'): {
-        'stdout': '181a19bd8188c4ebdcabf3a49f44f5f32937dc134b3bce33ee84510fedc6d69c',
+        'stdout': '4467f0e6b3c71bb34b11a266fde5962e7108961ed1e259b0cabde200be2913c8',
     },
     ('verify_beta_cap', 'csv'): {
-        'stdout': '0a9fdf5d6186f62d5d71e2fff5b774f36a7f43d65013747c9f7181cf2ebf888f',
+        'stdout': 'ea50fb8f4d39caaa6033d0c0a13189c6e74f0560562f9d246cdfb814421689f4',
     },
     ('verify_lambda_inf', 'json'): {
-        'stdout': '21b75f1f4f2d4a05d5f03755b2f9e1a962cff023f673cc9fd363caf58fd04779',
+        'stdout': '992c20fd712dcfb3ee868d84c24c7b34d1d2c78af2e2f0c2faee924ca5f56024',
     },
     ('verify_lambda_inf', 'csv'): {
-        'stdout': 'b2645cb9d01cf4c14940594b660b62d854bd105e04d44adfad16a096c7b02e5d',
+        'stdout': 'c5f4453fa25fccd3ee2824857067299e8cea73b111321983ba1475aec09523c8',
     },
 }
 
