@@ -143,15 +143,16 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     """Product tree of the factors (1 - p) + p z, multiplied in log domain.
 
     Every nonzero entry p is a leaf [log1p(-p), log(p)].  Adjacent nodes are
-    merged in pairs, one level at a time, an odd node out paired with the
-    identity [0, -inf, ...].  A merge is the log-domain convolution
+    merged in pairs, one level at a time; an odd node out moves up a level
+    unchanged, which is bit for bit what pairing it with the identity
+    [0, -inf, ...] gives.  A merge is the log-domain convolution
     C[k] = logaddexp over j of A[j] + B[k - j], one np.add and one
-    np.logaddexp per j over all pairs of the level, and every node keeps
-    its first k_max + 1 coefficients.  No value leaves log domain, so none
-    underflows: log P(V = k) is -inf exactly for k above the number of
-    nonzero entries.  The tree's shape depends on the row alone and C[k]
-    never reads above k, so a truncated run is a bit-for-bit prefix of the
-    full run, as for pmf_dp.
+    np.logaddexp per j over all pairs of the level.  Each side keeps the
+    coefficients up to its degree (the leaves below it) and k_max.  No value
+    leaves log domain, so none underflows: log P(V = k) is -inf exactly for
+    k above the number of nonzero entries.  The tree's shape depends on the
+    row alone and C[k] never reads above k, so a truncated run is a
+    bit-for-bit prefix of the full run, as for pmf_dp.
     """
     n = profile.n
     if k_max is None:
@@ -163,24 +164,32 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     # Row k of a level holds coefficient k of every node; a row without
     # nonzero entries is the identity alone.
     level = np.vstack([np.log1p(-p), np.log(p)])[:size] if len(p) else np.zeros((1, 1))
+    degree = np.ones(level.shape[1], dtype=np.int64)
     while level.shape[1] > 1:
-        width = len(level)
-        if level.shape[1] % 2:
-            identity = np.full((width, 1), -np.inf)
-            identity[0] = 0.0
-            level = np.hstack([level, identity])
-        a = np.ascontiguousarray(level[:, 0::2])
-        b = np.ascontiguousarray(level[:, 1::2])
-        out_width = min(2 * width - 1, size)
-        merged = np.empty((out_width, b.shape[1]))
-        np.add(a[0], b, out=merged[:width])
-        merged[width:] = -np.inf
+        pairs = level.shape[1] // 2
+        deg_a, deg_b = degree[0 : 2 * pairs : 2], degree[1 : 2 * pairs : 2]
+        width_a = min(int(deg_a.max()) + 1, size)
+        width_b = min(int(deg_b.max()) + 1, size)
+        width = min(width_a + width_b - 1, size)
+        # numpy loops fastest over the axis laid out contiguously: keep the
+        # longer of pairs and coefficients innermost.
+        order = "C" if pairs >= width else "F"
+        a = np.array(level[:width_a, 0 : 2 * pairs : 2], order=order)
+        b = np.array(level[:width_b, 1 : 2 * pairs : 2], order=order)
+        merged = np.empty((width, pairs), order=order)
+        np.add(a[0], b, out=merged[:width_b])
+        merged[width_b:] = -np.inf
         term = np.empty_like(b)
-        for j in range(1, width):
-            top = min(width, out_width - j)
+        for j in range(1, width_a):
+            top = min(width_b, width - j)
             np.add(a[j], b[:top], out=term[:top])
             np.logaddexp(merged[j : j + top], term[:top], out=merged[j : j + top])
+        if level.shape[1] % 2:
+            odd = np.full((width, 1), -np.inf)
+            odd[: len(level), 0] = level[:, -1]
+            merged = np.hstack([merged, odd])
         level = merged
+        degree = np.concatenate([deg_a + deg_b, degree[2 * pairs :]])
     log_f = np.full(size, -np.inf)
     log_f[: len(level)] = level[:, 0]
     return _finish_log(log_f, n, "product_tree")
