@@ -294,6 +294,21 @@ def test_sandwich_preconditions_fail_before_the_dp(monkeypatch):
         verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.5)
 
 
+def test_a_rail_the_ratio_attains_is_not_breached_by_rounding():
+    """On a flat row the lambda-form ratio at k = 1 is 1/(1 - p): the upper rail itself.
+
+    The exact engine's error there must stay well inside a 1e-12 margin;
+    the dp's accumulated rounding alone exceeds it at n = 3000.
+    """
+    prof = BernoulliProfile((0.05,) * 3000)
+    report = verify_sandwich(
+        prof, ApproxKind.lambda_form(), GrowthWindow.power(1, 0.5), margin=1e-12
+    )
+    assert report.upper_env[1] == pytest.approx(1.0 / 0.95, rel=1e-15)
+    assert report.ratios[1] == pytest.approx(1.0 / 0.95, rel=1e-13)
+    assert report.violations == 0
+
+
 def test_production_paths_do_not_call_the_dp_oracle(monkeypatch):
     def no_dp(*args, **kwargs):
         raise AssertionError("pmf_dp ran on a production path")
