@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -56,3 +57,14 @@ def frozen_row(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be one-dimensional, got shape {row.shape}")
     row.flags.writeable = False
     return row
+
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at path; a read or parse error names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc

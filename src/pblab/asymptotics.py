@@ -265,7 +265,10 @@ def verify_sandwich(
     should fix an explicit cap instead so the envelope means the same thing
     at every n.  The rails are evaluated once at k = 0 before the engine
     runs, so a cap below m_n, or a poisson form with m_n >= 1/2, fails at
-    once.
+    once.  A ratio is a violation only past a rail by more than margin.
+    With margin 0, a rail the ratio attains exactly (every flat row at
+    k = 1 under the lambda form: ratio 1/(1-p) = 1 + eps2) is decided by
+    the last bits of the exact value; hence the default 1e-9.
     """
     if kind.tag not in _SANDWICH_TAGS:
         raise ValidationError(

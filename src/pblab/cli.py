@@ -21,13 +21,13 @@ errors (an unknown command or flag) print its usage text instead.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
 
 from . import emit
+from ._util import read_json
 from .asymptotics import (
     ApproxKind,
     approx_pmf,
@@ -56,6 +56,7 @@ from .profiles import (
     GrowthWindow,
     ProfileFamily,
     check_conditions,
+    check_grid,
     generate,
     load_profile,
     summarize,
@@ -214,13 +215,7 @@ def parse_kind(spec: str) -> ApproxKind:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     file_command = data.pop("command", None)
@@ -282,10 +277,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind is not None:
         parse_kind(cfg.kind)
     if cfg.grid is not None:
-        if len(cfg.grid) < 2:
-            raise ValidationError("grid needs at least two points")
-        if any(b <= a for a, b in zip(cfg.grid, cfg.grid[1:])):
-            raise ValidationError("grid must be strictly increasing")
+        check_grid(cfg.grid)
 
 
 def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:

@@ -18,7 +18,6 @@ the independent row's Poisson-type behavior.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from abc import ABC, abstractmethod
@@ -27,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._util import read_json
 from .errors import SizeError, ValidationError
 from .exact import (
     Pmf,
@@ -43,18 +43,19 @@ _GENERIC_MAX_N = 25
 # Exhaustive B1 sweeps when the tuple count stays within this; it also caps
 # the sample budget.
 _EXHAUSTIVE_MAX = 10**6
-# B1 checks at most this many tuples per array pass, which bounds its memory.
+# B1 and the generic sums evaluate at most this many tuples per array pass,
+# which bounds their memory.
 _B1_CHUNK = 1 << 12
 
 
 class DependentModel(ABC):
     """Joint-probability evaluator over index sets {0..n-1}.
 
-    joint(()) must be 1 and adding an index must never increase the value;
-    set-valued input keeps it symmetric by construction.  Subclasses may
-    provide closed-form k-fold sums through fast_sums to dodge the subset
-    enumeration, and a vector joint_many that evaluates many index tuples
-    in one array pass.
+    A subclass writes one evaluator, joint_many; joint and marginals are
+    its one-row and one-column cases, so they cannot disagree with it.  The
+    joint of no index must be 1, and adding an index must never increase
+    the value.  fast_sums may give closed-form k-fold sums instead of the
+    subset enumeration.
     """
 
     @property
@@ -62,22 +63,20 @@ class DependentModel(ABC):
     def n(self) -> int: ...
 
     @abstractmethod
-    def joint(self, indices) -> float:
-        """P(all variables at the given distinct 0-based indices equal 1)."""
-
     def joint_many(self, idx: np.ndarray) -> np.ndarray:
-        """joint of every row of an int array of shape (m, k), as float64.
+        """P(all variables at a row's distinct 0-based indices equal 1).
 
-        Entry i is joint(tuple(idx[i])), in row order and bit for bit; an
-        override must keep both.  The default calls joint once per row.
+        One float64 entry per row of the int array idx of shape (m, k).
         """
-        return np.fromiter(
-            (self.joint(tuple(t)) for t in idx.tolist()), dtype=float, count=len(idx)
-        )
+
+    def joint(self, indices) -> float:
+        """joint_many of the one row of distinct 0-based indices (any iterable)."""
+        return float(self.joint_many(np.array([list(indices)], dtype=np.intp))[0])
 
     @property
-    def marginals(self) -> np.ndarray | tuple[float, ...]:
-        return tuple(self.joint((i,)) for i in range(self.n))
+    def marginals(self) -> np.ndarray:
+        """P(variable i equals 1) for i = 0..n-1, as float64."""
+        return self.joint_many(np.arange(self.n)[:, None])
 
     def fast_sums(self, k_max: int, high_precision: bool = False) -> list | None:
         """Closed-form S_0..S_k_max, or None to make s_tilde enumerate subsets.
@@ -96,12 +95,23 @@ def _gather_prod(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Product of values over each row of idx.
 
     Multiplies from 1.0 one column at a time, left to right, which is
-    math.prod's order, so every entry equals the scalar product bit for bit.
+    math.prod's order, so every entry equals math.prod of the row's values
+    bit for bit.
     """
     out = np.ones(len(idx))
     for j in range(idx.shape[1]):
         out *= values[idx[:, j]]
     return out
+
+
+def _index_chunks(tuples, k: int):
+    """The k-tuples (k >= 1) as int arrays of at most _B1_CHUNK rows, in order."""
+    flat = itertools.chain.from_iterable(tuples)
+    while True:
+        idx = np.fromiter(itertools.islice(flat, _B1_CHUNK * k), dtype=np.intp).reshape(-1, k)
+        if not len(idx):
+            return
+        yield idx
 
 
 def _check_keep(keep, n: int) -> list[int]:
@@ -123,15 +133,8 @@ class ProductModel(DependentModel):
     def n(self) -> int:
         return self.profile.n
 
-    def joint(self, indices) -> float:
-        return math.prod(self.profile.probs[list(indices)].tolist())
-
     def joint_many(self, idx: np.ndarray) -> np.ndarray:
         return _gather_prod(self.profile.probs, idx)
-
-    @property
-    def marginals(self) -> np.ndarray:
-        return self.profile.probs
 
     def fast_sums(self, k_max: int, high_precision: bool = False) -> list:
         sums = elementary_symmetric(self.profile.probs, k_max, high_precision)
@@ -171,20 +174,10 @@ class MixtureModel(DependentModel):
     def n(self) -> int:
         return self.p_profile.n
 
-    def joint(self, indices) -> float:
-        idx = list(indices)
-        ps = self.p_profile.probs[idx].tolist()
-        qs = self.q_profile.probs[idx].tolist()
-        return (1.0 - self.eps) * math.prod(ps) + self.eps * math.prod(qs)
-
     def joint_many(self, idx: np.ndarray) -> np.ndarray:
         ps = _gather_prod(self.p_profile.probs, idx)
         qs = _gather_prod(self.q_profile.probs, idx)
         return (1.0 - self.eps) * ps + self.eps * qs
-
-    @property
-    def marginals(self) -> np.ndarray:
-        return (1.0 - self.eps) * self.p_profile.probs + self.eps * self.q_profile.probs
 
     def fast_sums(self, k_max: int, high_precision: bool = False) -> list:
         w = Fraction(self.eps) if high_precision else self.eps
@@ -216,29 +209,25 @@ class MixtureModel(DependentModel):
 
 
 class CallableModel(DependentModel):
-    """Wrap a plain function of a frozen index set as a model (no fast path)."""
+    """Wrap a plain function of a frozen index set as a model (no fast path).
 
-    def __init__(self, n: int, fn, marginals=None):
+    joint_many calls fn once per row, on the row's indices as a frozenset.
+    """
+
+    def __init__(self, n: int, fn):
         if n < 1:
             raise ValidationError("model needs n >= 1")
         self._n = int(n)
         self._fn = fn
-        self._marginals = (
-            tuple(float(x) for x in marginals) if marginals is not None else None
-        )
 
     @property
     def n(self) -> int:
         return self._n
 
-    def joint(self, indices) -> float:
-        return float(self._fn(frozenset(indices)))
-
-    @property
-    def marginals(self) -> tuple[float, ...]:
-        if self._marginals is not None:
-            return self._marginals
-        return tuple(self.joint((i,)) for i in range(self._n))
+    def joint_many(self, idx: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (self._fn(frozenset(row)) for row in idx.tolist()), dtype=float, count=len(idx)
+        )
 
     def restrict(self, keep) -> "CallableModel":
         kept = _check_keep(keep, self._n)
@@ -256,7 +245,7 @@ class RareSetSpec:
 
     kinds: empty (no exemptions); contains_any (tuples touching a fixed
     index set J); explicit (a literal list of tuples, small n only).
-    Membership costs O(k) per tuple.  Indices are 0-based.
+    is_rare is the one-row case of rare_mask.  Indices are 0-based.
     """
 
     kind: str
@@ -286,20 +275,17 @@ class RareSetSpec:
         return cls("explicit", tuples=frozenset(tuple(t) for t in tuples))
 
     def is_rare(self, t) -> bool:
-        if self.kind == "empty":
-            return False
-        if self.kind == "contains_any":
-            return any(i in self.indices for i in t)
-        return tuple(sorted(t)) in self.tuples
+        """rare_mask of the one row t (any iterable of indices)."""
+        return bool(self.rare_mask(np.array([list(t)], dtype=np.intp))[0])
 
     def rare_mask(self, idx: np.ndarray) -> np.ndarray:
-        """is_rare of every row of an int array of shape (m, k)."""
+        """Whether each row of an int array of shape (m, k) is a rare tuple."""
         if self.kind == "empty":
             return np.zeros(len(idx), dtype=bool)
         if self.kind == "contains_any":
             return np.isin(idx, sorted(self.indices)).any(axis=1)
         return np.fromiter(
-            (self.is_rare(t) for t in idx.tolist()), dtype=bool, count=len(idx)
+            (tuple(sorted(t)) in self.tuples for t in idx.tolist()), dtype=bool, count=len(idx)
         )
 
     def spec_string(self) -> str:
@@ -331,6 +317,14 @@ def _round_fraction(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _subset_joints(model: DependentModel, k: int):
+    """The joint of every k-subset of 0..n-1, in combinations order."""
+    if k == 0:
+        return [model.joint(())]
+    chunks = _index_chunks(itertools.combinations(range(model.n), k), k)
+    return itertools.chain.from_iterable(model.joint_many(idx).tolist() for idx in chunks)
+
+
 def s_tilde(
     model: DependentModel, k_max: int, high_precision: bool = False
 ) -> SymmetricSums:
@@ -347,10 +341,7 @@ def s_tilde(
     if vals is None:
         _guard_generic(model.n)
         total = _fraction_sum if high_precision else math.fsum
-        vals = [
-            total(model.joint(c) for c in itertools.combinations(range(model.n), k))
-            for k in range(k_max + 1)
-        ]
+        vals = [total(_subset_joints(model, k)) for k in range(k_max + 1)]
     if high_precision:
         return SymmetricSums([_round_fraction(x) for x in vals], vals)
     return SymmetricSums(vals)
@@ -471,8 +462,8 @@ def _nonrare_ratios(model: DependentModel, rare: RareSetSpec, k_max: int) -> lis
 
     empty: 1.0 for every k, with no sums computed.  contains_any(J):
     non-rare tuples avoid J entirely, so the part IS the k-fold sum of the
-    model restricted to the complement.  explicit: subtract the listed
-    tuples' joints; a part that rounds to <= 0 reads as empty.
+    model restricted to the complement.  explicit: subtract the joints of
+    listed tuples of size <= k_max; a part that rounds to <= 0 reads as empty.
     """
     if rare.kind == "empty":
         return [1.0] * k_max
@@ -486,7 +477,7 @@ def _nonrare_ratios(model: DependentModel, rare: RareSetSpec, k_max: int) -> lis
     else:
         part = list(full)
         for t in rare.tuples:
-            if 1 <= len(t) <= k_max and len(set(t)) == len(t) and all(0 <= i < model.n for i in t):
+            if 1 <= len(t) <= k_max:
                 part[len(t)] -= model.joint(t)
     return [_ratio_or_inf(full[k], part[k]) for k in range(1, k_max + 1)]
 
@@ -530,13 +521,7 @@ def _b1_sweep(
     worst = 0.0
     checked = 0
     zero_hit = False
-    flat = itertools.chain.from_iterable(tuples)
-    while True:
-        idx = np.fromiter(
-            itertools.islice(flat, _B1_CHUNK * k), dtype=np.intp
-        ).reshape(-1, k)
-        if not len(idx):
-            return worst, checked, zero_hit
+    for idx in _index_chunks(tuples, k):
         if rare.kind != "empty":
             idx = idx[~rare.rare_mask(idx)]
         checked += len(idx)
@@ -551,6 +536,7 @@ def _b1_sweep(
         dev = dev[~zero & ~np.isnan(dev)]
         if len(dev):
             worst = max(worst, float(dev.max()))
+    return worst, checked, zero_hit
 
 
 def check_scheme(
@@ -566,20 +552,23 @@ def check_scheme(
     B1 enumerates every non-rare k-tuple when there are at most 10^6 of
     them, otherwise draws sample_budget (at most 10^6) distinct tuples with
     a per-k seed derived from the given one (deterministic run to run).  It
-    reads the tuples in int arrays of at most 4096 rows, evaluates them with
-    model.joint_many and the comparison products with the same column
+    reads the tuples in int arrays of at most 4096 rows and evaluates them
+    with model.joint_many and the comparison products with the same column
     gather, so each deviation is the one a scalar loop over the tuples
     would compute.  B2 and B3 use closed restriction identities rather than
     sampling, so they carry no Monte Carlo noise at all; B3 is B2 of the
-    comparison row as a ProductModel.
+    comparison row as a ProductModel.  Rare indices outside 0..n-1, or an
+    explicit tuple that repeats one, raise ValidationError.
     """
     if indep.n != model.n:
         raise ValidationError(f"comparison row has n={indep.n}, model has n={model.n}")
     if not 1 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 1..{model.n}")
     validate_sample_budget(sample_budget)
-    if rare.kind == "contains_any" and any(i < 0 or i >= model.n for i in rare.indices):
+    if any(i < 0 or i >= model.n for i in rare.indices.union(*rare.tuples)):
         raise ValidationError(f"rare indices must lie in 0..{model.n - 1}")
+    if any(len(set(t)) < len(t) for t in rare.tuples):
+        raise ValidationError("rare tuples must not repeat an index")
     b2 = _nonrare_ratios(model, rare, k_max)
     b3 = _nonrare_ratios(ProductModel(indep), rare, k_max)
     rows = []
@@ -634,11 +623,4 @@ def model_from_dict(data: dict) -> DependentModel:
 
 def load_model(path: str) -> DependentModel:
     """Read a model spec JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path, "model"))

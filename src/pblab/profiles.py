@@ -337,6 +337,16 @@ def verdicts_from_rows(
     }
 
 
+def check_grid(grid) -> tuple[int, ...]:
+    """The grid of n as a tuple of ints; it needs two or more, strictly increasing."""
+    grid = tuple(int(n) for n in grid)
+    if len(grid) < 2:
+        raise ValidationError("grid needs at least two points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("grid must be strictly increasing")
+    return grid
+
+
 def check_conditions(
     family: ProfileFamily,
     grid,
@@ -349,11 +359,7 @@ def check_conditions(
     a tiny final value is evidence in favour of max-entry smallness, never a
     proof of the limit.
     """
-    grid = tuple(int(n) for n in grid)
-    if len(grid) < 2:
-        raise ValidationError("grid needs at least two points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("grid must be strictly increasing")
+    grid = check_grid(grid)
     rows = []
     for n in grid:
         s = summarize(generate(family, n))

@@ -430,6 +430,27 @@ def test_dependent_rejects_bad_model_file(tmp_path, capsys):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("what, argv", [
+    ("config", ["pmf", "--config"]),
+    ("model", ["dependent", "--model"]),
+])
+def test_unreadable_json_file_messages(what, argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(OSError) as missing_exc:
+        open(missing, encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(json.JSONDecodeError) as bad_exc:
+        json.loads("{not json")
+    for path, message in [
+        (missing, f"cannot read {what} file {missing}: {missing_exc.value}"),
+        (str(bad), f"{bad}: invalid JSON: {bad_exc.value}"),
+    ]:
+        code, out, err = run_cli(argv + [path], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
 # -------------------------------------------------------------- sweep command
 
 def test_sweep_writes_point_files_and_aggregate(tmp_path, capsys):
@@ -859,3 +880,16 @@ def test_sweep_parses_kind_and_window_once_per_run(monkeypatch, capsys):
         return len(calls)
 
     assert count("8,16") == count("8,16,32,64")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("8", "grid needs at least two points"),
+    ("16,8", "grid must be strictly increasing"),
+    ("8,8", "grid must be strictly increasing"),
+])
+@pytest.mark.parametrize("command", ["sweep", "conditions"])
+def test_grid_rule_messages(command, grid, message, capsys):
+    argv = [command, "--family", "constant_total:2", "--grid", grid, "--phi", "constant:4"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,18 @@ def test_joint_sums_float_column_rounds_the_rational_mirror(closed_form):
             for k in range(7)
         ]
         assert list(sums.high_precision_values) == want
+
+
+def test_generic_sums_span_many_chunks():
+    # C(16, 8) = 12870 subsets: four array passes at k = 8.
+    assert math.comb(16, 8) > 3 * dependent._B1_CHUNK
+    p = [0.01 * (i + 1) for i in range(16)]
+    model = CallableModel(16, lambda s: math.prod(p[i] for i in sorted(s)))
+    want = [
+        math.fsum(math.prod(p[i] for i in c) for c in itertools.combinations(range(16), k))
+        for k in range(10)
+    ]
+    assert s_tilde(model, 9).values.tolist() == want
 
 
 class HugeSums(CallableModel):
@@ -369,6 +382,17 @@ def test_diagnostics_validation():
         check_scheme(WORKED, INDEP, RareSetSpec.empty(), 1, sample_budget=0)
     with pytest.raises(ValidationError):
         check_scheme(WORKED, INDEP, RareSetSpec.contains_any((9,)), 1)
+
+
+@pytest.mark.parametrize("tuples, message", [
+    ([(0, 99), (2, 2)], "rare indices must lie in 0..5"),
+    ([(1, -1)], "rare indices must lie in 0..5"),
+    ([(0, 1), (2, 2)], "rare tuples must not repeat an index"),
+], ids=["out_of_range", "negative", "repeated"])
+def test_diagnostics_reject_bad_explicit_tuples(tuples, message):
+    half = ProductModel(BernoulliProfile((0.5,) * 6))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check_scheme(half, half.profile, RareSetSpec.explicit(tuples), 2)
 
 
 def test_diagnostics_sample_budget_cap():
@@ -583,28 +607,72 @@ def test_array_b1_reference_cases_reach_their_branches():
     assert diag.b2_ratio[1] == diag.b3_ratio[1] == math.inf
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        ProductModel(BernoulliProfile((0.2, 0.0, 5e-324, 1 - 2**-53, 0.7, 1e-200, 0.3, 0.99, 0.5))),
-        spread_mixture(9, eps=0.37),
-        MixtureModel(
-            1e-3,
-            BernoulliProfile((0.2, 0.0, 5e-324, 0.9, 0.7, 1e-200, 0.3, 1 - 2**-53, 0.5)),
-            BernoulliProfile((0.6, 0.1, 0.4, 1e-300, 0.0, 0.8, 0.3, 0.25, 0.999)),
-        ),
-        CallableModel(9, spread_mixture(9).joint),
-    ],
-    ids=["product", "mixture", "mixture_extremes", "callable"],
-)
-def test_joint_many_matches_joint_bitwise(model):
+def product_reference(probs):
+    """The product model's joint and marginals, as scalar formulas."""
+    p = probs.tolist()
+    return (lambda t: math.prod(p[i] for i in t)), p
+
+
+def mixture_reference(m):
+    """(1 - eps)·prod p + eps·prod q and (1 - eps)·p + eps·q, as scalar formulas."""
+    p, q, e = m.p_profile.probs.tolist(), m.q_profile.probs.tolist(), m.eps
+
+    def joint(t):
+        return (1.0 - e) * math.prod(p[i] for i in t) + e * math.prod(q[i] for i in t)
+
+    return joint, [(1.0 - e) * a + e * b for a, b in zip(p, q)]
+
+
+def _joint_cases():
+    product = ProductModel(
+        BernoulliProfile((0.2, 0.0, 5e-324, 1 - 2**-53, 0.7, 1e-200, 0.3, 0.99, 0.5))
+    )
+    yield "product", product, *product_reference(product.profile.probs)
+    mixture9 = spread_mixture(9, eps=0.37)
+    yield "mixture", mixture9, *mixture_reference(mixture9)
+    extremes = MixtureModel(
+        1e-3,
+        BernoulliProfile((0.2, 0.0, 5e-324, 0.9, 0.7, 1e-200, 0.3, 1 - 2**-53, 0.5)),
+        BernoulliProfile((0.6, 0.1, 0.4, 1e-300, 0.0, 0.8, 0.3, 0.25, 0.999)),
+    )
+    yield "mixture_extremes", extremes, *mixture_reference(extremes)
+    # The wrapped function sees each tuple as a frozenset, in the set's order.
+    inner = spread_mixture(9)
+    joint, marginals = mixture_reference(inner)
+    yield "callable", CallableModel(9, inner.joint), \
+        (lambda t: joint(tuple(frozenset(t)))), marginals
+
+
+JOINT_CASES = {case[0]: case[1:] for case in _joint_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_CASES))
+def test_joint_many_matches_the_closed_forms_bitwise(name):
+    model, joint_ref, marginals_ref = JOINT_CASES[name]
     for k in (0, 1, 2, 4, 9):
         combos = list(itertools.combinations(range(model.n), k))
         idx = np.array(combos, dtype=np.intp).reshape(len(combos), k)
-        want = np.array([model.joint(tuple(t)) for t in idx.tolist()], dtype=float)
         got = model.joint_many(idx)
         assert got.dtype == np.float64
+        want = np.array([joint_ref(t) for t in combos], dtype=float)
         assert got.tobytes() == want.tobytes(), k
+    marginals = model.marginals
+    assert marginals.dtype == np.float64
+    assert marginals.tobytes() == np.array(marginals_ref).tobytes()
+    if name == "product":
+        assert marginals.tobytes() == model.profile.probs.tobytes()
+    assert model.joint(()) == 1.0
+    t = frozenset({7, 0, 4})
+    assert model.joint(t) == joint_ref(tuple(t))
+
+
+def test_joint_many_is_the_one_evaluator():
+    assert DependentModel.__abstractmethods__ == {"n", "joint_many", "restrict"}
+    for cls in (ProductModel, MixtureModel, CallableModel):
+        assert cls.joint is DependentModel.joint
+        assert cls.marginals is DependentModel.marginals
+    with pytest.raises(TypeError):
+        CallableModel(2, lambda s: 0.5 ** len(s), marginals=(0.5, 0.5))
 
 
 # ----------------------------------------------------------------------

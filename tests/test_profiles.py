@@ -325,11 +325,11 @@ def test_conditions_constant_total_window_product():
 def test_conditions_grid_validation():
     fam = ProfileFamily.constant_p(0.3)
     w = GrowthWindow.power(1, 0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^grid needs at least two points$"):
         check_conditions(fam, (10,), w)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
         check_conditions(fam, (10, 10), w)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
         check_conditions(fam, (100, 10), w)
 
 
