@@ -212,9 +212,10 @@ def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float,
 class EnvelopeReport:
     """Exact-vs-approximant ratios over a window with their proved rails.
 
-    validity_mask marks the k where the inequality's side conditions hold;
-    violations counts rail breaches only among those k.  max_abs_dev is the
-    sup of |ratio - 1| over the whole window, valid or not.
+    Stores the measured columns and the inputs; validity_mask marks the k
+    where the side conditions hold.  Read-only properties of the columns:
+    violations counts rail breaches beyond margin among those k only, and
+    max_abs_dev is the sup of |ratio - 1| over the whole window.
     """
 
     kind: str
@@ -227,10 +228,18 @@ class EnvelopeReport:
     lower_env: tuple[float, ...]
     upper_env: tuple[float, ...]
     validity_mask: tuple[bool, ...]
-    violations: int
-    max_abs_dev: float
     margin: float
     beta_cap: float | None = None
+
+    @property
+    def violations(self) -> int:
+        rows = zip(self.ratios, self.lower_env, self.upper_env, self.validity_mask)
+        margin = self.margin
+        return sum(1 for r, lo, up, ok in rows if ok and (r < lo - margin or r > up + margin))
+
+    @property
+    def max_abs_dev(self) -> float:
+        return max(abs(r - 1.0) for r in self.ratios)
 
 
 def _sandwich_rails(tag: str, summary: ProfileSummary, cap: float | None):
@@ -292,11 +301,6 @@ def verify_sandwich(
     log_approx = tuple(approx_pmf(kind, summary, log_exact[0], k) for k in ks)
     ratios = tuple(math.exp(le - la) for le, la in zip(log_exact, log_approx))
     lower_env, upper_env, mask = zip(*(rails(k) for k in ks))
-    violations = sum(
-        1
-        for r, lo, up, ok in zip(ratios, lower_env, upper_env, mask)
-        if ok and (r < lo - margin or r > up + margin)
-    )
     return EnvelopeReport(
         kind=kind.tag,
         n=n,
@@ -308,8 +312,6 @@ def verify_sandwich(
         lower_env=lower_env,
         upper_env=upper_env,
         validity_mask=mask,
-        violations=violations,
-        max_abs_dev=max(abs(r - 1.0) for r in ratios),
         margin=margin,
         beta_cap=cap,
     )
@@ -317,24 +319,29 @@ def verify_sandwich(
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Observed Poisson distances, the first-order prediction, and the ratio.
+    """Observed Poisson distances; the prediction and the ratio are properties.
 
-    Carries both distance flavors.  sup_cdf is the supremum of CDF
-    differences; tv is the total-variation distance.  The prediction
-    (sum b^2 / lambda_n) / sqrt(2 pi e) is the first-order size of the
-    total-variation distance, so ratio = tv / predicted.  The sup-CDF
-    distance converges to half the same prediction: the signed pmf
-    difference is, to first order, a discrete second derivative of the
-    Poisson weights, and summing the positive part (TV) picks up twice
-    the peak of its primitive (sup-CDF).  Both are reported so either
-    trend can be inspected.
+    Stores the summary and both measured distances: sup_cdf is the supremum
+    of CDF differences, tv the total-variation distance.  The read-only
+    prediction (sum b^2 / lambda_n) / sqrt(2 pi e) is the first-order size
+    of the TV distance, and ratio = tv / predicted.  The sup-CDF distance
+    converges to half the same prediction: the signed pmf difference is, to
+    first order, a discrete second derivative of the Poisson weights, and
+    summing the positive part (TV) picks up twice the peak of its primitive
+    (sup-CDF).  Both are reported so either trend can be inspected.
     """
 
     summary: ProfileSummary
     sup_cdf: float
     tv: float
-    predicted: float
-    ratio: float
+
+    @property
+    def predicted(self) -> float:
+        return (self.summary.sum_sq / self.summary.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
+
+    @property
+    def ratio(self) -> float:
+        return self.tv / self.predicted
 
 
 def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
@@ -350,10 +357,7 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
     pmf = pmf_dc(profile)
     ref = PoissonRef(summary.lambda_n)
-    sup_cdf = sup_cdf_distance(pmf, ref)
-    tv = tv_distance(pmf, ref)
-    predicted = (summary.sum_sq / summary.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
-    return DistanceReport(summary, sup_cdf, tv, predicted, tv / predicted)
+    return DistanceReport(summary, sup_cdf_distance(pmf, ref), tv_distance(pmf, ref))
 
 
 def mmm_residual(

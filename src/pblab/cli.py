@@ -7,10 +7,12 @@ the same `ExperimentConfig` field.  `_COMMANDS` gives each command
 the options it reads and the options it requires.  A command accepts only
 the options it reads, plus --out, --format and --config, as flags or as
 config keys; flags win over the file, and a null config value counts as
-not given.  Every run with the same effective config (seed included)
-emits byte identical output: floats are fixed at 17 significant digits and
-files are written atomically, so a failed run never leaves a partial file
-behind.
+not given.  An option read only in some combinations (--n with --family,
+pmf's --precision rational with --engine ie, a sweep's --phi and
+--beta-cap with --kind) exits 2 in any other.  Every run with the same
+effective config (seed included) emits byte identical output: floats are
+fixed at 17 significant digits and files are written atomically, so a
+failed run never leaves a partial file behind.
 
 Exit codes: 0 success, 2 configuration or input errors, 3 violated
 mathematical preconditions, 4 numerically untrustworthy alternating sums.
@@ -278,6 +280,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         parse_kind(cfg.kind)
     if cfg.grid is not None:
         check_grid(cfg.grid)
+    # Options that only some combinations read; anywhere else they exit 2.
+    if cfg.profile is not None and cfg.n is not None:
+        raise ValidationError("--n applies to --family only, not to --profile")
+    if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
+        raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
+    if cfg.command == "sweep" and cfg.kind is None:
+        for name in ("phi", "beta_cap"):
+            if getattr(cfg, name) is not None:
+                raise ValidationError(f"sweep reads {_flag(name)} only with --kind")
 
 
 def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:

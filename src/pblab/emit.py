@@ -27,7 +27,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .asymptotics import DistanceReport, EnvelopeReport
 from .dependent import RatioReport, SchemeDiagnostics
@@ -193,7 +193,8 @@ def envelope_table(r: EnvelopeReport) -> Table:
 
 def conditions_table(r: ConditionReport, family: str) -> Table:
     header = ("n", "m_n", "lambda_n", "sum_sq", "phi", "phi_m", "phi_over_lambda")
-    rows = [astuple(row) for row in r.rows]  # ConditionRow fields in header order
+    rows = [(row.n, row.m_n, row.lambda_n, row.sum_sq, row.phi, row.phi_m, row.phi_over_lambda)
+            for row in r.rows]
     meta = {"family": family, "window": r.window, "threshold": r.threshold, "grid": r.grid}
     verdicts = {
         "a1_max_entry": asdict(r.a1),

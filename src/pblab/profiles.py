@@ -9,7 +9,7 @@ grows.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,36 +272,21 @@ class TrendVerdict:
 
 @dataclass(frozen=True)
 class ConditionRow:
+    """The measured scalars of one grid point; phi_m and phi_over_lambda are properties."""
+
     n: int
     m_n: float
     lambda_n: float
     sum_sq: float
     phi: float
-    phi_m: float
-    phi_over_lambda: float
 
+    @property
+    def phi_m(self) -> float:
+        return self.phi * self.m_n
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Per-n summaries plus trend verdicts for the smallness hypotheses.
-
-    a1 tracks m_n, a4 tracks sum b^2, window_m tracks phi*m_n and
-    window_over_lambda tracks phi/lambda_n.  lambda_trend labels the raw
-    mean as 'increasing', 'decreasing' or 'stable' across the grid and
-    lambda_last is the final grid value, the best finite proxy for the
-    limiting mean.
-    """
-
-    grid: tuple[int, ...]
-    rows: tuple[ConditionRow, ...]
-    a1: TrendVerdict
-    a4: TrendVerdict
-    window_m: TrendVerdict
-    window_over_lambda: TrendVerdict
-    lambda_trend: str
-    lambda_last: float
-    threshold: float
-    window: str = field(default="")
+    @property
+    def phi_over_lambda(self) -> float:
+        return (self.phi / self.lambda_n) if self.lambda_n > 0 else math.inf
 
 
 def _trend(values: list[float], threshold: float) -> TrendVerdict:
@@ -312,29 +297,52 @@ def _trend(values: list[float], threshold: float) -> TrendVerdict:
     )
 
 
-def verdicts_from_rows(
-    rows: tuple[ConditionRow, ...], threshold: float
-) -> dict[str, object]:
-    """Recompute all verdicts from the per-n rows (pure, used by reports)."""
-    m = [r.m_n for r in rows]
-    ss = [r.sum_sq for r in rows]
-    pm = [r.phi_m for r in rows]
-    pl = [r.phi_over_lambda for r in rows]
-    lam = [r.lambda_n for r in rows]
-    if math.isclose(lam[-1], lam[0], rel_tol=1e-9, abs_tol=1e-300):
-        lam_trend = "stable"
-    elif lam[-1] > lam[0]:
-        lam_trend = "increasing"
-    else:
-        lam_trend = "decreasing"
-    return {
-        "a1": _trend(m, threshold),
-        "a4": _trend(ss, threshold),
-        "window_m": _trend(pm, threshold),
-        "window_over_lambda": _trend(pl, threshold),
-        "lambda_trend": lam_trend,
-        "lambda_last": lam[-1],
-    }
+@dataclass(frozen=True)
+class ConditionReport:
+    """Per-n rows of the smallness quantities; the grid and verdicts are properties.
+
+    Stores the rows, the threshold and the window spec.  Read-only
+    properties of the rows: a1 tracks m_n, a4 tracks sum b^2, window_m
+    tracks phi*m_n and window_over_lambda tracks phi/lambda_n; lambda_trend
+    labels the raw mean as 'increasing', 'decreasing' or 'stable' across
+    the grid and lambda_last is the final grid value, the best finite proxy
+    for the limiting mean.
+    """
+
+    rows: tuple[ConditionRow, ...]
+    threshold: float
+    window: str = ""
+
+    @property
+    def grid(self) -> tuple[int, ...]:
+        return tuple(r.n for r in self.rows)
+
+    @property
+    def a1(self) -> TrendVerdict:
+        return _trend([r.m_n for r in self.rows], self.threshold)
+
+    @property
+    def a4(self) -> TrendVerdict:
+        return _trend([r.sum_sq for r in self.rows], self.threshold)
+
+    @property
+    def window_m(self) -> TrendVerdict:
+        return _trend([r.phi_m for r in self.rows], self.threshold)
+
+    @property
+    def window_over_lambda(self) -> TrendVerdict:
+        return _trend([r.phi_over_lambda for r in self.rows], self.threshold)
+
+    @property
+    def lambda_trend(self) -> str:
+        first, last = self.rows[0].lambda_n, self.rows[-1].lambda_n
+        if math.isclose(last, first, rel_tol=1e-9, abs_tol=1e-300):
+            return "stable"
+        return "increasing" if last > first else "decreasing"
+
+    @property
+    def lambda_last(self) -> float:
+        return self.rows[-1].lambda_n
 
 
 def check_grid(grid) -> tuple[int, ...]:
@@ -359,33 +367,8 @@ def check_conditions(
     a tiny final value is evidence in favour of max-entry smallness, never a
     proof of the limit.
     """
-    grid = check_grid(grid)
     rows = []
-    for n in grid:
+    for n in check_grid(grid):
         s = summarize(generate(family, n))
-        phi = window.value(n, s.lambda_n)
-        rows.append(
-            ConditionRow(
-                n=n,
-                m_n=s.m_n,
-                lambda_n=s.lambda_n,
-                sum_sq=s.sum_sq,
-                phi=phi,
-                phi_m=phi * s.m_n,
-                phi_over_lambda=(phi / s.lambda_n) if s.lambda_n > 0 else math.inf,
-            )
-        )
-    rows = tuple(rows)
-    v = verdicts_from_rows(rows, threshold)
-    return ConditionReport(
-        grid=grid,
-        rows=rows,
-        a1=v["a1"],
-        a4=v["a4"],
-        window_m=v["window_m"],
-        window_over_lambda=v["window_over_lambda"],
-        lambda_trend=v["lambda_trend"],
-        lambda_last=v["lambda_last"],
-        threshold=threshold,
-        window=window.spec_string(),
-    )
+        rows.append(ConditionRow(n, s.m_n, s.lambda_n, s.sum_sq, window.value(n, s.lambda_n)))
+    return ConditionReport(tuple(rows), threshold, window.spec_string())

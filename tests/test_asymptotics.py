@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pblab import asymptotics, dependent, exact
 from pblab.asymptotics import (
     ApproxKind,
+    DistanceReport,
+    EnvelopeReport,
     approx_pmf,
     dehpfeif_report,
     envelope_thm1,
@@ -20,10 +22,16 @@ from pblab.asymptotics import (
     poisson_form_bracket,
     verify_sandwich,
 )
-from pblab.dependent import MixtureModel, RareSetSpec, check_scheme, ratio_report
+from pblab.dependent import MixtureModel, RareSetSpec, RatioReport, check_scheme, ratio_report
 from pblab.errors import HypothesisError, ValidationError
 from pblab.exact import pmf_dp, prob_zero_log
-from pblab.profiles import BernoulliProfile, GrowthWindow, summarize
+from pblab.profiles import (
+    BernoulliProfile,
+    ConditionReport,
+    ConditionRow,
+    GrowthWindow,
+    summarize,
+)
 
 positive_profiles = st.lists(
     st.floats(min_value=1e-4, max_value=0.45, allow_nan=False),
@@ -438,10 +446,12 @@ def test_normal_local_spot_values():
 
 
 def _float_leaves(obj):
-    """Every float-like value in a report dataclass, tuples and nesting included."""
+    """Every float-like value in a report dataclass, properties, tuples and nesting included."""
     if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _float_leaves(getattr(obj, f.name))
+        names = [f.name for f in dataclasses.fields(obj)]
+        names += [name for name, v in vars(type(obj)).items() if isinstance(v, property)]
+        for name in names:
+            yield from _float_leaves(getattr(obj, name))
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             yield from _float_leaves(x)
@@ -475,3 +485,73 @@ def test_report_floats_are_python_floats():
         leaves = list(_float_leaves(report))
         assert leaves
         assert all(type(x) is float for x in leaves), type(report).__name__
+
+
+# ----------------------------------------------------------------------
+# verdicts, counts and ratios are properties of the stored columns
+# ----------------------------------------------------------------------
+
+
+def _one_k_report(ratio: float, valid: bool) -> EnvelopeReport:
+    """A hand-built one-k report with rails [0.5, 1.5] and margin 0.25."""
+    return EnvelopeReport(
+        kind="lambda_form", n=10, window="constant:1", k_values=(1,), log_exact=(0.0,),
+        log_approx=(0.0,), ratios=(ratio,), lower_env=(0.5,), upper_env=(1.5,),
+        validity_mask=(valid,), margin=0.25,
+    )
+
+
+@pytest.mark.parametrize(
+    "ratio, valid, count",
+    [
+        (1.0, True, 0),
+        (2.0, True, 1),  # past the upper rail by more than the margin
+        (0.125, True, 1),  # past the lower rail by more than the margin
+        (1.75, True, 0),  # exactly upper + margin
+        (0.25, True, 0),  # exactly lower - margin
+        (5.0, False, 0),  # past the rail, but the side conditions fail
+    ],
+    ids=["inside", "above", "below", "at_upper_margin", "at_lower_margin", "invalid"],
+)
+def test_envelope_violations_count_valid_k_past_a_rail_by_more_than_margin(ratio, valid, count):
+    assert _one_k_report(ratio, valid).violations == count
+
+
+def test_envelope_max_abs_dev_spans_the_whole_window():
+    report = EnvelopeReport(
+        kind="lambda_form", n=10, window="constant:4", k_values=(0, 1, 2),
+        log_exact=(0.0,) * 3, log_approx=(0.0,) * 3, ratios=(1.0, 2.0, 5.0),
+        lower_env=(0.5,) * 3, upper_env=(1.5,) * 3, validity_mask=(True, True, False),
+        margin=0.25,
+    )
+    assert report.violations == 1
+    assert report.max_abs_dev == 4.0
+
+
+def test_distance_ratio_is_tv_over_predicted_bit_for_bit():
+    prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
+    s = summarize(prof)
+    report = DistanceReport(s, sup_cdf=0.01, tv=0.02)
+    predicted = (s.sum_sq / s.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
+    assert report.predicted == predicted
+    assert report.ratio == 0.02 / predicted
+    measured = dehpfeif_report(prof)
+    assert measured.ratio == measured.tv / measured.predicted
+
+
+_DERIVED = {
+    EnvelopeReport: ("violations", "max_abs_dev"),
+    DistanceReport: ("predicted", "ratio"),
+    RatioReport: ("k_values", "entries", "omitted_k", "max_abs_dev"),
+    ConditionReport: ("grid", "a1", "a4", "window_m", "window_over_lambda", "lambda_trend",
+                      "lambda_last"),
+    ConditionRow: ("phi_m", "phi_over_lambda"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_DERIVED), ids=lambda cls: cls.__name__)
+def test_derived_report_values_are_properties_not_fields(cls):
+    stored = {f.name for f in dataclasses.fields(cls)}
+    for name in _DERIVED[cls]:
+        assert name not in stored
+        assert isinstance(getattr(cls, name), property)

@@ -846,6 +846,32 @@ def test_missing_required_option_is_named(command, option, tmp_path, capsys):
     }
 
 
+_SWEEP = ["sweep", "--family", "constant_total:2", "--grid", "100,200"]
+
+
+@pytest.mark.parametrize("base, extra, message", [
+    (["pmf", "--profile", "{p}"], {"n": 7}, "--n applies to --family only, not to --profile"),
+    (["verify", "--profile", "{p}", "--kind", "lambda", "--phi", "constant:4"], {"n": 99},
+     "--n applies to --family only, not to --profile"),
+    (["pmf", "--profile", "{p}"], {"precision": "rational"},
+     "--precision rational applies to --engine ie only, not dp"),
+    (_SWEEP, {"phi": "power:1,0.5", "beta_cap": 0.3}, "sweep reads --phi only with --kind"),
+    (_SWEEP, {"beta_cap": 0.3}, "sweep reads --beta-cap only with --kind"),
+], ids=["pmf_n", "verify_n", "pmf_precision", "sweep_phi", "sweep_beta_cap"])
+def test_option_the_combination_does_not_read_exits_2(base, extra, message, tmp_path, capsys):
+    """A command reads these options only with others; elsewhere they exit 2, not vanish."""
+    profile = tmp_path / "p.txt"
+    profile.write_text("0.1\n0.2\n0.3\n")
+    base = [str(profile) if a == "{p}" else a for a in base]
+    assert run_cli(base, capsys)[0] == 0
+    flags = [x for option, value in extra.items() for x in (flag(option), str(value))]
+    by_flag = run_cli(base + flags, capsys)
+    assert by_flag == run_cli(base + ["--config", write_config(tmp_path, extra)], capsys)
+    code, out, err = by_flag
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
 def test_null_config_value_means_not_given(tmp_path, capsys):
     argv = base_argv("pmf", tmp_path)
     plain = run_cli(argv, capsys)

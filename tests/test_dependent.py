@@ -19,6 +19,7 @@ from pblab.dependent import (
     MixtureModel,
     ProductModel,
     RareSetSpec,
+    RatioReport,
     SchemeDiagnostics,
     check_scheme,
     load_model,
@@ -297,6 +298,15 @@ def test_ratio_report_omits_underflowing_denominators():
     report = ratio_report(m, BernoulliProfile(m.marginals), 3)
     assert report.omitted_k == (2, 3)
     assert [k for k, _ in report.entries] == [0, 1]
+
+
+def test_ratio_report_reads_its_ratios_from_the_two_columns():
+    # A hand-built report: the 0.0 denominator at k = 1 is omitted, not divided by.
+    report = RatioReport(dep_probs=(0.5, 0.25, 0.125), indep_probs=(0.25, 0.0, 0.5))
+    assert report.k_values == (0, 1, 2)
+    assert report.entries == ((0, 2.0), (2, 0.25))
+    assert report.omitted_k == (1,)
+    assert report.max_abs_dev == 1.0
 
 
 def test_ratio_report_validation():

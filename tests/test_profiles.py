@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from pblab.errors import HypothesisError, ValidationError
 from pblab.profiles import (
     BernoulliProfile,
+    ConditionReport,
     ConditionRow,
     GrowthWindow,
     ProfileFamily,
+    TrendVerdict,
     check_conditions,
     generate,
     load_profile,
     summarize,
-    verdicts_from_rows,
 )
 
 probs_strategy = st.lists(
@@ -333,26 +334,30 @@ def test_conditions_grid_validation():
         check_conditions(fam, (100, 10), w)
 
 
-def test_verdicts_recomputable_from_rows():
-    """Verdicts are pure functions of the rows; recomputing must agree."""
-    report = check_conditions(
-        ProfileFamily.row_power(1, 0.75), (16, 256), GrowthWindow.power(1, 0.5)
+def test_condition_report_reads_a_stable_mean_from_its_rows():
+    """First and last lambda_n within isclose read stable, whatever lies between."""
+    rows = (
+        ConditionRow(n=10, m_n=0.2, lambda_n=2.0, sum_sq=0.4, phi=4.0),
+        ConditionRow(n=20, m_n=0.1, lambda_n=3.0, sum_sq=0.2, phi=8.0),
+        ConditionRow(n=40, m_n=0.05, lambda_n=2.0 * (1.0 + 1e-12), sum_sq=0.1, phi=16.0),
     )
-    v = verdicts_from_rows(report.rows, report.threshold)
-    assert v["a1"] == report.a1
-    assert v["a4"] == report.a4
-    assert v["window_m"] == report.window_m
-    assert v["window_over_lambda"] == report.window_over_lambda
-    assert v["lambda_trend"] == report.lambda_trend
+    report = ConditionReport(rows, threshold=0.1, window="power:1,1")
+    assert report.grid == (10, 20, 40)
+    assert report.lambda_trend == "stable"
+    assert report.lambda_last == 2.0 * (1.0 + 1e-12)
+    assert rows[2].phi_m == 16.0 * 0.05
+    assert rows[2].phi_over_lambda == 16.0 / (2.0 * (1.0 + 1e-12))
+    assert report.a1 == TrendVerdict(decreasing=True, final=0.05, below_threshold=True)
+    assert report.a4 == TrendVerdict(decreasing=True, final=0.1, below_threshold=False)
+    assert report.window_m == TrendVerdict(False, 16.0 * 0.05, False)
 
 
 def test_condition_row_zero_lambda_flags_infinite_ratio():
     rows = (
-        ConditionRow(n=2, m_n=0.0, lambda_n=0.0, sum_sq=0.0, phi=1.0, phi_m=0.0,
-                     phi_over_lambda=math.inf),
-        ConditionRow(n=4, m_n=0.0, lambda_n=0.0, sum_sq=0.0, phi=2.0, phi_m=0.0,
-                     phi_over_lambda=math.inf),
+        ConditionRow(n=2, m_n=0.0, lambda_n=0.0, sum_sq=0.0, phi=1.0),
+        ConditionRow(n=4, m_n=0.0, lambda_n=0.0, sum_sq=0.0, phi=2.0),
     )
-    v = verdicts_from_rows(rows, 0.1)
-    assert not v["window_over_lambda"].below_threshold
-    assert v["lambda_trend"] == "stable"
+    report = ConditionReport(rows, 0.1)
+    assert [r.phi_over_lambda for r in rows] == [math.inf, math.inf]
+    assert not report.window_over_lambda.below_threshold
+    assert report.lambda_trend == "stable"
