@@ -17,7 +17,11 @@ rails, every approx kind, and a poisson sweep past the exp overflow of its
 upper rail.  The `config_*` cases take their options from a `--config` file
 (a JSON grid list, a float margin, engine, precision, seed and sample
 budget); they were added, and recorded, before flags and config values
-shared one converter per option.  A green run means those changes left
+shared one converter per option.  The cases `conditions_row_power`,
+`conditions_index_power` (grids up to 10^5) and `verify_profile_comments`
+(a 10^4-line profile file with comments, blank lines and stray
+whitespace) were added, and recorded, before the profile layer built,
+loaded and summarized rows as whole arrays.  A green run means those changes left
 every emitted byte unchanged.
 
 Sixteen digests were re-recorded on purpose when `verify` and `sweep
@@ -74,11 +78,27 @@ def mixture_spec(n):
     q = [0.005 + 0.045 * ((i * 104729) % 1013) / 1013 for i in range(n)]
     return {"kind": "mixture", "eps": 0.05, "p": p, "q": q}
 
+
+
+def commented_profile_lines():
+    # 10^4 values, a third of them exact zeros, under a header comment, with a
+    # comment every 97th line, a blank line every 101st and stray whitespace.
+    lines = ["# commented profile: one probability per line\n"]
+    for i in range(10_000):
+        if i % 97 == 5:
+            lines.append(f"# block {i // 97}\n")
+        if i % 101 == 9:
+            lines.append("\n" if i % 2 else "   \t\n")
+        p = 0.0 if i % 3 == 0 else 0.001 + 0.004 * ((i * 7919) % 1009) / 1009
+        lines.append(f"  {p!r}\t\n" if i % 11 == 4 else f"{p!r}\n")
+    return "".join(lines)
+
+
 # A row with an exact zero: P(V = 3) = 0, so pmf has a -inf log entry and
 # dependent against it has a null ratio, a non-empty omitted_k and inf cells.
 ZERO_ROW = (0.2, 0.3, 0.0)
 
-# name -> argv without --format; {profile}, {zprofile}, {model}, {model100},
+# name -> argv without --format; {profile}, {cprofile}, {zprofile}, {model}, {model100},
 # {model200}, {out}, {outfile} and {config} are filled in.
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
@@ -127,6 +147,12 @@ CASES = {
     "config_pmf_dc": ["pmf", "--config", "{config}"],
     "config_sweep": ["sweep", "--config", "{config}"],
     "config_dependent": ["dependent", "--config", "{config}", "--model", "{model200}"],
+    "conditions_row_power": ["conditions", "--family", "row_power:1.2,0.65",
+                             "--grid", "100,1000,10000,100000", "--phi", "power:1,0.4"],
+    "conditions_index_power": ["conditions", "--family", "index_power:0.5,0.5",
+                               "--grid", "10,1000,100000", "--phi", "power:1,0.5"],
+    "verify_profile_comments": ["verify", "--profile", "{cprofile}", "--kind", "lambda",
+                                "--phi", "power:1,0.5"],
 }
 
 # name -> the JSON object written to {config} for that case.
@@ -175,6 +201,18 @@ GOLDEN = {
     },
     ('conditions', 'csv'): {
         'stdout': 'b2491bb2a78d807207cfd671cac9b2b089e5984ff5adc9a1ba346e355a27828f',
+    },
+    ('conditions_index_power', 'json'): {
+        'stdout': 'f17e02b43692b15083a192aa8d7d0e8622e452dd49c744d0db703c406bdfb5e4',
+    },
+    ('conditions_index_power', 'csv'): {
+        'stdout': '3fa1bc7be4206c76500a1a74cc5d4a6c1ff67a87d3fc5c591cc68eaa060a507a',
+    },
+    ('conditions_row_power', 'json'): {
+        'stdout': 'fa6d3320d93215c67970a7d81efcfa7b175e67a3c4e44ebe5cfe8f793d696fd0',
+    },
+    ('conditions_row_power', 'csv'): {
+        'stdout': '49424d85cef9f2c6ef3d07392b0a79936694681b7fd92c81406c16020e6077c8',
     },
     ('config_dependent', 'json'): {
         'stdout': '600a7ebde96a3b9b4e5774b40fe4a73063de4d09c75843b220204650c3d5299b',
@@ -332,6 +370,12 @@ GOLDEN = {
     ('verify_lambda_inf', 'csv'): {
         'stdout': 'c5f4453fa25fccd3ee2824857067299e8cea73b111321983ba1475aec09523c8',
     },
+    ('verify_profile_comments', 'json'): {
+        'stdout': '31126462040d759387144249f3f5232dcf1ab7c9759e0b117bfb85203a106307',
+    },
+    ('verify_profile_comments', 'csv'): {
+        'stdout': 'faddeb7feeab6915f0ae3d07ac78797987e8a6cabb043298ac0cd0526c0dbad2',
+    },
 }
 
 
@@ -339,6 +383,8 @@ def run_case(name, fmt, tmp_path):
     """Run one case; return {stream or file name: sha256 hex digest}."""
     profile = tmp_path / "profile.txt"
     profile.write_text(dc_profile_lines())
+    cprofile = tmp_path / "commented.txt"
+    cprofile.write_text(commented_profile_lines())
     zprofile = tmp_path / "zero_row.txt"
     zprofile.write_text("".join(f"{p!r}\n" for p in ZERO_ROW))
     model = tmp_path / "model.json"
@@ -349,7 +395,8 @@ def run_case(name, fmt, tmp_path):
     model200.write_text(json.dumps(mixture_spec(200)))
     out_dir = tmp_path / "out"
     config = tmp_path / "config.json"
-    fill = {"{profile}": str(profile), "{zprofile}": str(zprofile), "{model}": str(model),
+    fill = {"{profile}": str(profile), "{cprofile}": str(cprofile),
+            "{zprofile}": str(zprofile), "{model}": str(model),
             "{model100}": str(model100), "{model200}": str(model200),
             "{out}": str(out_dir), "{outfile}": str(out_dir / "report.txt"),
             "{config}": str(config)}
