@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from ._util import log_factorial
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, sup_cdf_distance, tv_distance
-from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary, summarize
+from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
 
 APPROX_TAGS = ("lambda_form", "beta_form", "poisson_form", "poisson_limit", "normal_local")
 _SANDWICH_TAGS = ("lambda_form", "beta_form", "poisson_form")
@@ -283,7 +283,7 @@ def verify_sandwich(
         raise ValidationError(
             f"sandwich verification applies to {_SANDWICH_TAGS}, not {kind.tag!r}"
         )
-    summary = summarize(profile)
+    summary = profile.summary
     if summary.lambda_n <= 0.0:
         raise HypothesisError("sandwich verification needs lambda_n > 0")
     cap: float | None = None
@@ -352,7 +352,7 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
     DistanceReport).  Uses the divide-and-conquer engine: the full
     support is needed and it stays subquadratic for large n.
     """
-    summary = summarize(profile)
+    summary = profile.summary
     if summary.lambda_n <= 0.0 or summary.sum_sq <= 0.0:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
     pmf = pmf_dc(profile)
@@ -373,7 +373,7 @@ def mmm_residual(
         raise ValidationError("constant c must be finite and > 0")
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    summary = summarize(profile)
+    summary = profile.summary
     if summary.var_n <= 0.0:
         raise HypothesisError("normal residual needs var_n > 0 (nondegenerate count)")
     b = math.sqrt(summary.var_n)
@@ -385,9 +385,9 @@ def mmm_residual(
         2.0 * math.pi
     )
     lhs = abs(b * pk - gauss)
-    spread = math.fsum(
-        p * (1.0 - p) * (p * p + (1.0 - p) * (1.0 - p)) for p in memoryview(profile.probs)
-    )
+    p = profile.probs
+    q = 1.0 - p
+    spread = math.fsum(memoryview(p * q * (p * p + q * q)))
     rhs = c * spread / (b * b * b)
     return lhs, rhs, lhs < rhs
 
@@ -399,7 +399,7 @@ def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple
     largest requested k; pmf_dp stays the log-domain oracle it is checked
     against.
     """
-    summary = summarize(profile)
+    summary = profile.summary
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValidationError("k_values must be nonempty")

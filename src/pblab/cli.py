@@ -61,7 +61,6 @@ from .profiles import (
     check_grid,
     generate,
     load_profile,
-    summarize,
 )
 
 ENGINES = ("dp", "dc", "brute", "ie")
@@ -341,13 +340,13 @@ def _cmd_pmf(cfg: ExperimentConfig) -> None:
             for k in range(k_hi + 1)
         ]
         pmf = Pmf(log_probs, profile.n, "inclusion_exclusion")
-    _deliver(cfg, emit.pmf_table(pmf, summarize(profile)))
+    _deliver(cfg, emit.pmf_table(pmf, profile.summary))
 
 
 def _cmd_approx(cfg: ExperimentConfig) -> None:
     kind = parse_kind(cfg.kind)
     profile = _resolve_profile(cfg)
-    summary = summarize(profile)
+    summary = profile.summary
     k_hi = profile.n if cfg.k_max is None else min(cfg.k_max, profile.n)
     ks = list(range(k_hi + 1))
     log_vals = [approx_pmf(kind, summary, summary.alpha_n, k) for k in ks]
@@ -400,9 +399,12 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
 
 
 def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: int):
-    """One grid point: its aggregate row and its own (envelope or distance) table."""
+    """One grid point: its aggregate row and its own (envelope or distance) table.
+
+    The row and both reports read the one summary the profile keeps.
+    """
     profile = generate(family, n)
-    summary = summarize(profile)
+    summary = profile.summary
     row: tuple = (n, summary.lambda_n, summary.m_n, summary.sum_sq)
     if kind is not None:
         report = verify_sandwich(

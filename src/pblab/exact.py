@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import frozen_row, log_factorial, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
-from .profiles import BernoulliProfile
+from .profiles import BernoulliProfile, alpha_n
 
 PROVENANCES = (
     "product_tree",
@@ -434,7 +434,7 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
 
 def prob_zero_log(profile: BernoulliProfile) -> float:
     """log P(V = 0) = sum of log(1 - p_i), the exactly-rounded log1p sum."""
-    return math.fsum(math.log1p(-p) for p in memoryview(profile.probs))
+    return alpha_n(profile.probs)
 
 
 @dataclass(frozen=True)
