@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,23 @@ def test_normal_residual_worked_example():
     assert rhs == pytest.approx(0.1, rel=1e-12)
     assert lhs == pytest.approx(9.96e-4, abs=2e-5)
     assert holds
+
+
+def test_normal_residual_spread_is_the_scalar_sum_bit_for_bit():
+    """rhs = c * sum p q (p^2 + q^2) / B^3, each summand in the scalar operation order.
+
+    Single entries show a last-bit change of one summand that a long row's
+    fsum could round away.
+    """
+    rng = random.Random(4)
+    edge = [1e-12, 1.0 - 2.0**-53, 0.5]
+    rows = [[rng.uniform(0.0, 0.9) for _ in range(5000)] + edge + [0.0]]
+    rows += [[p] for p in edge + [rng.uniform(0.0, 1.0) for _ in range(300)]]
+    for probs in rows:
+        prof = BernoulliProfile(probs)
+        spread = math.fsum(p * (1.0 - p) * (p * p + (1.0 - p) * (1.0 - p)) for p in probs)
+        b = math.sqrt(summarize(prof).var_n)
+        assert mmm_residual(prof, 0, 0.7)[1] == 0.7 * spread / (b * b * b)
 
 
 def test_normal_residual_far_tail_is_finite():

@@ -17,7 +17,7 @@ import re
 
 import pytest
 
-from pblab import cli
+from pblab import cli, profiles
 from pblab.cli import main
 from pblab.exact import prob_zero_log
 from pblab.profiles import BernoulliProfile
@@ -906,6 +906,16 @@ def test_sweep_parses_kind_and_window_once_per_run(monkeypatch, capsys):
         return len(calls)
 
     assert count("8,16") == count("8,16,32,64")
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "lambda", "--phi", "constant:4"]])
+def test_sweep_summarizes_each_grid_point_once(kind, monkeypatch, capsys):
+    calls = []
+    real = profiles.summarize
+    monkeypatch.setattr(profiles, "summarize", lambda prof: calls.append(prof.n) or real(prof))
+    argv = ["sweep", "--family", "constant_total:2", "--grid", "8,16,32", *kind]
+    assert run_cli(argv, capsys)[0] == 0
+    assert calls == [8, 16, 32]
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -1,6 +1,10 @@
 """Profile construction, summary scalars, families, windows, conditions."""
 
+import dataclasses
 import math
+import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from pblab.profiles import (
     ConditionRow,
     GrowthWindow,
     ProfileFamily,
+    ProfileSummary,
     TrendVerdict,
     check_conditions,
     generate,
@@ -146,6 +151,57 @@ def test_summary_permutation_invariant(probs, rng):
     )
 
 
+def reference_summary(probs) -> ProfileSummary:
+    """The six scalars one Python float at a time: libm log1p, float arithmetic, fsum."""
+    ps = [float(p) for p in probs]
+    return ProfileSummary(
+        n=len(ps),
+        lambda_n=math.fsum(ps),
+        m_n=max(ps),
+        alpha_n=math.fsum(math.log1p(-p) for p in ps),
+        beta_n=math.fsum(p / (1.0 - p) for p in ps),
+        sum_sq=math.fsum(p * p for p in ps),
+        var_n=math.fsum(p * (1.0 - p) for p in ps),
+    )
+
+
+def summary_bits(summary: ProfileSummary) -> tuple[str, ...]:
+    # repr round-trips a float and tells -0.0 from 0.0, so equal reprs are equal bits.
+    return tuple(repr(v) for v in dataclasses.astuple(summary))
+
+
+# Zero, the smallest subnormal, a mid-range subnormal, a tiny entry and the
+# largest float below 1.
+EDGE_PROBS = (0.0, 5e-324, 2.0**-1060, 1e-12, 1.0 - 2.0**-53)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_PROBS),
+                          st.floats(min_value=0.0, max_value=1.0 - 2.0**-53)),
+                min_size=1, max_size=60))
+def test_summary_matches_the_scalar_reference_bit_for_bit(probs):
+    assert summary_bits(summarize(BernoulliProfile(probs))) == summary_bits(reference_summary(probs))
+
+
+def test_summary_matches_the_scalar_reference_entry_by_entry_and_over_a_long_row():
+    """numpy's SIMD log1p is one ulp off libm on a few percent of entries.
+
+    A long row's fsum can round such a change of one summand away, so each
+    entry is also summarized on its own, where alpha_n is its log1p.
+    """
+    rng = random.Random(20)
+    row = [rng.uniform(0.0, 0.3) for _ in range(100_003)] + list(EDGE_PROBS)
+    assert summary_bits(summarize(BernoulliProfile(row))) == summary_bits(reference_summary(row))
+    for p in row[:3000] + list(EDGE_PROBS):
+        assert summary_bits(summarize(BernoulliProfile((p,)))) == summary_bits(reference_summary((p,)))
+
+
+def test_profile_keeps_one_summary():
+    prof = BernoulliProfile((0.1, 0.2, 0.3))
+    assert prof.summary is prof.summary
+    assert prof.summary == summarize(prof)
+
+
 @settings(deadline=None, derandomize=True)
 @given(probs_strategy)
 def test_summary_scalar_inequalities(probs):
@@ -180,6 +236,14 @@ def test_family_index_power():
     assert prof.probs.tolist() == expected
 
 
+@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3), (0.99, 0.75), (0.3, 1.7), (0.7, 1e-9)])
+def test_family_index_power_is_libm_pow_bit_for_bit(c, a):
+    """Each entry is the Python expression c * float(i) ** -a (numpy's SIMD power is not)."""
+    n = 10**5
+    want = np.array([c * float(i) ** -a for i in range(1, n + 1)])
+    assert generate(ProfileFamily.index_power(c, a), n).probs.tobytes() == want.tobytes()
+
+
 def test_family_generation_is_deterministic():
     fam = ProfileFamily.index_power(0.5, 0.5)
     assert generate(fam, 100).probs.tobytes() == generate(fam, 100).probs.tobytes()
@@ -199,6 +263,23 @@ def test_family_out_of_range_at_small_n():
     assert str(info.value) == (
         "family index_power:0.5,-0.5 yields entry 1.0 at index 3 for n=5, outside [0, 1)"
     )
+
+
+@pytest.mark.parametrize("family, message", [
+    (ProfileFamily.index_power(float("nan"), 1.0), "yields entry nan at index 0"),
+    (ProfileFamily.index_power(1e300, -10.0), "yields entry 1e+300 at index 0"),
+    (ProfileFamily.index_power(0.0, -math.inf), "yields entry nan at index 1"),
+    (ProfileFamily.row_power(1e300, -20.0), "yields entry inf at index 0"),
+])
+def test_family_out_of_range_names_a_python_float_without_warnings(family, message):
+    # c * i^-a past the float range is inf and 0 * inf is nan, as in Python,
+    # with no numpy warning on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            generate(family, 30)
+    assert message in str(info.value)
+    assert "np." not in str(info.value)
 
 
 def test_family_arity_checked():
@@ -237,6 +318,66 @@ def test_load_profile_rejects_out_of_range(tmp_path):
     path.write_text("1.0\n")
     with pytest.raises(ValidationError):
         load_profile(str(path))
+
+
+def test_load_profile_names_the_true_line_of_a_late_bad_value(tmp_path):
+    lines = ["# a header comment\n"]
+    for i in range(100_000):
+        if i % 250 == 0:
+            lines.append(f"# block {i}\n")
+        if i % 333 == 0:
+            lines.append("\n")
+        lines.append(f"{(i % 997) / 1000!r}\n")
+    lines[-3] = "1.5\n"
+    path = tmp_path / "late.txt"
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError) as info:
+        load_profile(str(path))
+    assert str(info.value) == f"{path}:{len(lines) - 2}: value 1.5 outside [0, 1)"
+
+
+def test_load_profile_names_the_first_bad_line_of_either_kind(tmp_path):
+    # An out-of-range value before an unparsable one is the one named, and
+    # the reverse: the file is walked in order.
+    path = tmp_path / "bad.txt"
+    path.write_text("0.1\n1.5\n0.x\n")
+    with pytest.raises(ValidationError, match=r":2: value 1.5 outside"):
+        load_profile(str(path))
+    path.write_text("0.1\n0.x\n1.5\n")
+    with pytest.raises(ValidationError, match=r":2: cannot parse '0.x' as a probability"):
+        load_profile(str(path))
+
+
+def test_load_profile_crlf_and_a_last_line_without_newline(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"# header\r\n0.25\r\n\r\n 0.5 \r\n1e-3")
+    assert load_profile(str(path)).probs.tolist() == [0.25, 0.5, 0.001]
+    path.write_bytes(b"0.25\r\n\r\n0.5\r\n2")
+    with pytest.raises(ValidationError, match=r":4: value 2 outside"):
+        load_profile(str(path))
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+def test_load_profile_numbers_lines_as_readlines_does(sep, tmp_path):
+    # str.splitlines would end a line at sep; a text file's lines do not.
+    path = tmp_path / "sep.txt"
+    path.write_text(f"0.1\n# comment{sep}0.5\n2.0\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_profile(str(path))
+    assert str(info.value) == f"{path}:3: value 2.0 outside [0, 1)"
+    path.write_text(f"0.1\n0.2{sep}0.3\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_profile(str(path))
+    assert str(info.value) == f"{path}:2: cannot parse {'0.2' + sep + '0.3'!r} as a probability"
+
+
+def test_load_profile_out_of_range_messages_print_the_file_text(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in ("nan", "-1e-300", "1e400", "1.0000001"):
+        path.write_text(f"0.1\n{text}\n")
+        with pytest.raises(ValidationError) as info:
+            load_profile(str(path))
+        assert str(info.value) == f"{path}:2: value {text} outside [0, 1)"
 
 
 def test_load_profile_missing_file():
@@ -321,6 +462,30 @@ def test_conditions_constant_total_window_product():
     assert report.window_m.decreasing
     assert report.lambda_trend == "stable"
     assert report.lambda_last == pytest.approx(2.0, rel=1e-12)
+
+
+def test_flat_rows_and_their_sums_hold_no_second_full_row():
+    """A flat row is built once, by the profile's own copy, and every sum runs
+    over chunk-sized summand arrays: peak memory is one row, not two."""
+    n = 200_000
+    row_bytes = 8 * n
+    family = ProfileFamily.row_power(1.2, 0.65)
+    tracemalloc.start()
+    try:
+        profile = generate(family, n)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        summarize(profile)
+        summed = tracemalloc.get_traced_memory()[1] - row_bytes
+        tracemalloc.reset_peak()
+        del profile
+        check_conditions(family, [10, n], GrowthWindow.power(1.0, 0.4))
+        conditions = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 1.5 * row_bytes
+    assert summed < 0.5 * row_bytes
+    assert conditions < 1.5 * row_bytes
 
 
 def test_conditions_grid_validation():
