@@ -23,7 +23,6 @@ errors (an unknown command or flag) print its usage text instead.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -44,14 +43,7 @@ from .dependent import (
     validate_sample_budget,
 )
 from .errors import PblabError, ValidationError
-from .exact import (
-    Pmf,
-    elementary_symmetric,
-    pmf_bruteforce,
-    pmf_dc,
-    pmf_dp,
-    pmf_inclusion_exclusion,
-)
+from .exact import pmf_bruteforce, pmf_dc, pmf_dp, pmf_ie
 from .profiles import (
     FAMILY_KINDS,
     BernoulliProfile,
@@ -263,9 +255,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("n must be >= 1")
     if cfg.k_max is not None and cfg.k_max < 0:
         raise ValidationError("k_max must be >= 0")
-    if cfg.margin < 0.0:
+    # Written so that NaN fails them too.
+    if not cfg.margin >= 0.0:
         raise ValidationError("margin must be >= 0")
-    if cfg.threshold <= 0.0:
+    if not cfg.threshold > 0.0:
         raise ValidationError("threshold must be > 0")
     validate_sample_budget(cfg.sample_budget)
     if cfg.profile is not None and cfg.family is not None:
@@ -310,37 +303,14 @@ def _deliver(cfg: ExperimentConfig, table: emit.Table, path: str | None = None) 
         sys.stdout.write(text)
 
 
-def _slice_pmf(pmf: Pmf, k_max: int | None) -> Pmf:
-    if k_max is None or k_max >= pmf.support_max:
-        return pmf
-    return Pmf(pmf.log_probs[: k_max + 1], pmf.n, pmf.provenance)
-
-
-def _log_or_neg_inf(value: float) -> float:
-    return math.log(value) if value > 0.0 else -math.inf
-
-
 def _cmd_pmf(cfg: ExperimentConfig) -> None:
     profile = _resolve_profile(cfg)
     if cfg.k_max is not None and cfg.k_max > profile.n:
         raise ValidationError(f"k_max={cfg.k_max} exceeds n={profile.n}")
-    if cfg.engine == "dp":
-        pmf = pmf_dp(profile, cfg.k_max)
-    elif cfg.engine == "dc":
-        pmf = _slice_pmf(pmf_dc(profile), cfg.k_max)
-    elif cfg.engine == "brute":
-        pmf = _slice_pmf(pmf_bruteforce(profile), cfg.k_max)
-    else:
-        sums = elementary_symmetric(
-            profile.probs, profile.n, high_precision=(cfg.precision == "rational")
-        )
-        k_hi = profile.n if cfg.k_max is None else cfg.k_max
-        log_probs = [
-            _log_or_neg_inf(pmf_inclusion_exclusion(sums, k, profile.n))
-            for k in range(k_hi + 1)
-        ]
-        pmf = Pmf(log_probs, profile.n, "inclusion_exclusion")
-    _deliver(cfg, emit.pmf_table(pmf, profile.summary))
+    # Built per call from this module's names, so a rebound name is the one called.
+    engine = {"dp": pmf_dp, "dc": pmf_dc, "brute": pmf_bruteforce,
+              "ie": lambda p, k: pmf_ie(p, k, cfg.precision == "rational")}[cfg.engine]
+    _deliver(cfg, emit.pmf_table(engine(profile, cfg.k_max), profile.summary))
 
 
 def _cmd_approx(cfg: ExperimentConfig) -> None:

@@ -1,6 +1,9 @@
 """Exact distribution engines for sums of independent Bernoulli variables.
 
-Five mutually checking routes to the same PMF:
+Five mutually checking routes to the same PMF.  Every engine has the one
+signature engine(profile, k_max=None) -> Pmf: it returns log P(V = k) for
+k = 0..k_max (None means n), and a truncated run is bit for bit the prefix
+of the full run.
 
 * pmf_tree: the production engine.  A product tree of the factors
   (1 - p) + p z, merged level by level in log domain over all pairs at
@@ -11,8 +14,8 @@ Five mutually checking routes to the same PMF:
   leaf is expanded in one batched pass, then the leaves are multiplied up a
   fixed tree of pairs (direct convolution, rfft for long products).
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
-* pmf_inclusion_exclusion: the alternating symmetric-sum formula, with a
-  conditioning contract and an exact-rational mode.
+* pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
+  per k), with a conditioning contract and an exact-rational mode.
 
 Plus the k-fold symmetric sums, the log zero-probability, a truncated
 Poisson reference, and the sup-of-CDF-differences distance to it.
@@ -100,7 +103,18 @@ class Pmf:
         return float(math.fsum(self.probs().tolist()))
 
 
-def _finish_log(log_f: np.ndarray, n: int, provenance: str) -> Pmf:
+def _check_k_max(k_max: int | None, n: int) -> int:
+    """The top k an engine returns: n when k_max is None, else k_max in 0..n."""
+    if k_max is None:
+        return n
+    if not 0 <= k_max <= n:
+        raise ValidationError(f"k_max={k_max} outside 0..{n}")
+    return k_max
+
+
+def _finish_log(log_f: np.ndarray, n: int, provenance: str, k_max: int) -> Pmf:
+    """The Pmf of log_f's prefix through k_max."""
+    log_f = log_f[: k_max + 1]
     # Rounding can push a log probability a hair above 0; the invariant says <= 0.
     np.minimum(log_f, 0.0, out=log_f)
     return Pmf(log_f, n, provenance)
@@ -114,11 +128,7 @@ def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     recurrence never reads entries above k, so the prefix equals the prefix
     of the full run bit for bit.
     """
-    n = profile.n
-    if k_max is None:
-        k_max = n
-    if not 0 <= k_max <= n:
-        raise ValidationError(f"k_max={k_max} outside 0..{n}")
+    k_max = _check_k_max(k_max, profile.n)
     size = k_max + 1
     log_f = np.full(size, -np.inf)
     log_f[0] = 0.0
@@ -136,7 +146,7 @@ def pmf_dp(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
         shift[0] = -np.inf
         np.add(log_f[:s], lq, out=stay[:s])
         np.logaddexp(stay[:s], shift[:s], out=log_f[:s])
-    return _finish_log(log_f, n, "dp")
+    return _finish_log(log_f, profile.n, "dp", k_max)
 
 
 def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
@@ -154,11 +164,7 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     row alone and C[k] never reads above k, so a truncated run is a
     bit-for-bit prefix of the full run, as for pmf_dp.
     """
-    n = profile.n
-    if k_max is None:
-        k_max = n
-    if not 0 <= k_max <= n:
-        raise ValidationError(f"k_max={k_max} outside 0..{n}")
+    k_max = _check_k_max(k_max, profile.n)
     size = k_max + 1
     p = profile.probs[profile.probs > 0.0]
     # Row k of a level holds coefficient k of every node; a row without
@@ -192,7 +198,7 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
         degree = np.concatenate([deg_a + deg_b, degree[2 * pairs :]])
     log_f = np.full(size, -np.inf)
     log_f[: len(level)] = level[:, 0]
-    return _finish_log(log_f, n, "product_tree")
+    return _finish_log(log_f, profile.n, "product_tree", k_max)
 
 
 def _leaf_sizes(n: int) -> list[int]:
@@ -264,7 +270,7 @@ def _product_coeffs(p: np.ndarray) -> np.ndarray:
     return _merge(len(p), iter(leaves))
 
 
-def pmf_dc(profile: BernoulliProfile) -> Pmf:
+def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     """Divide-and-conquer product of the per-variable polynomials (1-p) + p z.
 
     The profile is halved down to leaves of at most _DC_BASE entries.  All
@@ -273,21 +279,24 @@ def pmf_dc(profile: BernoulliProfile) -> Pmf:
     the same tree, with direct convolution for short products and rfft
     for long ones.  The tree is fixed by n, so results are reproducible
     run to run, and subquadratic for large n thanks to the FFT merges at
-    the top.
+    the top.  The whole product is computed, and k_max keeps its prefix.
     """
+    k_max = _check_k_max(k_max, profile.n)
     coeffs = _product_coeffs(profile.probs)
     with np.errstate(divide="ignore"):
         log_f = np.log(coeffs)
-    return _finish_log(log_f, profile.n, "divide_conquer")
+    return _finish_log(log_f, profile.n, "divide_conquer", k_max)
 
 
-def pmf_bruteforce(profile: BernoulliProfile) -> Pmf:
+def pmf_bruteforce(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     """Literal sum over all 2^n outcomes; the oracle everything else faces.
 
     Vectorized over chunks of bitmasks, but still exponential: guarded at
-    n <= 25 where it costs tens of millions of multiplies at most.
+    n <= 25 where it costs tens of millions of multiplies at most.  Every
+    count is tallied, and k_max keeps the prefix.
     """
     n = profile.n
+    k_max = _check_k_max(k_max, n)
     if n > _BRUTE_MAX_N:
         raise SizeError(f"brute force is guarded at n <= {_BRUTE_MAX_N}, got {n}")
     p = profile.probs
@@ -302,7 +311,7 @@ def pmf_bruteforce(profile: BernoulliProfile) -> Pmf:
         acc += np.bincount(bits.sum(axis=1), weights=weights, minlength=n + 1)
     with np.errstate(divide="ignore"):
         log_f = np.log(acc)
-    return _finish_log(log_f, n, "brute_force")
+    return _finish_log(log_f, n, "brute_force", k_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +349,7 @@ class SymmetricSums:
 
 
 def elementary_symmetric(
-    values, k_max: int, high_precision: bool = False
+    values, k_max: int | None, high_precision: bool = False
 ) -> SymmetricSums:
     """Elementary symmetric polynomials e_0..e_{k_max} of the given values.
 
@@ -356,8 +365,7 @@ def elementary_symmetric(
     vals = np.array(values, dtype=np.float64)
     if not np.all(vals >= 0.0):  # a NaN fails the comparison too
         raise ValidationError("symmetric sums need nonnegative values")
-    if not 0 <= k_max <= len(vals):
-        raise ValidationError(f"k_max={k_max} outside 0..{len(vals)}")
+    k_max = _check_k_max(k_max, len(vals))
     e = np.zeros(k_max + 1)
     e[0] = 1.0
     # Sums past the float range become inf.  Zero entries change nothing,
@@ -432,6 +440,22 @@ def pmf_inclusion_exclusion(sums: SymmetricSums, k: int, n: int) -> float:
     return min(1.0, max(0.0, total))
 
 
+def pmf_ie(
+    profile: BernoulliProfile, k_max: int | None = None, high_precision: bool = False
+) -> Pmf:
+    """pmf_inclusion_exclusion at k = 0..k_max over the profile's full symmetric sums.
+
+    Raises ConditioningError at the first k whose float sum is untrustworthy;
+    high_precision takes the exact rational path instead.  Each log is libm's.
+    """
+    n = profile.n
+    k_max = _check_k_max(k_max, n)
+    sums = elementary_symmetric(profile.probs, n, high_precision)
+    probs = (pmf_inclusion_exclusion(sums, k, n) for k in range(k_max + 1))
+    log_f = np.array([math.log(p) if p > 0.0 else -math.inf for p in probs])
+    return _finish_log(log_f, n, "inclusion_exclusion", k_max)
+
+
 def prob_zero_log(profile: BernoulliProfile) -> float:
     """log P(V = 0) = sum of log(1 - p_i), the exactly-rounded log1p sum."""
     return alpha_n(profile.probs)
@@ -501,46 +525,32 @@ class PoissonRef:
         return np.cumsum(self.pmf_points(k_hi))
 
 
-def sup_cdf_distance(pmf: Pmf, ref: PoissonRef) -> float:
-    """sup over k >= 0 of |CDF(pmf)(k) - CDF(ref)(k)|.
+def _against_poisson(pmf: Pmf, ref: PoissonRef) -> tuple[np.ndarray, np.ndarray]:
+    """The pmf's and the reference's probabilities at k = 0..k_hi, zero-padded.
 
-    The supremum is evaluated out to where both CDFs provably exceed
-    1 - 1e-12; beyond that the difference is below reporting precision.
-    The pmf must carry essentially all of its mass: full support, or a
-    truncated support whose cumulative mass reaches 1 - 1e-12.
+    k_hi covers the pmf's support and reaches where the reference's tail is
+    certified below 1e-12, so the omitted contribution is below reporting
+    precision.  The pmf must carry essentially all of its mass: full
+    support, or a truncated support whose cumulative mass reaches 1 - 1e-12.
     """
     probs = pmf.probs()
-    cdf_v = np.cumsum(probs)
-    total = float(cdf_v[-1])
+    total = float(np.cumsum(probs)[-1])
     if pmf.support_max < pmf.n and total < 1.0 - 1e-12:
         raise ValidationError(
             f"pmf covers mass {total:.17g} on 0..{pmf.support_max}; "
             "need full support or cumulative mass >= 1 - 1e-12"
         )
     k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-    cdf_t = ref.cdf_points(k_hi)
-    if k_hi > pmf.support_max:
-        pad = np.full(k_hi - pmf.support_max, cdf_v[-1])
-        cdf_v = np.concatenate([cdf_v, pad])
-    return float(np.max(np.abs(cdf_v - cdf_t)))
+    return np.pad(probs, (0, k_hi - pmf.support_max)), ref.pmf_points(k_hi)
+
+
+def sup_cdf_distance(pmf: Pmf, ref: PoissonRef) -> float:
+    """sup over k >= 0 of |CDF(pmf)(k) - CDF(ref)(k)|, on _against_poisson's window."""
+    own, terms = _against_poisson(pmf, ref)
+    return float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
 
 
 def tv_distance(pmf: Pmf, ref: PoissonRef) -> float:
-    """Total-variation distance (1/2) sum over k of |pmf(k) - ref(k)|.
-
-    Evaluated out to where the reference tail is certified below 1e-12,
-    so the omitted contribution is below reporting precision.  Same mass
-    requirement on the pmf as sup_cdf_distance.
-    """
-    probs = pmf.probs()
-    total = float(probs.sum())
-    if pmf.support_max < pmf.n and total < 1.0 - 1e-12:
-        raise ValidationError(
-            f"pmf covers mass {total:.17g} on 0..{pmf.support_max}; "
-            "need full support or cumulative mass >= 1 - 1e-12"
-        )
-    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-    terms = ref.pmf_points(k_hi)
-    padded = np.zeros(k_hi + 1)
-    padded[: pmf.support_max + 1] = probs
-    return 0.5 * float(np.abs(padded - terms).sum())
+    """Total-variation distance (1/2) sum over k of |pmf(k) - ref(k)|, on _against_poisson's window."""
+    own, terms = _against_poisson(pmf, ref)
+    return 0.5 * float(np.abs(own - terms).sum())

@@ -202,6 +202,14 @@ class ProfileFamily:
         return f"{self.kind}:{inner}"
 
 
+def _pow_or_inf(x: float, y: float) -> float:
+    """x ** y, with inf where Python raises OverflowError (libm's pow returns inf there)."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     """Produce the family's profile for row size n.
 
@@ -218,7 +226,12 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     if kind == "index_power":
         c, a = family.params
         idx = np.arange(1, n + 1, dtype=np.float64)
-        row = np.fromiter(map(operator.pow, memoryview(idx), repeat(-a)), np.float64, n)
+        try:
+            row = np.fromiter(map(operator.pow, memoryview(idx), repeat(-a)), np.float64, n)
+        except OverflowError:
+            # A power past the float range is inf, as libm's pow gives; only a
+            # row that then fails the range check pays a Python call per entry.
+            row = np.fromiter(map(_pow_or_inf, memoryview(idx), repeat(-a)), np.float64, n)
         del idx  # before the profile copies the row
         # A product past the float range is inf, as in Python, and fails the range check.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +243,7 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
             value = family.params[0]
         else:
             c, a = family.params
-            value = c * float(n) ** -a
+            value = c * _pow_or_inf(float(n), -a)
         # A view: the profile's own copy is the one full row.
         row = np.broadcast_to(value, n)
     i = _first_outside(row)
@@ -290,8 +303,9 @@ class GrowthWindow:
     """A positive scalar function of n used to bound the k-range k^2 <= phi(n).
 
     Kinds: power(c, a) -> c*n^a; power_of_lambda(c, a) -> c*lambda_n^a;
-    constant(c) -> c.  c must be positive so phi stays positive.  A power
-    past the float range is inf.
+    constant(c) -> c.  c must be finite and positive, and a a number, so
+    phi is never NaN (inf * 0 would be).  A power past the float range is
+    inf, and a may be infinite.
     """
 
     kind: str
@@ -301,10 +315,15 @@ class GrowthWindow:
     def __post_init__(self) -> None:
         if self.kind not in WINDOW_KINDS:
             raise ValidationError(f"unknown window kind {self.kind!r}")
-        if not self.c > 0:
+        c, a = float(self.c), float(self.a)
+        if not c > 0:
             raise ValidationError("window scale c must be > 0")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "a", float(self.a))
+        if c == math.inf:
+            raise ValidationError("window scale c must be finite")
+        if math.isnan(a):
+            raise ValidationError("window exponent a must not be NaN")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a)
 
     @classmethod
     def power(cls, c: float, a: float) -> "GrowthWindow":
@@ -329,10 +348,7 @@ class GrowthWindow:
             )
         else:
             base = lambda_n
-        try:
-            return self.c * base ** self.a
-        except OverflowError:
-            return math.inf
+        return self.c * _pow_or_inf(base, self.a)
 
     def spec_string(self) -> str:
         if self.kind == "constant":

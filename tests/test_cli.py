@@ -929,3 +929,62 @@ def test_grid_rule_messages(command, grid, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+# ------------------------------------------- engines, families, windows, NaN
+
+def test_pmf_calls_the_engine_bound_in_cli_at_call_time(monkeypatch, capsys):
+    """pmf looks its engine up per call, so a rebound cli.pmf_dc is the one run."""
+    calls = []
+    real = cli.pmf_dc
+    monkeypatch.setattr(
+        cli, "pmf_dc", lambda profile, k_max=None: calls.append(k_max) or real(profile, k_max)
+    )
+    argv = ["pmf", "--family", "constant_total:2", "--n", "8", "--engine", "dc", "--k-max", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, calls) == (0, [3])
+    assert json.loads(out)["provenance"] == "divide_conquer"
+
+
+@pytest.mark.parametrize("spec, entry, index", [
+    ("index_power:0.5,-2000", "inf", 1),
+    ("index_power:2,-2000", "2.0", 0),
+    ("row_power:0.5,-2000", "inf", 0),
+])
+def test_family_power_past_the_float_range_exits_2(spec, entry, index, capsys):
+    code, out, err = run_cli(["distance", "--family", spec, "--n", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"family {spec} yields entry {entry} at index {index} for n=10, outside [0, 1)",
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "conditions"])
+@pytest.mark.parametrize("phi, message", [
+    ("power:1,nan", "window exponent a must not be NaN"),
+    ("power:inf,-inf", "window scale c must be finite"),
+    ("power:nan,1", "window scale c must be > 0"),
+    ("power:0,1", "window scale c must be > 0"),
+])
+def test_window_that_could_give_a_nan_phi_exits_2(command, phi, message, tmp_path, capsys):
+    argv = drop(base_argv(command, tmp_path), "phi") + ["--phi", phi]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("command, option, message", [
+    ("verify", "margin", "margin must be >= 0"),
+    ("conditions", "threshold", "threshold must be > 0"),
+])
+def test_nan_margin_or_threshold_exits_2_as_flag_or_config(command, option, message, tmp_path,
+                                                          capsys):
+    argv = base_argv(command, tmp_path)
+    by_flag = run_cli(argv + [flag(option), "nan"], capsys)
+    # Python's json reads a bare NaN.
+    assert by_flag == run_cli(argv + ["--config", write_config(tmp_path, {option: math.nan})],
+                              capsys)
+    code, out, err = by_flag
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}

@@ -23,6 +23,7 @@ from pblab.exact import (
     pmf_bruteforce,
     pmf_dc,
     pmf_dp,
+    pmf_ie,
     pmf_inclusion_exclusion,
     pmf_tree,
     prob_zero_log,
@@ -115,23 +116,49 @@ def test_pmf_accessors():
 
 
 # ----------------------------------------------------------------------
-# the three engines on worked examples
+# the five engines on worked examples, and their one contract
 # ----------------------------------------------------------------------
 
+ENGINES = [pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce, pmf_ie]
 
-@pytest.mark.parametrize("engine", [pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce])
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_engines_match_worked_example(engine):
     """All engines reproduce the eight-outcome hand computation."""
     got = engine(WORKED).probs()
     assert got == pytest.approx(WORKED_PMF, abs=1e-14)
 
 
-@pytest.mark.parametrize("engine", [pmf_tree, pmf_dp, pmf_dc, pmf_bruteforce])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_engines_match_binomial_closed_form(engine):
     n, p = 12, 0.37
     got = engine(BernoulliProfile((p,) * n)).probs()
     expected = [binom_pmf(n, p, k) for k in range(n + 1)]
     assert got == pytest.approx(expected, abs=1e-13)
+
+
+def _pmf_ie_rational(profile, k_max=None):
+    return pmf_ie(profile, k_max, high_precision=True)
+
+
+@pytest.mark.parametrize("engine", [*ENGINES, _pmf_ie_rational])
+def test_engine_truncation_is_prefix_of_full_run(engine):
+    """engine(p, k) is engine(p)'s prefix through k, bit for bit, with its n and provenance."""
+    prof = BernoulliProfile((0.0, 0.05, 0.3, 0.45, 0.2, 0.15, 0.0, 0.6, 0.33, 0.01))
+    full = engine(prof)
+    assert full.support_max == prof.n
+    for k_max in (0, 3, prof.n):
+        head = engine(prof, k_max)
+        assert head.log_probs.tobytes() == full.log_probs[: k_max + 1].tobytes()
+        assert (head.n, head.provenance) == (full.n, full.provenance)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_share_the_k_max_rule(engine):
+    for k_max in (-1, WORKED.n + 1):
+        with pytest.raises(ValidationError) as info:
+            engine(WORKED, k_max)
+        assert str(info.value) == f"k_max={k_max} outside 0..3"
 
 
 def test_dp_truncation_is_prefix_of_full_run():
@@ -147,13 +174,6 @@ def test_dp_handles_zero_entries():
     assert pmf_dp(prof).probs() == pytest.approx(
         pmf_bruteforce(prof).probs(), abs=1e-15
     )
-
-
-def test_dp_k_max_validation():
-    with pytest.raises(ValidationError):
-        pmf_dp(WORKED, k_max=4)
-    with pytest.raises(ValidationError):
-        pmf_dp(WORKED, k_max=-1)
 
 
 def test_dp_log_domain_survives_underflow():
@@ -210,13 +230,6 @@ def test_tree_truncation_is_prefix_of_full_run(n):
     for k_max in sorted({0, min(1, n), min(2, n), min(5, n), min(31, n), n // 2, n}):
         head = pmf_tree(prof, k_max).log_probs
         assert head.tobytes() == full[: k_max + 1].tobytes()
-
-
-def test_tree_k_max_validation():
-    with pytest.raises(ValidationError):
-        pmf_tree(WORKED, k_max=4)
-    with pytest.raises(ValidationError):
-        pmf_tree(WORKED, k_max=-1)
 
 
 def test_tree_is_accurate_to_rounding_on_a_constant_row_at_scale():
@@ -383,8 +396,10 @@ def test_poisson_truncation_takes_its_cap():
 def test_elementary_symmetric_validation():
     with pytest.raises(ValidationError):
         elementary_symmetric((0.1, -0.2), 1)
-    with pytest.raises(ValidationError):
+    # The engines' k_max rule: None means every value.
+    with pytest.raises(ValidationError, match=r"^k_max=2 outside 0\.\.1$"):
         elementary_symmetric((0.1,), 2)
+    assert elementary_symmetric((0.1, 0.2), None).k_max == 2
 
 
 def test_symmetric_sums_type_validation():
@@ -458,6 +473,18 @@ def test_inclusion_exclusion_conditioning_guard():
     hp = elementary_symmetric(probs, 20, high_precision=True)
     exact = pmf_inclusion_exclusion(hp, 0, 20)
     assert exact == pytest.approx(0.1**20, rel=1e-12)
+
+
+def test_pmf_ie_is_the_log_of_each_alternating_sum():
+    prof = BernoulliProfile((0.9,) * 20)
+    with pytest.raises(ConditioningError):
+        pmf_ie(prof)
+    hp = elementary_symmetric(prof.probs, 20, high_precision=True)
+    got = pmf_ie(prof, 5, high_precision=True)
+    assert got.provenance == "inclusion_exclusion"
+    assert got.log_probs.tolist() == [
+        math.log(pmf_inclusion_exclusion(hp, k, 20)) for k in range(6)
+    ]
 
 
 def test_elementary_symmetric_skips_zero_entries_bit_for_bit():
@@ -584,6 +611,30 @@ def test_distances_reject_truncated_low_mass_pmf():
         sup_cdf_distance(head, ref)
     with pytest.raises(ValidationError):
         tv_distance(head, ref)
+
+
+def test_distances_accept_or_reject_a_truncated_pmf_alike():
+    """Both read the cumulative sum's last entry against 1 - 1e-12.
+
+    numpy's pairwise sum and the cumulative sum round twelve entries
+    differently, so a check on each would split rows this close to the cap.
+    """
+    rng = np.random.default_rng(0)
+    ref = PoissonRef(1.0)
+    outcomes = set()
+    for _ in range(40):
+        x = rng.uniform(0.01, 1.0, 12)
+        pmf = Pmf(np.log(x / x.sum() * (1.0 - 1e-12)), 20, "dp")
+        accepted = []
+        for distance in (sup_cdf_distance, tv_distance):
+            try:
+                distance(pmf, ref)
+                accepted.append(True)
+            except ValidationError:
+                accepted.append(False)
+        assert accepted[0] == accepted[1]
+        outcomes.add(accepted[0])
+    assert outcomes == {True, False}
 
 
 def test_tv_dominates_sup_cdf():

@@ -282,6 +282,18 @@ def test_family_out_of_range_names_a_python_float_without_warnings(family, messa
     assert "np." not in str(info.value)
 
 
+@pytest.mark.parametrize("family, message", [
+    (ProfileFamily.index_power(0.5, -2000.0), "yields entry inf at index 1 for n=10"),
+    # 2.0 is out of range before any power overflows.
+    (ProfileFamily.index_power(2.0, -2000.0), "yields entry 2.0 at index 0 for n=10"),
+    (ProfileFamily.row_power(0.5, -2000.0), "yields entry inf at index 0 for n=10"),
+])
+def test_family_power_past_the_float_range_is_inf_not_an_overflow_error(family, message):
+    with pytest.raises(ValidationError) as info:
+        generate(family, 10)
+    assert message in str(info.value)
+
+
 def test_family_arity_checked():
     with pytest.raises(ValidationError):
         ProfileFamily("row_power", (1.0,))
@@ -423,6 +435,22 @@ def test_window_past_the_float_range_is_inf():
 def test_window_rejects_nonpositive_scale():
     with pytest.raises(ValidationError):
         GrowthWindow.power(0.0, 1.0)
+
+
+@pytest.mark.parametrize("c, a, message", [
+    (-1.0, 1.0, "window scale c must be > 0"),
+    (math.nan, 1.0, "window scale c must be > 0"),
+    (math.inf, -math.inf, "window scale c must be finite"),
+    (1.0, math.nan, "window exponent a must not be NaN"),
+])
+def test_window_rejects_what_could_make_phi_nan(c, a, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GrowthWindow.power(c, a)
+
+
+def test_window_exponent_may_be_infinite():
+    assert GrowthWindow.power(1.0, math.inf).value(10) == math.inf
+    assert GrowthWindow.power(1.0, -math.inf).value(10) == 0.0
 
 
 # ----------------------------------------------------------------------
