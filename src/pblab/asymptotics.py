@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from ._util import log_factorial
 from .errors import HypothesisError, ValidationError
-from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, sup_cdf_distance, tv_distance
+from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
 
 APPROX_TAGS = ("lambda_form", "beta_form", "poisson_form", "poisson_limit", "normal_local")
@@ -356,8 +356,7 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
     if summary.lambda_n <= 0.0 or summary.sum_sq <= 0.0:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
     pmf = pmf_dc(profile)
-    ref = PoissonRef(summary.lambda_n)
-    return DistanceReport(summary, sup_cdf_distance(pmf, ref), tv_distance(pmf, ref))
+    return DistanceReport(summary, *poisson_distances(pmf, PoissonRef(summary.lambda_n)))
 
 
 def mmm_residual(

@@ -1,6 +1,8 @@
 """Exact engines, symmetric sums, inclusion-exclusion, Poisson reference."""
 
 import math
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,7 @@ from pblab.exact import (
     pmf_ie,
     pmf_inclusion_exclusion,
     pmf_tree,
+    poisson_distances,
     prob_zero_log,
     sup_cdf_distance,
     tv_distance,
@@ -271,25 +274,45 @@ def _poly_direct_reference(p):
     return out
 
 
+def _conv_reference(a, b):
+    """One merge of the recursive engine: np.convolve, or an rfft product clipped at 0."""
+    m = len(a) + len(b) - 1
+    if m < exact._FFT_MIN:
+        return np.convolve(a, b)
+    size = 1 << (m - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:m]
+    np.clip(out, 0.0, None, out=out)
+    return out
+
+
+def _split_row(n):
+    """A seeded row of n entries in [0, 0.6), every 7th one an exact zero."""
+    p = np.random.default_rng(n).uniform(0.0, 0.6, n)
+    p[::7] = 0.0
+    return p
+
+
 def _dc_coeffs_reference(p):
     """The recursive engine: one leaf at a time, merged on the way back up."""
     if len(p) <= exact._DC_BASE:
         return _poly_direct_reference(p)
     mid = len(p) // 2
-    return exact._conv(_dc_coeffs_reference(p[:mid]), _dc_coeffs_reference(p[mid:]))
+    return _conv_reference(_dc_coeffs_reference(p[:mid]), _dc_coeffs_reference(p[mid:]))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 257, 4097, 4200, 20000])
+@pytest.mark.parametrize(
+    "n", [1, 63, 64, 65, 129, 257, 4097, 4200, 16383, 16384, 16385, 20000, 32769,
+          65536, 65537, 200003]
+)
 def test_dc_batched_leaves_bit_identical_to_recursive(n):
     """Batched leaves and the merge tree reproduce the recursive engine bit for bit.
 
-    Covers a lone short leaf, uneven leaves and odd splits, and output
-    lengths on both sides of the FFT merge threshold; every 7th entry is
-    an exact zero.
+    Covers a lone short leaf, uneven leaves and odd splits, output lengths
+    on both sides of the FFT merge threshold, and rows on both sides of
+    the per-subtree leaf batches and the two-thread root split; every 7th
+    entry is an exact zero.
     """
-    rng = np.random.default_rng(n)
-    p = rng.uniform(0.0, 0.6, n)
-    p[::7] = 0.0
+    p = _split_row(n)
     expected = _dc_coeffs_reference(p)
     got = exact._product_coeffs(p)
     assert got.tobytes() == expected.tobytes()
@@ -582,6 +605,69 @@ def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
         assert ref.pmf_points(k_hi).tobytes() == full[: k_hi + 1].tobytes()
         expected_cdf = np.cumsum(full[: k_hi + 1])
         assert ref.cdf_points(k_hi).tobytes() == expected_cdf.tobytes()
+
+
+def test_dc_worker_failure_is_raised_and_its_thread_joined(monkeypatch):
+    """A leaf expansion that fails on the worker thread (the left half) fails
+    pmf_dc, within a time bound and without a leftover thread."""
+    real = exact._leaf_coeffs
+    prof = BernoulliProfile(_split_row(70001))
+    raised = []
+
+    def fail_off_caller(p, sizes):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("left half failed")
+        return real(p, sizes)
+
+    def call():
+        try:
+            pmf_dc(prof)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(exact, "_leaf_coeffs", fail_off_caller)
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["left half failed"]
+    assert threading.active_count() == before
+
+
+def test_dc_root_split_leaves_no_thread_behind():
+    prof = BernoulliProfile(_split_row(70001))
+    before = threading.active_count()
+    pmf_dc(prof)
+    assert threading.active_count() == before
+
+
+def test_dc_traced_peak_stays_below_three_and_a_half_rows():
+    """Per-subtree leaves and early-freed merges keep the traced peak of a
+    10^6 row under 3.5 float64 copies of the row (28 MB)."""
+    n = 10**6
+    p = _split_row(n)
+    tracemalloc.start()
+    try:
+        exact._product_coeffs(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n
+
+
+def test_poisson_distances_tabulate_once_for_both():
+    """poisson_distances gives each public distance's value bit for bit, from one window."""
+    prof = BernoulliProfile(tuple((i % 4 + 1) / 40 for i in range(3000)))
+    pmf = pmf_dc(prof)
+    ref = PoissonRef(prof.summary.lambda_n)
+    sup_cdf, tv = poisson_distances(pmf, ref)
+    assert (sup_cdf, tv) == (sup_cdf_distance(pmf, ref), tv_distance(pmf, ref))
+    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
+    own = np.pad(pmf.probs(), (0, k_hi - pmf.support_max))
+    terms = ref.pmf_points(k_hi)
+    assert sup_cdf == float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
+    assert tv == 0.5 * float(np.abs(own - terms).sum())
 
 
 def test_sup_cdf_distance_two_term_example():
