@@ -43,7 +43,7 @@ from .dependent import (
     validate_sample_budget,
 )
 from .errors import PblabError, ValidationError
-from .exact import pmf_bruteforce, pmf_dc, pmf_dp, pmf_ie
+from .exact import _check_k_max, pmf_bruteforce, pmf_dc, pmf_dp, pmf_ie, pmf_tree
 from .profiles import (
     FAMILY_KINDS,
     BernoulliProfile,
@@ -55,7 +55,7 @@ from .profiles import (
     load_profile,
 )
 
-ENGINES = ("dp", "dc", "brute", "ie")
+ENGINES = ("dp", "tree", "dc", "brute", "ie")
 FORMATS = ("csv", "json")
 PRECISIONS = ("float", "rational")
 
@@ -305,10 +305,9 @@ def _deliver(cfg: ExperimentConfig, table: emit.Table, path: str | None = None) 
 
 def _cmd_pmf(cfg: ExperimentConfig) -> None:
     profile = _resolve_profile(cfg)
-    if cfg.k_max is not None and cfg.k_max > profile.n:
-        raise ValidationError(f"k_max={cfg.k_max} exceeds n={profile.n}")
+    # Every engine applies _check_k_max, the rule approx and dependent share.
     # Built per call from this module's names, so a rebound name is the one called.
-    engine = {"dp": pmf_dp, "dc": pmf_dc, "brute": pmf_bruteforce,
+    engine = {"dp": pmf_dp, "tree": pmf_tree, "dc": pmf_dc, "brute": pmf_bruteforce,
               "ie": lambda p, k: pmf_ie(p, k, cfg.precision == "rational")}[cfg.engine]
     _deliver(cfg, emit.pmf_table(engine(profile, cfg.k_max), profile.summary))
 
@@ -317,8 +316,7 @@ def _cmd_approx(cfg: ExperimentConfig) -> None:
     kind = parse_kind(cfg.kind)
     profile = _resolve_profile(cfg)
     summary = profile.summary
-    k_hi = profile.n if cfg.k_max is None else min(cfg.k_max, profile.n)
-    ks = list(range(k_hi + 1))
+    ks = list(range(_check_k_max(cfg.k_max, profile.n) + 1))
     log_vals = [approx_pmf(kind, summary, summary.alpha_n, k) for k in ks]
     _deliver(cfg, emit.approx_table(kind.spec_string(), summary, ks, log_vals))
 
@@ -351,7 +349,7 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
         indep = load_profile(cfg.profile)
     else:
         indep = BernoulliProfile(model.marginals)
-    k_max = model.n if cfg.k_max is None else min(cfg.k_max, model.n)
+    k_max = _check_k_max(cfg.k_max, model.n)
     high_precision = cfg.precision == "rational"
     report = ratio_report(model, indep, k_max, high_precision)
     diagnostics = check_scheme(

@@ -78,17 +78,35 @@ def test_pmf_csv_worked_example(tmp_path, capsys):
 def test_pmf_engines_agree(tmp_path, capsys):
     path = write_profile(tmp_path, (0.05, 0.3, 0.45, 0.2, 0.15))
     outputs = {}
-    for engine in ("dp", "dc", "brute", "ie"):
+    for engine in ("dp", "tree", "dc", "brute", "ie"):
         code, out, _ = run_cli(
             ["pmf", "--profile", path, "--engine", engine], capsys
         )
         assert code == 0
         outputs[engine] = json.loads(out)
     assert outputs["ie"]["provenance"] == "inclusion_exclusion"
+    assert outputs["tree"]["provenance"] == "product_tree"
     reference = [row["prob"] for row in outputs["dp"]["rows"]]
-    for engine in ("dc", "brute", "ie"):
+    for engine in ("tree", "dc", "brute", "ie"):
         probs = [row["prob"] for row in outputs[engine]["rows"]]
         assert probs == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--family", "constant_p:0.1", "--n", "5"],
+    ["approx", "--family", "constant_p:0.1", "--n", "5", "--kind", "lambda"],
+    ["dependent", "--model", "{model}"],
+])
+def test_k_max_above_n_is_one_error_from_flag_or_config(argv, tmp_path, capsys):
+    """pmf, approx and dependent share one k_max rule: above n exits 2, never clamps."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "product", "p": [0.1] * 5}))
+    argv = [arg.format(model=model) for arg in argv]
+    config = write_config(tmp_path, {"k_max": 99})
+    for extra in (["--k-max", "99"], ["--config", config]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValidationError", "message": "k_max=99 outside 0..5"}
 
 
 def test_pmf_k_max_slices_support(tmp_path, capsys):
