@@ -21,8 +21,10 @@ shared one converter per option.  The cases `conditions_row_power`,
 `conditions_index_power` (grids up to 10^5) and `verify_profile_comments`
 (a 10^4-line profile file with comments, blank lines and stray
 whitespace) were added, and recorded, before the profile layer built,
-loaded and summarized rows as whole arrays.  A green run means those changes left
-every emitted byte unchanged.
+loaded and summarized rows as whole arrays.  The case `pmf_tree`
+(`pmf --engine tree` with a `--k-max`) was added, and recorded, before
+the renderers filled whole columns into one template per table.  A green
+run means those changes left every emitted byte unchanged.
 
 Sixteen digests were re-recorded on purpose when `verify` and `sweep
 --kind` took their exact PMF from the log-domain product tree instead of
@@ -103,6 +105,8 @@ ZERO_ROW = (0.2, 0.3, 0.0)
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
     "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
+    "pmf_tree": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40",
+                 "--engine", "tree"],
     "approx": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind", "poisson",
                "--k-max", "12"],
     "verify": ["verify", "--family", "row_power:1,0.75", "--n", "2000", "--kind", "poisson",
@@ -301,6 +305,12 @@ GOLDEN = {
     },
     ('pmf_ie', 'csv'): {
         'stdout': '184c62b591de1219668714017c45cfb71822db810120c37fc379de50521f840f',
+    },
+    ('pmf_tree', 'json'): {
+        'stdout': '288c3cb6419acefb42a2a53d4357a371dad07dbf42456d5b231d6c2c30641ea5',
+    },
+    ('pmf_tree', 'csv'): {
+        'stdout': 'b5b36f9746ec324b3200d863c03194664742dc32ddcb38d7dbf5180ee8b699ca',
     },
     ('sweep_beta', 'json'): {
         'stdout': 'befd4384d2c5f773c54ee61ac114be6fe45606e7154e22e34ede109bffaebbb7',
