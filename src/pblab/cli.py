@@ -367,29 +367,25 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
 
 
 def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: int):
-    """One grid point: its aggregate row and its own (envelope or distance) table.
+    """One grid point: its summary, envelope and distance reports, and its own table.
 
-    The row and both reports read the one summary the profile keeps.
+    The envelope is None without --kind, and the distances are None unless
+    lambda_n and sum b^2 are positive.  Both reports read the one summary
+    the profile keeps.
     """
     profile = generate(family, n)
     summary = profile.summary
-    row: tuple = (n, summary.lambda_n, summary.m_n, summary.sum_sq)
-    if kind is not None:
-        report = verify_sandwich(
+    positive = summary.lambda_n > 0.0 and summary.sum_sq > 0.0
+    if kind is None:
+        envelope, dist = None, dehpfeif_report(profile)
+        point = emit.distance_table(dist)
+    else:
+        envelope = verify_sandwich(
             profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
         )
-        row += (report.max_abs_dev, report.violations, len(report.k_values))
-        point = emit.envelope_table(report)
-    else:
-        report = dehpfeif_report(profile)
-        point = emit.distance_table(report)
-    if summary.lambda_n > 0.0 and summary.sum_sq > 0.0:
-        # Without --kind the point's table is already this report.
-        dist = report if kind is None else dehpfeif_report(profile)
-        row += (dist.sup_cdf, dist.tv, dist.ratio)
-    else:
-        row += (None, None, None)
-    return row, point
+        dist = dehpfeif_report(profile) if positive else None
+        point = emit.envelope_table(envelope)
+    return summary, envelope, dist if positive else None, point
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:
@@ -405,7 +401,9 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
             )
     family = parse_family(cfg.family)
     grid = list(cfg.grid)
-    results = [_sweep_point(cfg, family, kind, window, n) for n in grid]
+    summaries, envelopes, distances, points = zip(
+        *(_sweep_point(cfg, family, kind, window, n) for n in grid)
+    )
     meta = {
         "command": "sweep",
         "family": family.spec_string(),
@@ -415,12 +413,14 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
         "grid": grid,
         "seed": 0,  # a sweep draws nothing; the key keeps the aggregate's bytes
     }
-    aggregate = emit.sweep_table(meta, [row for row, _ in results], kind is not None)
+    aggregate = emit.sweep_table(
+        meta, summaries, envelopes if kind is not None else None, distances
+    )
     if not cfg.out:
         _deliver(cfg, aggregate)
         return
     os.makedirs(cfg.out, exist_ok=True)
-    for n, (_, point) in zip(grid, results):
+    for n, point in zip(grid, points):
         _deliver(cfg, point, os.path.join(cfg.out, f"point_n{n}.{cfg.format}"))
     _deliver(cfg, aggregate, os.path.join(cfg.out, f"aggregate.{cfg.format}"))
 

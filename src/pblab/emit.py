@@ -1,8 +1,9 @@
 """Deterministic table rendering to CSV and JSON, with atomic file writes.
 
-Every report is one `Table`: a header, rows holding one value per column,
-and the scalar metadata around them.  `render_csv` and `render_json` are
-the only formatters, so both formats of a report come from the same rows.
+Every report is one `Table`: a header, one column of values per header
+name, and the scalar metadata around them.  `render_csv` and `render_json`
+are the only formatters, so both formats of a report come from the same
+columns.
 
 The contract, for both formats:
 
@@ -13,10 +14,19 @@ The contract, for both formats:
 - CSV writes the non-finite floats as the bare tokens `inf`, `-inf` and
   `nan`, `None` as an empty cell, and quotes cells as the csv module does;
 - JSON writes the non-finite floats as the strings `"inf"`, `"-inf"` and
-  `"nan"`, `None` as `null`, and strings as `json.dumps` does.
+  `"nan"`, `None` as `null`, and strings as `json.dumps` does;
+- numpy arrays and scalars are written as the Python values their
+  `tolist()` / `item()` give.
 
-JSON is rendered by hand so that the CSV and JSON numbers come from one
-float formatter; each table's rows are filled into one row template.
+Both renderers work a column at a time, and classify each column once by
+the exact types of its values.  A column of ints is filled in as `%d` and
+a column of floats as `%.17g`, which writes every double as
+`format(x, ".17g")` does, the non-finite ones included.  Every other
+column (bools, strings, None, mixed types), and in JSON a float column
+holding inf or nan, is rendered once, value by value, and filled in as
+`%s`.  Each table's rows are then filled into one template.  JSON is
+rendered by hand so that the CSV and JSON numbers come from one float
+format.
 """
 
 from __future__ import annotations
@@ -29,38 +39,42 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .asymptotics import DistanceReport, EnvelopeReport
 from .dependent import RatioReport, SchemeDiagnostics
+from .errors import ValidationError
 from .exact import Pmf
 from .profiles import ConditionReport, ProfileSummary
 
 
 @dataclass(frozen=True)
 class Table:
-    """One report: column names, rows, and the scalars around them.
+    """One report: column names, one column per name, and the scalars around them.
 
-    In JSON the table is an object: the `meta` keys, then the rows under
-    "rows" (one object per row, keyed by the header), then the `tail` keys.
-    `json_width` keeps only the leading columns in the JSON rows; at 0 the
-    JSON object has no "rows" key at all.  Values in `meta` and `tail` may
-    be scalars, lists of scalars, dicts of those, or nested tables.
+    The columns are sequences of one length, the number of rows; a numpy
+    array is stored as its `tolist()`.  In JSON the table is an object: the
+    `meta` keys, then the rows under "rows" (one object per row, keyed by
+    the header), then the `tail` keys.  `json_width` keeps only the leading
+    columns in the JSON rows; at 0 the JSON object has no "rows" key at
+    all.  Values in `meta` and `tail` may be scalars, lists of scalars,
+    dicts of those, or nested tables.
     """
 
     header: tuple[str, ...]
-    rows: list
+    columns: tuple
     meta: dict = field(default_factory=dict)
     tail: dict = field(default_factory=dict)
     json_width: int | None = None
 
-
-def fmt_float(x: float) -> str:
-    """17-significant-digit rendering; non-finite values by name."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    def __post_init__(self) -> None:
+        columns = tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)
+        if len(columns) != len(self.header) or len(set(map(len, columns))) > 1:
+            raise ValueError(
+                f"a table needs one column per header name, all of one length; got "
+                f"{len(self.header)} names and column lengths {list(map(len, columns))}"
+            )
+        object.__setattr__(self, "columns", columns)
 
 
 def _scalar_token(x) -> str:
@@ -71,24 +85,51 @@ def _scalar_token(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if math.isfinite(x):
-            return fmt_float(x)
-        return json.dumps(fmt_float(x))  # "inf" etc. as quoted strings
+        token = "%.17g" % x
+        return token if math.isfinite(x) else json.dumps(token)  # "inf" etc. quoted
     if isinstance(x, str):
         return json.dumps(x)
+    if isinstance(x, np.generic):  # np.bool_, np.int64, ...: as the Python scalar
+        return _scalar_token(x.item())
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return "%.17g" % x
+    if isinstance(x, np.generic):
+        return _cell(x.item())
+    return str(x)
+
+
+def _column_type(column) -> type | None:
+    """int or float when every value is exactly of that type, else None."""
+    types = set(map(type, column))
+    return types.pop() if len(types) == 1 and types <= {int, float} else None
+
+
 def _json_rows(table: Table, indent: int) -> str:
-    if not table.rows:
+    width = table.json_width  # None slices to every column
+    if not table.columns or not len(table.columns[0]):
         return "[]"
-    width = table.json_width  # None slices to the full row
     item_pad = "  " * (indent + 1)
-    keys = ",\n".join(f"{item_pad}  {json.dumps(col)}: %s" for col in table.header[:width])
-    template = f"{item_pad}{{\n{keys}\n{item_pad}}}"
-    body = ",\n".join(
-        template % tuple(map(_scalar_token, row[:width])) for row in table.rows
-    )
+    fields, values = [], []
+    for name, column in zip(table.header[:width], table.columns[:width]):
+        kind = _column_type(column)
+        if kind is int:
+            spec = "%d"
+        elif kind is float and all(map(math.isfinite, column)):
+            spec = "%.17g"
+        else:
+            spec, column = "%s", list(map(_scalar_token, column))
+        fields.append(f"{item_pad}  {json.dumps(name).replace('%', '%%')}: {spec}")
+        values.append(column)
+    template = f"{item_pad}{{\n" + ",\n".join(fields) + f"\n{item_pad}}}"
+    body = ",\n".join(map(template.__mod__, zip(*values)))
     return f"[\n{body}\n{'  ' * indent}]"
 
 
@@ -104,6 +145,8 @@ def render_json(obj) -> str:
         if isinstance(x, Table):
             rows = {} if x.json_width == 0 else {"rows": _Raw(_json_rows(x, indent + 1))}
             x = {**x.meta, **rows, **x.tail}
+        elif isinstance(x, np.ndarray):
+            x = x.tolist()
         pad = "  " * indent
         if isinstance(x, _Raw):
             out.append(x)
@@ -124,22 +167,39 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return fmt_float(x)
-    return str(x)
+def _csv_cells(column, alone: bool) -> list[str]:
+    """A column of mixed or non-numeric values as csv's QUOTE_MINIMAL writes each cell.
+
+    Each value is rendered by _cell and quoted by the csv module itself, so
+    the quoting rule stays the module's.  The module writes a row whose only
+    cell is empty as "", so a table of one column (alone) writes an empty
+    cell that way.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for x in column:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((_cell(x), ""))
+        cells.append(buf.getvalue()[:-2])  # drop the empty second cell and the newline
+    return ['""' if alone and not c else c for c in cells]
 
 
 def render_csv(table: Table) -> str:
     """The header line, then one line per row; metadata is not written."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header)
-    writer.writerows([_cell(c) for c in row] for row in table.rows)
+    csv.writer(buf, lineterminator="\n").writerow(table.header)
+    specs, values = [], []
+    for column in table.columns:
+        kind = _column_type(column)
+        if kind is int or kind is float:
+            specs.append("%d" if kind is int else "%.17g")
+        else:
+            specs.append("%s")
+            column = _csv_cells(column, len(table.columns) == 1)
+        values.append(column)
+    buf.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values))))
     return buf.getvalue()
 
 
@@ -147,8 +207,11 @@ def atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the target directory plus rename.
 
     A failed run can never leave a partial file at the destination: either
-    the old content survives or the complete new content replaces it.
+    the old content survives or the complete new content replaces it.  A
+    path naming a directory is refused before any temp file is made.
     """
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write to {path!r}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pblab-", suffix=".tmp")
@@ -164,37 +227,42 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _exp(log_values) -> list[float]:
+    # math.exp per entry, not np.exp: the two may differ in the last bit.
+    return list(map(math.exp, log_values))
+
+
+def _attrs(items, *names) -> list[list]:
+    """One column per attribute name, read off each item in turn."""
+    return [[getattr(item, name) for item in items] for name in names]
+
+
 def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
-    rows = [(k, math.exp(lp), lp) for k, lp in enumerate(pmf.log_probs.tolist())]
+    log_probs = pmf.log_probs.tolist()
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
             "summary": asdict(summary)}
-    return Table(("k", "prob", "log_prob"), rows, meta)
+    return Table(("k", "prob", "log_prob"),
+                 (range(len(log_probs)), _exp(log_probs), log_probs), meta)
 
 
 def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:
-    rows = [(k, math.exp(la), la) for k, la in zip(ks, log_values)]
     meta = {"kind": kind, "summary": asdict(summary)}
-    return Table(("k", "approx_prob", "log_approx"), rows, meta)
+    return Table(("k", "approx_prob", "log_approx"), (ks, _exp(log_values), log_values), meta)
 
 
 def envelope_table(r: EnvelopeReport) -> Table:
     header = ("k", "exact", "approx", "ratio", "lower_env", "upper_env", "valid")
-    rows = [
-        (k, math.exp(r.log_exact[i]), math.exp(r.log_approx[i]), r.ratios[i],
-         r.lower_env[i], r.upper_env[i], r.validity_mask[i])
-        for i, k in enumerate(r.k_values)
-    ]
+    columns = (r.k_values, _exp(r.log_exact), _exp(r.log_approx), r.ratios,
+               r.lower_env, r.upper_env, r.validity_mask)
     summary = {"max_abs_dev": r.max_abs_dev, "violations": r.violations, "window": r.window,
                "k_count": len(r.k_values)}
     meta = {"kind": r.kind, "n": r.n, "window": r.window, "beta_cap": r.beta_cap,
             "margin": r.margin, "summary": summary}
-    return Table(header, rows, meta)
+    return Table(header, columns, meta)
 
 
 def conditions_table(r: ConditionReport, family: str) -> Table:
     header = ("n", "m_n", "lambda_n", "sum_sq", "phi", "phi_m", "phi_over_lambda")
-    rows = [(row.n, row.m_n, row.lambda_n, row.sum_sq, row.phi, row.phi_m, row.phi_over_lambda)
-            for row in r.rows]
     meta = {"family": family, "window": r.window, "threshold": r.threshold, "grid": r.grid}
     verdicts = {
         "a1_max_entry": asdict(r.a1),
@@ -204,30 +272,30 @@ def conditions_table(r: ConditionReport, family: str) -> Table:
         "lambda_trend": r.lambda_trend,
         "lambda_last": r.lambda_last,
     }
-    return Table(header, rows, meta, {"verdicts": verdicts})
+    return Table(header, _attrs(r.rows, *header), meta, {"verdicts": verdicts})
 
 
 def distance_table(r: DistanceReport) -> Table:
     """One row; its JSON form is that row as a flat object."""
     header = ("n", "lambda_n", "sum_sq", "sup_cdf_distance", "tv_distance", "predicted", "ratio")
     s = r.summary
-    row = (s.n, s.lambda_n, s.sum_sq, r.sup_cdf, r.tv, r.predicted, r.ratio)
-    return Table(header, [row], dict(zip(header, row)), json_width=0)
+    values = (s.n, s.lambda_n, s.sum_sq, r.sup_cdf, r.tv, r.predicted, r.ratio)
+    return Table(header, [[v] for v in values], dict(zip(header, values)), json_width=0)
 
 
 def diagnostics_table(d: SchemeDiagnostics) -> Table:
     header = ("k", "b1_max_dev", "b2_ratio", "b3_ratio", "mode", "checked", "zero_product")
-    rows = list(zip(d.k_values, d.b1_max_dev, d.b2_ratio, d.b3_ratio, d.modes,
-                    d.checked_counts, d.zero_product))
+    columns = (d.k_values, d.b1_max_dev, d.b2_ratio, d.b3_ratio, d.modes,
+               d.checked_counts, d.zero_product)
     meta = {"rare": d.rare, "seed": d.seed, "sample_budget": d.sample_budget}
     tail = {"b1_overall": d.b1_overall, "b2_max_dev": d.b2_max_dev, "b3_max_dev": d.b3_max_dev}
-    return Table(header, rows, meta, tail)
+    return Table(header, columns, meta, tail)
 
 
 def dependent_table(
     report: RatioReport, diagnostics: SchemeDiagnostics, precision: str, model_kind: str, n: int
 ) -> Table:
-    """Ratio rows joined with the diagnostics of the same k (blank where none).
+    """Ratio columns joined with the diagnostics of the same k (blank where none).
 
     CSV carries the joined columns; JSON rows keep the first four and nest
     the diagnostics as their own table.
@@ -235,26 +303,35 @@ def dependent_table(
     header = ("k", "dep_prob", "indep_prob", "ratio",
               "b1_max_dev", "b2_ratio", "b3_ratio", "mode", "checked")
     diag = diagnostics_table(diagnostics)
-    diag_by_k = {row[0]: row[1:6] for row in diag.rows}
+    ks = report.k_values
     ratio_by_k = dict(report.entries)
-    rows = [
-        (k, report.dep_probs[k], report.indep_probs[k], ratio_by_k.get(k))
-        + diag_by_k.get(k, (None,) * 5)
-        for k in report.k_values
-    ]
+    row_by_k = {k: j for j, k in enumerate(diagnostics.k_values)}
+    picks = [row_by_k.get(k) for k in ks]
+    joined = [[None if j is None else column[j] for j in picks] for column in diag.columns[1:6]]
+    columns = (ks, report.dep_probs, report.indep_probs, [ratio_by_k.get(k) for k in ks],
+               *joined)
     meta = {"model": model_kind, "n": n, "precision": precision}
     tail = {"omitted_k": report.omitted_k, "max_abs_dev": report.max_abs_dev,
             "diagnostics": diag}
-    return Table(header, rows, meta, tail, json_width=4)
+    return Table(header, columns, meta, tail, json_width=4)
 
 
-def sweep_table(meta: dict, rows: list, envelope: bool) -> Table:
-    """One row per grid point; the envelope columns only for a --kind sweep."""
+def sweep_table(meta: dict, summaries, envelopes, distances) -> Table:
+    """One row per grid point; the envelope columns only for a --kind sweep.
+
+    envelopes is None without --kind; a point's distance report is None
+    where it has none, and its distance cells are then blank.
+    """
     header = ("n", "lambda_n", "m_n", "sum_sq")
-    if envelope:
+    columns = _attrs(summaries, *header)
+    if envelopes is not None:
         header += ("max_abs_dev", "violations", "k_count")
+        columns += _attrs(envelopes, "max_abs_dev", "violations")
+        columns.append([len(r.k_values) for r in envelopes])
     header += ("sup_cdf_distance", "tv_distance", "dehpfeif_ratio")
-    return Table(header, rows, meta)
+    columns += [[None if d is None else getattr(d, name) for d in distances]
+                for name in ("sup_cdf", "tv", "ratio")]
+    return Table(header, columns, meta)
 
 
 def error_obj(exc: BaseException) -> dict:

@@ -725,6 +725,21 @@ def test_out_untouched_on_failure(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_out_naming_a_directory_is_refused(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run_cli(
+        ["pmf", "--family", "constant_p:0.3", "--n", "3", "--out", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ValidationError"
+    assert obj["message"] == f"cannot write to {str(target)!r}: it is a directory"
+    assert [n for n in os.listdir(tmp_path) if n.startswith(".pblab-")] == []
+    assert os.listdir(target) == []
+
+
 # ------------------------------------------------------- the option tables
 
 # Per command: the options it reads besides --out and --format, and the
