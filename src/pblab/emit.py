@@ -208,10 +208,11 @@ def atomic_write(path: str, text: str) -> None:
 
     A failed run can never leave a partial file at the destination: either
     the old content survives or the complete new content replaces it.  A
-    path naming a directory is refused before any temp file is made.
+    path naming a directory (an existing one, or any path ending in a
+    separator) is refused before any temp file is made.
     """
-    if os.path.isdir(path):
-        raise ValidationError(f"cannot write to {path!r}: it is a directory")
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise ValidationError(f"cannot write to {path!r}: it names a directory")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pblab-", suffix=".tmp")

@@ -725,19 +725,23 @@ def test_out_untouched_on_failure(tmp_path, capsys):
     assert leftovers == []
 
 
-def test_out_naming_a_directory_is_refused(tmp_path, capsys):
-    target = tmp_path / "reports"
-    target.mkdir()
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_naming_a_directory_is_refused(existing, tmp_path, capsys):
+    # An existing directory, or a path that ends in a separator.
+    target = str(tmp_path / "reports") + ("" if existing else os.sep)
+    if existing:
+        os.mkdir(target)
     code, out, err = run_cli(
-        ["pmf", "--family", "constant_p:0.3", "--n", "3", "--out", str(target)], capsys
+        ["pmf", "--family", "constant_p:0.3", "--n", "3", "--out", target], capsys
     )
     assert code == 2
     assert out == ""
     obj = json.loads(err)
     assert obj["error"] == "ValidationError"
-    assert obj["message"] == f"cannot write to {str(target)!r}: it is a directory"
-    assert [n for n in os.listdir(tmp_path) if n.startswith(".pblab-")] == []
-    assert os.listdir(target) == []
+    assert obj["message"] == f"cannot write to {target!r}: it names a directory"
+    assert os.listdir(tmp_path) == (["reports"] if existing else [])
+    if existing:
+        assert os.listdir(target) == []
 
 
 # ------------------------------------------------------- the option tables
