@@ -193,11 +193,13 @@ def render_csv(table: Table) -> str:
     specs, values = [], []
     for column in table.columns:
         kind = _column_type(column)
-        if kind is int or kind is float:
-            specs.append("%d" if kind is int else "%.17g")
+        if kind is int:
+            spec = "%d"
+        elif kind is float:
+            spec = "%.17g"
         else:
-            specs.append("%s")
-            column = _csv_cells(column, len(table.columns) == 1)
+            spec, column = "%s", _csv_cells(column, len(table.columns) == 1)
+        specs.append(spec)
         values.append(column)
     buf.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values))))
     return buf.getvalue()

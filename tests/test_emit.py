@@ -258,7 +258,7 @@ _NAMES = st.text(st.sampled_from('ab,"\n _'), min_size=1, max_size=4)
 
 @st.composite
 def _tables(draw, depth=0):
-    """One table in both forms: (columns, rows)."""
+    """One table in both forms: (Table, RowTable)."""
     n_rows = draw(st.integers(0, 5))
     n_cols = draw(st.integers(1, 4))
     header = tuple(draw(st.lists(_NAMES, min_size=n_cols, max_size=n_cols)))
