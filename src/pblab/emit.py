@@ -21,12 +21,13 @@ The contract, for both formats:
 Both renderers work a column at a time, and classify each column once by
 the exact types of its values.  A column of ints is filled in as `%d` and
 a column of floats as `%.17g`, which writes every double as
-`format(x, ".17g")` does, the non-finite ones included.  Every other
-column (bools, strings, None, mixed types), and in JSON a float column
-holding inf or nan, is rendered once, value by value, and filled in as
-`%s`.  Each table's rows are then filled into one template.  JSON is
-rendered by hand so that the CSV and JSON numbers come from one float
-format.
+`format(x, ".17g")` does, the non-finite ones included.  In JSON a float
+column holding inf or nan is formatted by `%.17g` in one pass, and only
+its `inf`, `-inf` and `nan` tokens are then quoted; it is filled in as
+`%s`.  Every other column (bools, strings, None, mixed types) is rendered
+once, value by value, and filled in as `%s`.  Each table's rows are then
+filled into one template.  JSON is rendered by hand so that the CSV and
+JSON numbers come from one float format.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ def _column_type(column) -> type | None:
     return types.pop() if len(types) == 1 and types <= {int, float} else None
 
 
+# %.17g writes the non-finite floats as these bare tokens; JSON quotes them.
+_JSON_NON_FINITE = {token: json.dumps(token) for token in ("inf", "-inf", "nan")}
+
+
 def _json_rows(table: Table, indent: int) -> str:
     width = table.json_width  # None slices to every column
     if not table.columns or not len(table.columns[0]):
@@ -122,8 +127,10 @@ def _json_rows(table: Table, indent: int) -> str:
         kind = _column_type(column)
         if kind is int:
             spec = "%d"
-        elif kind is float and all(map(math.isfinite, column)):
+        elif kind is float:
             spec = "%.17g"
+            if not all(map(math.isfinite, column)):
+                spec, column = "%s", [_JSON_NON_FINITE.get(t, t) for t in map(spec.__mod__, column)]
         else:
             spec, column = "%s", list(map(_scalar_token, column))
         fields.append(f"{item_pad}  {json.dumps(name).replace('%', '%%')}: {spec}")

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pblab import emit
 from pblab.emit import Table, render_csv, render_json
 
 COLUMNS = ((3,), (0.1,), (math.inf,), (-math.inf,), (math.nan,), (None,), (True,), ('a,"b"',))
@@ -106,6 +107,18 @@ def test_numpy_values_render_as_python_scalars():
         assert render_csv(as_numpy) == render_csv(as_python)
         assert render_json(as_numpy) == render_json(as_python)
     assert render_csv(cases[1][0]) == "b,i,f\ntrue,3,0.5\nfalse,-4,-inf\n"
+
+
+def test_json_float_column_with_non_finite_values_writes_each_scalar_token():
+    """A JSON float column holding inf or nan is formatted in one pass and
+    quotes only the non-finite tokens: every value is written as
+    _scalar_token writes it alone."""
+    values = [0.1, math.inf, -0.0, -math.inf, math.nan, 5e-324, -1.7976931348623157e308,
+              1e22, -math.nan, 2.5]
+    lines = render_json(Table(("x", "k"), (values, list(range(len(values)))))).splitlines()
+    tokens = [line.split(": ", 1)[1].rstrip(",") for line in lines if '"x": ' in line]
+    assert tokens == [emit._scalar_token(v) for v in values]
+    assert tokens[1:5] == ['"inf"', "-0", '"-inf"', '"nan"']
 
 
 def test_header_with_percent_sign():
