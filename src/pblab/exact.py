@@ -592,29 +592,34 @@ class PoissonRef:
         return np.cumsum(self.pmf_points(k_hi))
 
 
-def _against_poisson(pmf: Pmf, ref: PoissonRef) -> tuple[np.ndarray, np.ndarray]:
-    """The pmf's and the reference's probabilities at k = 0..k_hi, zero-padded.
+def _against_poisson(pmf: Pmf, ref: PoissonRef) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pmf's probabilities and CDF and the reference's probabilities at k = 0..k_hi.
 
-    k_hi covers the pmf's support and reaches where the reference's tail is
-    certified below 1e-12, so the omitted contribution is below reporting
-    precision.  The pmf must carry essentially all of its mass: full
-    support, or a truncated support whose cumulative mass reaches 1 - 1e-12.
+    The pmf's rows are zero-padded past its support, and its CDF holds its
+    last value there, which is what a cumulative sum over the padded row
+    gives bit for bit.  k_hi covers the pmf's support and reaches where the
+    reference's tail is certified below 1e-12, so the omitted contribution
+    is below reporting precision.  The pmf must carry essentially all of
+    its mass: full support, or a truncated support whose cumulative mass
+    reaches 1 - 1e-12.
     """
     probs = pmf.probs()
-    total = float(np.cumsum(probs)[-1])
+    cdf = np.cumsum(probs)
+    total = float(cdf[-1])
     if pmf.support_max < pmf.n and total < 1.0 - 1e-12:
         raise ValidationError(
             f"pmf covers mass {total:.17g} on 0..{pmf.support_max}; "
             "need full support or cumulative mass >= 1 - 1e-12"
         )
     k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-    return np.pad(probs, (0, k_hi - pmf.support_max)), ref.pmf_points(k_hi)
+    pad = (0, k_hi - pmf.support_max)
+    return np.pad(probs, pad), np.pad(cdf, pad, mode="edge"), ref.pmf_points(k_hi)
 
 
 def poisson_distances(pmf: Pmf, ref: PoissonRef) -> tuple[float, float]:
     """(sup_cdf_distance, tv_distance) of pmf from ref, off one _against_poisson tabulation."""
-    own, terms = _against_poisson(pmf, ref)
-    sup_cdf = float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
+    own, own_cdf, terms = _against_poisson(pmf, ref)
+    sup_cdf = float(np.max(np.abs(own_cdf - np.cumsum(terms))))
     return sup_cdf, 0.5 * float(np.abs(own - terms).sum())
 
 
