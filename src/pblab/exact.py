@@ -13,10 +13,15 @@ of the full run.
 * pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: the
   leaves are expanded in one batched pass per subtree of at most _SUBTREE
   entries and multiplied up a fixed tree of pairs (direct convolution, rfft
-  for long products).  A row longer than _SPLIT computes the two halves of
-  its root on two threads, with the same bits as on one: the tree is fixed
-  by n, and each array is made and read by one thread until it is handed
-  over whole.
+  for long products).  Every node keeps its coefficients up to a certified
+  cap D: with mu the sum of the node's p, the Chernoff bound
+  P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) is at most e^-745, below the
+  smallest subnormal 2^-1074, so the caps move no entry by more than
+  2n * 2^-1074.  Products and FFT sizes follow the capped lengths.  A row
+  longer than _SPLIT computes the two halves of its root on two threads,
+  with the same bits as on one: the tree and its caps are fixed by the
+  row, the worker's segments take their caps from the same table, and
+  each array is made and read by one thread until it is handed over whole.
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
   per k), with a conditioning contract and an exact-rational mode.
@@ -60,6 +65,14 @@ _SPLIT = 1 << 16
 # the row, so the large arrays of the merges near the root all belong to the
 # calling thread.
 _PARTS = 16
+# Every node of pmf_dc's tree keeps its coefficients up to a degree D whose
+# Chernoff tail bound is at most e^-_CAP_LOG: below 2^-1074 = e^-744.44, the
+# smallest subnormal, with room for the rounding of the bound itself.
+_CAP_LOG = 745.0
+# Newton's method for the caps stops once no step exceeds _NEWTON_TOL, or
+# after _NEWTON_STEPS steps; any iterate is a valid cap.
+_NEWTON_STEPS = 64
+_NEWTON_TOL = 1e-3
 # Hard guard for the 2^n enumeration.
 _BRUTE_MAX_N = 25
 # Relative cancellation allowed in the alternating sum before giving up.
@@ -255,61 +268,123 @@ def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 
 
-def _join(n: int, halves: list) -> np.ndarray:
-    """Product of halves = [left, right], the halves of a segment of length n.
+def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], int]:
+    """Certified top degree D of the nodes of pmf_dc's tree over the row p.
 
-    A product shorter than _FFT_MIN is a direct convolution.  A longer one
-    pops each half off the list to take its rfft spectrum, so the half is
-    dropped as soon as its spectrum exists, and multiplies the spectra in
-    place.
+    Keyed by the (start, length) of the node's segment of p; a node that is
+    not a key keeps all its length + 1 coefficients.  With mu the node's
+    mean (the sum of its p), the Chernoff bound
+    P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) of every key is at most
+    e^-_CAP_LOG, below the smallest subnormal.
+
+    The tree is _leaf_sizes's, built top down one level at a time; a
+    segment of at most _DC_BASE entries passes to the next level unchanged,
+    so every level tiles the row.  mu is summed bottom up: the deepest
+    level's segments each sum their own entries, and every node above sums
+    its one or two children.  No mu is a difference of prefix sums, which
+    at a large total would cancel and read 0 for a light segment.  mu is
+    rounded up by a relative 1e-9, far above the rounding of its sums, and
+    by the smallest subnormal, so that it is positive; a larger mu only
+    raises the bound.  D + 1 is the root of
+    g(t) = t log(t / (e mu)) + mu - _CAP_LOG, found by Newton's method from
+    t = length + 1 for all nodes at once.  g is convex and increasing past
+    mu, so every iterate from above is a root or above one, and a cap.  A
+    node with g(length + 1) < 0 is shorter than its cap and skips the solve.
     """
-    if n + 1 < _FFT_MIN:
-        return np.convolve(*halves)
-    size = 1 << n.bit_length()
+    starts, lens = [np.zeros(1, dtype=np.int64)], [np.array([len(p)], dtype=np.int64)]
+    children = []  # per level, the index of each node's first child one level down
+    while lens[-1].max() > _DC_BASE:
+        s, l = starts[-1], lens[-1]
+        split = l > _DC_BASE
+        count = split + 1
+        children.append(np.cumsum(count) - count)
+        half = np.where(split, l // 2, l)
+        keep = np.column_stack([np.ones_like(split), split])
+        starts.append(np.column_stack([s, s + half])[keep])
+        lens.append(np.column_stack([half, l - half])[keep])
+    mus = [np.add.reduceat(p, starts[-1])]
+    for first in reversed(children):
+        mus.append(np.add.reduceat(mus[-1], first))
+    s, l = np.concatenate(starts), np.concatenate(lens)
+    mu = np.concatenate(mus[::-1]) * (1.0 + 1e-9) + 5e-324
+    t = l + 1.0
+    log_mu = np.log(mu)
+    cut = t * (np.log(t) - log_mu - 1.0) + mu >= _CAP_LOG
+    s, l, t, mu, log_mu = s[cut], l[cut], t[cut], mu[cut], log_mu[cut]
+    for _ in range(_NEWTON_STEPS):
+        slope = np.log(t) - log_mu
+        step = (t * (slope - 1.0) + mu - _CAP_LOG) / slope
+        t -= step
+        if not step.max(initial=0.0) > _NEWTON_TOL:
+            break
+    return dict(zip(zip(s.tolist(), l.tolist()), (np.ceil(t).astype(np.int64) - 1).tolist()))
+
+
+def _join(halves: list, top: int) -> np.ndarray:
+    """Coefficients 0..top - 1 of the product of halves = [left, right].
+
+    The sizes follow the halves' own lengths: a product shorter than
+    _FFT_MIN is a direct convolution.  A longer one pops each half off the
+    list to take its rfft spectrum, so the half is dropped as soon as its
+    spectrum exists, and multiplies the spectra in place.
+    """
+    m = len(halves[0]) + len(halves[1]) - 1
+    if m < _FFT_MIN:
+        return np.convolve(*halves)[:top]
+    size = 1 << (m - 1).bit_length()
     spec = np.fft.rfft(halves.pop(0), size)
     spec_right = np.fft.rfft(halves.pop(), size)
     spec *= spec_right
     del spec_right
-    out = np.fft.irfft(spec, size)[: n + 1]
+    out = np.fft.irfft(spec, size)[:top]
     # FFT round-off can produce tiny negatives where the true value is ~0.
     np.clip(out, 0.0, None, out=out)
     return out
 
 
-def _merge(p: np.ndarray, leaves=None, base: int = _DC_BASE) -> np.ndarray:
-    """Coefficients of the product of (1 - p_i) + p_i z over the segment p.
+def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None,
+           base: int = _DC_BASE) -> np.ndarray:
+    """Coefficients 0..D of the product of (1 - p_i) + p_i z over the segment p.
 
-    Walks the tree of _leaf_sizes(len(p), base).  leaves is an iterator
-    over the products of that tree's leaves in order, and each call
-    consumes exactly the leaves under its segment.  Without one, a segment
-    of at most _SUBTREE entries expands its own leaves in one _leaf_coeffs
-    batch.
+    p starts at entry start of the row whose _degree_caps are caps, and D
+    is the segment's cap (its length where it has none).  Walks the tree of
+    _leaf_sizes(len(p), base).  leaves is an iterator over the products of
+    that tree's leaves in order, and each call consumes exactly the leaves
+    under its segment.  Without one, a segment of at most _SUBTREE entries
+    expands its own leaves in one _leaf_coeffs batch.
     """
     n = len(p)
+    top = caps.get((start, n), n) + 1
     if leaves is None and n <= _SUBTREE:
         leaves = iter(_leaf_coeffs(p, _leaf_sizes(n)))
     if n <= base:
-        return next(leaves)
+        return next(leaves)[:top]
     half = n // 2
-    return _join(n, [_merge(p[:half], leaves, base), _merge(p[half:], leaves, base)])
+    halves = [_merge(p[:half], caps, start, leaves, base),
+              _merge(p[half:], caps, start + half, leaves, base)]
+    return _join(halves, top)
 
 
 def _product_coeffs(p: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of (1 - p_i) + p_i z over the whole profile.
+    """Coefficients 0..D of the product of (1 - p_i) + p_i z over the whole profile.
 
-    A row longer than _SPLIT computes the two halves of its root on two
-    threads; np.convolve and numpy's FFT release the GIL while they work.
-    A worker thread computes the left half as segments of at most
-    1/_PARTS of the row, one after another, while this thread computes the
-    right half; this thread then merges the segments up the left half and
-    joins the two halves.  Each thread allocates from its own malloc arena;
-    a worker that merged the whole left half itself would hold large freed
-    arrays in its arena, and the peak RSS of `distance` at n = 10^6 then
-    varied by up to 10 MB from run to run.
+    D is the root's cap from _degree_caps (n where it has none).  A row
+    longer than _SPLIT computes the two halves of its root on two threads;
+    np.convolve and numpy's FFT release the GIL while they work.  A worker
+    thread computes the left half as segments of at most 1/_PARTS of the
+    row, one after another, while this thread computes the right half;
+    this thread then merges the segments up the left half and joins the
+    two halves.  Every segment is a node of the one tree and takes its cap
+    from the same dict, so the bits do not depend on the split.  Each
+    thread allocates from its own malloc arena; a worker that merged the
+    whole left half itself would hold large freed arrays in its arena, and
+    the peak RSS of `distance` at n = 10^6 then varied by up to 10 MB from
+    run to run.
     """
     n = len(p)
+    caps = _degree_caps(p)
     if n <= _SPLIT:
-        return _merge(p)
+        return _merge(p, caps)
     # Imported here, so that a run whose rows never pass _SPLIT does not load it.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -317,13 +392,13 @@ def _product_coeffs(p: np.ndarray) -> np.ndarray:
     ends = np.cumsum(_leaf_sizes(half, base)).tolist()
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        jobs = [pool.submit(_merge, p[a:b]) for a, b in zip([0, *ends], ends)]
+        jobs = [pool.submit(_merge, p[a:b], caps, a) for a, b in zip([0, *ends], ends)]
         # Each future is dropped once read, so the merge above it owns its segment.
         parts = (jobs.pop(0).result() for _ in range(len(jobs)))
         # The right half first, while the worker computes the left half's segments.
-        halves = [None, _merge(p[half:])]
-        halves[0] = _merge(p[:half], parts, base)
-        return _join(n, halves)
+        halves = [None, _merge(p[half:], caps, half)]
+        halves[0] = _merge(p[:half], caps, 0, parts, base)
+        return _join(halves, caps.get((0, n), n) + 1)
     finally:
         # Joins the worker; after a failure it starts no further segment.
         pool.shutdown(cancel_futures=True)
@@ -342,16 +417,30 @@ def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     so results are reproducible run to run, and subquadratic for large n
     thanks to the FFT merges at the top.
 
+    Every node of the tree keeps only its coefficients 0..D, after its leaf
+    expansion or its join, where D is its certified cap (_degree_caps): by
+    the Chernoff bound, the node's true mass above D is at most e^-745,
+    below the smallest subnormal 2^-1074.  The tree has fewer than 2n
+    nodes, so the caps move no entry by more than 2n * 2^-1074, and none
+    above that becomes -inf; the entries above the root's cap are exact
+    zeros.  (The shorter products also round in their own order, a few
+    ulps apart from uncapped ones.)  The direct-or-FFT choice and the FFT
+    size follow the capped lengths, so a light row (mean far below n) runs
+    no FFT of the row's length, and the FFT noise that products of that
+    length left in the tails is gone.
+
     A row longer than _SPLIT computes the two halves of its root at once
     (see _product_coeffs).  The bits are those of a one-thread run: every
-    merge is the same call on the same inputs, since the tree is fixed by
-    n, and each array is made and read by one thread until it is handed
-    over whole.  The whole product is computed, and k_max keeps its prefix.
+    merge is the same call on the same inputs with the same cap, since the
+    tree and its caps are fixed by the row, and each array is made and
+    read by one thread until it is handed over whole.  The whole product is
+    computed, and k_max keeps its prefix.
     """
     k_max = _check_k_max(k_max, profile.n)
     coeffs = _product_coeffs(profile.probs)
+    log_f = np.full(profile.n + 1, -np.inf)
     with np.errstate(divide="ignore"):
-        log_f = np.log(coeffs)
+        np.log(coeffs, out=log_f[: len(coeffs)])
     return _finish_log(log_f, profile.n, "divide_conquer", k_max)
 
 

@@ -33,7 +33,7 @@ from pblab.exact import (
     sup_cdf_distance,
     tv_distance,
 )
-from pblab.profiles import BernoulliProfile
+from pblab.profiles import BernoulliProfile, ProfileFamily, generate
 
 WORKED = BernoulliProfile((0.1, 0.2, 0.3))
 WORKED_PMF = (0.504, 0.398, 0.092, 0.006)
@@ -292,12 +292,19 @@ def _split_row(n):
     return p
 
 
-def _dc_coeffs_reference(p):
-    """The recursive engine: one leaf at a time, merged on the way back up."""
+def _dc_coeffs_reference(p, caps, start=0):
+    """The recursive engine: one leaf at a time, merged on the way back up.
+
+    Every node keeps its coefficients up to its cap in caps, keyed by the
+    node's (start, length) in the row, as pmf_dc does.
+    """
+    top = caps.get((start, len(p)), len(p)) + 1
     if len(p) <= exact._DC_BASE:
-        return _poly_direct_reference(p)
+        return _poly_direct_reference(p)[:top]
     mid = len(p) // 2
-    return _conv_reference(_dc_coeffs_reference(p[:mid]), _dc_coeffs_reference(p[mid:]))
+    left = _dc_coeffs_reference(p[:mid], caps, start)
+    right = _dc_coeffs_reference(p[mid:], caps, start + mid)
+    return _conv_reference(left, right)[:top]
 
 
 @pytest.mark.parametrize(
@@ -305,21 +312,183 @@ def _dc_coeffs_reference(p):
           65536, 65537, 200003]
 )
 def test_dc_batched_leaves_bit_identical_to_recursive(n):
-    """Batched leaves and the merge tree reproduce the recursive engine bit for bit.
+    """Batched leaves, the merge tree and the caps reproduce the recursive engine bit for bit.
 
     Covers a lone short leaf, uneven leaves and odd splits, output lengths
     on both sides of the FFT merge threshold, and rows on both sides of
     the per-subtree leaf batches and the two-thread root split; every 7th
-    entry is an exact zero.
+    entry is an exact zero.  The reference applies the caps of
+    _degree_caps at every node, as the engine does.
     """
     p = _split_row(n)
-    expected = _dc_coeffs_reference(p)
+    expected = _dc_coeffs_reference(p, exact._degree_caps(p))
     got = exact._product_coeffs(p)
     assert got.tobytes() == expected.tobytes()
+    expected_log = np.full(n + 1, -np.inf)
     with np.errstate(divide="ignore"):
-        expected_log = np.minimum(np.log(expected), 0.0)
+        expected_log[: len(expected)] = np.minimum(np.log(expected), 0.0)
     log_probs = np.array(pmf_dc(BernoulliProfile(tuple(p.tolist()))).log_probs)
     assert log_probs.tobytes() == expected_log.tobytes()
+
+
+_LOG_SUBNORMAL = -1074 * math.log(2.0)  # log of the smallest subnormal, 2^-1074
+
+
+def _chernoff_log(mu, d):
+    """log of the Chernoff bound e^-mu (e mu / (d + 1))^(d + 1) on P(S > d); -inf at mu = 0."""
+    t = d + 1.0
+    return -mu + t * (1.0 + math.log(mu) - math.log(t)) if mu > 0.0 else -math.inf
+
+
+def _least_cap(mu, length):
+    """The least d >= mu whose Chernoff bound is at most e^-745, or length if none below it is.
+
+    The bound holds for d + 1 > mu only.
+    """
+    d = int(mu)
+    while d < length and _chernoff_log(mu, d) > -745.0:
+        d += 1
+    return d
+
+
+def _mixed_binomial_tail_log(ones, rest, p, d):
+    """log P(S > d) for S = ones + Binomial(rest, p), by lgamma sums; -inf if S > d is impossible."""
+    j0 = max(0, d + 1 - ones)
+    if j0 > rest:
+        return -math.inf
+    j = np.arange(j0, rest + 1, dtype=np.float64)
+    lgamma = np.vectorize(math.lgamma)
+    logs = (math.lgamma(rest + 1.0) - lgamma(j + 1.0) - lgamma(rest - j + 1.0)
+            + j * math.log(p) + (rest - j) * math.log1p(-p))
+    top = float(logs.max())
+    return top + math.log(math.fsum(np.exp(logs - top).tolist()))
+
+
+@pytest.mark.parametrize("p, length, ones_every", [
+    (0.0, 5000, 0),      # mu = 0: every segment is the identity
+    (1e-303, 1000, 0),   # mu near 1e-300 for the whole row
+    (5e-324, 300, 0),    # the smallest subnormal
+    (1e-12, 4096, 0),
+    (0.003, 5000, 0),
+    (0.3, 5000, 0),
+    (0.01, 3000, 5),     # every 5th entry is p = 1
+    (0.1, 5000, 4),
+    (0.5, 700, 1),       # every entry is p = 1: mu = length, nothing is cut
+])
+def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
+    """Every node's cap D leaves at most 2^-1074 above it: the exact tail
+    P(S > D) of the node's segment, a shifted binomial summed in log by
+    lgamma, is at most 2^-1074.  D is also within one of the least degree
+    whose Chernoff bound is at most e^-745, so the caps do cut."""
+    row = np.full(length, p)
+    if ones_every:
+        row[::ones_every] = 1.0
+    caps = exact._degree_caps(row)
+    cut = 0
+    for (start, size), d in caps.items():
+        seg = row[start : start + size]
+        ones = int(np.count_nonzero(seg == 1.0))
+        rest = size - ones
+        assert 0 <= d <= size
+        if p > 0.0:
+            assert _mixed_binomial_tail_log(ones, rest, p, d) <= _LOG_SUBNORMAL
+        else:
+            assert d >= ones
+        mu = math.fsum(seg.tolist())
+        assert d <= _least_cap(mu, size) + 1
+        cut += d < size
+    assert (cut > 0) == (ones_every != 1)
+
+
+def _uncapped_coeffs(p):
+    """_product_coeffs without caps, padded to all n + 1 coefficients."""
+    out = np.zeros(len(p) + 1)
+    got = exact._merge(p, {})
+    out[: len(got)] = got
+    return out
+
+
+@pytest.mark.parametrize("n", [700, 2047, 4094])
+def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
+    """On rows whose merges are all direct convolutions, the caps move no
+    entry by more than 2n * 2^-1074, and no entry above that becomes 0.
+
+    The shorter products also round differently: np.convolve's dot
+    products sum in an order that depends on their lengths, which moves
+    entries by a few ulps (4.4e-16 relative at most on these rows).  That
+    share is allowed as 1e-14 of the entry.
+    """
+    rng = np.random.default_rng(n)
+    p = rng.uniform(0.0, 0.05, n)
+    p[::5] = 0.0
+    p[1::7] = 5e-324
+    p[2::11] = 1.0
+    capped = exact._product_coeffs(p)
+    assert len(capped) < n + 1
+    full = np.zeros(n + 1)
+    full[: len(capped)] = capped
+    uncapped = _uncapped_coeffs(p)
+    assert np.all(np.abs(full - uncapped) <= 2 * n * 5e-324 + 1e-14 * uncapped)
+    assert not np.any((full == 0.0) & (uncapped > 2 * n * 5e-324))
+
+
+def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
+    """A row with lambda near 10^5 followed by entries of 1e-12: every cap
+    holds under the Chernoff bound at the segment's exactly rounded mean.
+    A mean read as a difference of prefix sums is 0 for the light
+    segments, since 1e-12 is below half an ulp of 10^5, and a cap from it
+    would drop all their mass above 0."""
+    heavy, light = 200_000, 8192
+    row = np.concatenate([np.full(heavy, 0.5), np.full(light, 1e-12)])
+    prefix = np.concatenate([[0.0], np.cumsum(row)])
+    caps = exact._degree_caps(row)
+    light_nodes = 0
+    for (start, size), d in caps.items():
+        mu = math.fsum(row[start : start + size].tolist())
+        assert _chernoff_log(mu, d) <= -745.0 + 1e-9
+        if start >= heavy:
+            light_nodes += 1
+            assert prefix[start + size] - prefix[start] == 0.0
+            assert d >= 1
+    assert light_nodes > 0
+
+
+def _rfft_sizes(monkeypatch):
+    sizes = []
+    real = np.fft.rfft
+
+    def spy(a, n=None, *args, **kwargs):
+        sizes.append(len(a) if n is None else n)
+        return real(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3)])
+def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
+    """On a light row at n = 2^17 (lambda near 361 and 4900), no rfft is
+    longer than that of a product of two root-cap-length halves; the
+    segment length would ask for 2^18.  The lighter row runs no rfft at
+    all, the other some."""
+    n = 1 << 17
+    p = generate(ProfileFamily.index_power(c, a), n).probs
+    root = exact._degree_caps(p)[(0, n)]
+    sizes = _rfft_sizes(monkeypatch)
+    exact._product_coeffs(p)
+    assert max(sizes, default=0) <= 1 << (2 * root).bit_length() < n
+    assert bool(sizes) == (a < 0.5)
+
+
+def test_dc_matches_tree_in_log_on_a_light_row():
+    """index_power:0.5,0.5 at n = 5000: no entry whose tree value is above
+    1e-300 is -inf (uncapped, 213 were), and at least 4 times the 99
+    entries the uncapped engine got within 1e-9 of the tree in log are."""
+    prof = generate(ProfileFamily.index_power(0.5, 0.5), 5000)
+    dc = np.array(pmf_dc(prof).log_probs)
+    tree = np.array(pmf_tree(prof).log_probs)
+    assert not np.any(np.isneginf(dc) & (tree > math.log(1e-300)))
+    assert int(np.count_nonzero(np.abs(dc - tree) <= 1e-9)) >= 4 * 99
 
 
 def test_bruteforce_guard():
