@@ -34,6 +34,18 @@ the dp: those of `verify`, `verify_beta`, `verify_beta_cap`,
 2.2e-13 in log, toward the closed-form binomial, and no verdict, violation
 count or validity flag changed.
 
+Four digests were re-recorded on purpose when every node of `pmf_dc`'s
+merge tree kept only its coefficients up to a certified degree cap, so
+that the FFT merges stopped leaving noise in the tails: those of `pmf_dc`
+and `distance`, in both formats.  In `distance` (n = 20000) the TV
+distance moved by 3.8e-15 and the sup-CDF distance by 8.3e-17.  In
+`pmf_dc` (n = 4200) no entry whose product-tree value is above 1e-300 is
+-inf (591 were), and each is within 6.9e-13 in log of the tree, where
+the FFT noise had put some 642 away.  The largest move, 699 in log, is
+at k = 1: the noise read -44.36 where the tree reads -743.71 and the
+capped engine -743.75.  1254 entries that held noise now print -inf, the
+largest of them e^-743.64 (two subnormal units) in the tree.
+
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 runs the rfft merges at the top of the tree and has exact-zero
 probabilities in its profile, and `distance` at n = 20000 (lambda near
@@ -269,10 +281,10 @@ GOLDEN = {
         'stdout': 'b12288e94f78a132b06bbd19e966a193c19edbc3126baff903574730268f3461',
     },
     ('distance', 'json'): {
-        'stdout': '899d49b605b0cff3e7879873210c8b9b73dc2e50525cd8c251cb38fba035b86c',
+        'stdout': 'cd3f7f6d4c0d9a5c1f0c86b11d7001ad7efe0240b5e20fbc91b44a6ea2592df7',
     },
     ('distance', 'csv'): {
-        'stdout': '05452799bf3f873f1224590718d7d91f05114de46603e29a4aaa14ce28ef0111',
+        'stdout': 'ce43c3d63aceb28f70f3320bcc767f70996cbff83083e4825e3ee11ab4c78194',
     },
     ('distance_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -289,10 +301,10 @@ GOLDEN = {
         'stdout': 'eea657d490fb38d14bb2d3e707eedd242a3eaa2367f6ad469a5e5d0720826fbe',
     },
     ('pmf_dc', 'json'): {
-        'stdout': '58b96f9fdf45cfc372a4ff7aae031a631c2fc73fd3fab361973a95f4b7ca5127',
+        'stdout': '1a7972d08b01fde86b166327d7945ab800ae4ddf2ccceab52a79bb2df8ffbb3e',
     },
     ('pmf_dc', 'csv'): {
-        'stdout': 'efee457a769925239490696202b87a22286ef2482f08ec5c3c8d9c47ad1343e8',
+        'stdout': '3f6ebb7f4f3561aedf6814d161592aca3f0cb78c6df5759c052f94b8e8cbdb32',
     },
     ('pmf_dp_kmax', 'json'): {
         'stdout': 'b345d034567c0d7b9eaee46e3ddd420ebecb6ca8e0450ec7e41e9fc5f557b10f',
