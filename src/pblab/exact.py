@@ -320,23 +320,23 @@ def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], int]:
     return dict(zip(zip(s.tolist(), l.tolist()), (np.ceil(t).astype(np.int64) - 1).tolist()))
 
 
-def _join(halves: list, top: int) -> np.ndarray:
-    """Coefficients 0..top - 1 of the product of halves = [left, right].
+def _join(halves: list) -> np.ndarray:
+    """Product of halves = [left, right], two coefficient rows.
 
-    The sizes follow the halves' own lengths: a product shorter than
+    The sizes follow the rows' own lengths: a product shorter than
     _FFT_MIN is a direct convolution.  A longer one pops each half off the
     list to take its rfft spectrum, so the half is dropped as soon as its
     spectrum exists, and multiplies the spectra in place.
     """
     m = len(halves[0]) + len(halves[1]) - 1
     if m < _FFT_MIN:
-        return np.convolve(*halves)[:top]
+        return np.convolve(*halves)
     size = 1 << (m - 1).bit_length()
     spec = np.fft.rfft(halves.pop(0), size)
     spec_right = np.fft.rfft(halves.pop(), size)
     spec *= spec_right
     del spec_right
-    out = np.fft.irfft(spec, size)[:top]
+    out = np.fft.irfft(spec, size)[:m]
     # FFT round-off can produce tiny negatives where the true value is ~0.
     np.clip(out, 0.0, None, out=out)
     return out
@@ -362,7 +362,7 @@ def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None,
     half = n // 2
     halves = [_merge(p[:half], caps, start, leaves, base),
               _merge(p[half:], caps, start + half, leaves, base)]
-    return _join(halves, top)
+    return _join(halves)[:top]
 
 
 def _product_coeffs(p: np.ndarray) -> np.ndarray:
@@ -398,7 +398,7 @@ def _product_coeffs(p: np.ndarray) -> np.ndarray:
         # The right half first, while the worker computes the left half's segments.
         halves = [None, _merge(p[half:], caps, half)]
         halves[0] = _merge(p[:half], caps, 0, parts, base)
-        return _join(halves, caps.get((0, n), n) + 1)
+        return _join(halves)[: caps.get((0, n), n) + 1]
     finally:
         # Joins the worker; after a failure it starts no further segment.
         pool.shutdown(cancel_futures=True)

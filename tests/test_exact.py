@@ -400,14 +400,6 @@ def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
     assert (cut > 0) == (ones_every != 1)
 
 
-def _uncapped_coeffs(p):
-    """_product_coeffs without caps, padded to all n + 1 coefficients."""
-    out = np.zeros(len(p) + 1)
-    got = exact._merge(p, {})
-    out[: len(got)] = got
-    return out
-
-
 @pytest.mark.parametrize("n", [700, 2047, 4094])
 def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
     """On rows whose merges are all direct convolutions, the caps move no
@@ -424,10 +416,10 @@ def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
     p[1::7] = 5e-324
     p[2::11] = 1.0
     capped = exact._product_coeffs(p)
-    assert len(capped) < n + 1
+    uncapped = exact._merge(p, {})  # an empty table caps no node
+    assert len(capped) < len(uncapped) == n + 1
     full = np.zeros(n + 1)
     full[: len(capped)] = capped
-    uncapped = _uncapped_coeffs(p)
     assert np.all(np.abs(full - uncapped) <= 2 * n * 5e-324 + 1e-14 * uncapped)
     assert not np.any((full == 0.0) & (uncapped > 2 * n * 5e-324))
 
@@ -453,18 +445,6 @@ def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
     assert light_nodes > 0
 
 
-def _rfft_sizes(monkeypatch):
-    sizes = []
-    real = np.fft.rfft
-
-    def spy(a, n=None, *args, **kwargs):
-        sizes.append(len(a) if n is None else n)
-        return real(a, n, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    return sizes
-
-
 @pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3)])
 def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
     """On a light row at n = 2^17 (lambda near 361 and 4900), no rfft is
@@ -474,7 +454,14 @@ def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
     n = 1 << 17
     p = generate(ProfileFamily.index_power(c, a), n).probs
     root = exact._degree_caps(p)[(0, n)]
-    sizes = _rfft_sizes(monkeypatch)
+    sizes = []
+    real = np.fft.rfft
+
+    def spy(x, size=None, *args, **kwargs):
+        sizes.append(len(x) if size is None else size)
+        return real(x, size, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
     exact._product_coeffs(p)
     assert max(sizes, default=0) <= 1 << (2 * root).bit_length() < n
     assert bool(sizes) == (a < 0.5)
