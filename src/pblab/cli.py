@@ -80,7 +80,7 @@ class ExperimentConfig:
     kind: str | None = None
     beta_cap: float | None = None
     k_max: int | None = None
-    engine: str = "dp"
+    engine: str = "tree"
     precision: str = "float"
     seed: int = 0
     out: str | None = None
@@ -144,7 +144,7 @@ _OPTIONS = {
     "kind": (_str, "lambda|beta|poisson|poisson-limit:rate|normal"),
     "beta_cap": (_float, "cap for the beta-form envelope"),
     "k_max": (_int, "largest k to evaluate"),
-    "engine": (_choice(ENGINES), f"{'|'.join(ENGINES)}: the pmf engine (default dp)"),
+    "engine": (_choice(ENGINES), f"{'|'.join(ENGINES)}: the pmf engine (default tree)"),
     "precision": (_choice(PRECISIONS), f"{'|'.join(PRECISIONS)} (default float)"),
     "seed": (_int, "seed for sampled diagnostics"),
     "out": (_str, "output file (sweep: output directory)"),

@@ -32,7 +32,6 @@ from .exact import (
     Pmf,
     SymmetricSums,
     elementary_symmetric,
-    pmf_dp,
     pmf_inclusion_exclusion,
     pmf_tree,
 )
@@ -407,7 +406,7 @@ def ratio_report(
         raise ValidationError(f"k_max={k_max} outside 0..{model.n}")
     sums = s_tilde(model, model.n, high_precision)
     dep = tuple(pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1))
-    ind = tuple(math.exp(lp) for lp in pmf_dp(indep, k_max).log_probs.tolist())
+    ind = tuple(math.exp(lp) for lp in pmf_tree(indep, k_max).log_probs.tolist())
     return RatioReport(dep, ind)
 
 

@@ -27,7 +27,8 @@ of the full run.
   per k), with a conditioning contract and an exact-rational mode.
 
 Plus the k-fold symmetric sums, the log zero-probability, a truncated
-Poisson reference, and the sup-of-CDF and total-variation distances to it.
+Poisson reference, and poisson_distances, which gives the sup-of-CDF and
+total-variation distances to it from one tabulation.
 """
 
 from __future__ import annotations
@@ -706,17 +707,10 @@ def _against_poisson(pmf: Pmf, ref: PoissonRef) -> tuple[np.ndarray, np.ndarray,
 
 
 def poisson_distances(pmf: Pmf, ref: PoissonRef) -> tuple[float, float]:
-    """(sup_cdf_distance, tv_distance) of pmf from ref, off one _against_poisson tabulation."""
+    """(sup_cdf, tv) of pmf from ref, off one _against_poisson tabulation.
+
+    sup_cdf = sup_k |CDF(pmf)(k) - CDF(ref)(k)|; tv = (1/2) sum_k |pmf(k) - ref(k)|.
+    """
     own, own_cdf, terms = _against_poisson(pmf, ref)
     sup_cdf = float(np.max(np.abs(own_cdf - np.cumsum(terms))))
     return sup_cdf, 0.5 * float(np.abs(own - terms).sum())
-
-
-def sup_cdf_distance(pmf: Pmf, ref: PoissonRef) -> float:
-    """sup over k >= 0 of |CDF(pmf)(k) - CDF(ref)(k)|, on _against_poisson's window."""
-    return poisson_distances(pmf, ref)[0]
-
-
-def tv_distance(pmf: Pmf, ref: PoissonRef) -> float:
-    """Total-variation distance (1/2) sum over k of |pmf(k) - ref(k)|, on _against_poisson's window."""
-    return poisson_distances(pmf, ref)[1]

@@ -1,14 +1,17 @@
 """Approximants, envelopes, sandwich verification, distances, normal ratios."""
 
+import ast
 import dataclasses
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pblab import asymptotics, dependent, exact
+from pblab import asymptotics, cli, dependent, exact
 from pblab.asymptotics import (
     ApproxKind,
     DistanceReport,
@@ -318,13 +321,12 @@ def test_a_rail_the_ratio_attains_is_not_breached_by_rounding():
     assert report.violations == 0
 
 
-def test_production_paths_do_not_call_the_dp_oracle(monkeypatch):
+def test_production_paths_do_not_call_the_dp_oracle(monkeypatch, tmp_path, capsys):
     def no_dp(*args, **kwargs):
         raise AssertionError("pmf_dp ran on a production path")
 
-    monkeypatch.setattr(exact, "pmf_dp", no_dp)
-    monkeypatch.setattr(asymptotics, "pmf_dp", no_dp, raising=False)
-    monkeypatch.setattr(dependent, "pmf_dp", no_dp)
+    for module in (exact, asymptotics, dependent, cli):
+        monkeypatch.setattr(module, "pmf_dp", no_dp, raising=False)
     prof = BernoulliProfile(tuple((i % 5 + 1) / 20 for i in range(60)))
     w = GrowthWindow.constant(9.0)
     for kind in (ApproxKind.lambda_form(), ApproxKind.beta_form(), ApproxKind.poisson_form()):
@@ -334,6 +336,25 @@ def test_production_paths_do_not_call_the_dp_oracle(monkeypatch):
     assert mmm_residual(prof, 9, 1.0)[2]
     model = MixtureModel(0.3, prof, BernoulliProfile(tuple(reversed(prof.probs.tolist()))))
     assert model.closed_form_pmf().total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert ratio_report(model, prof, 6).max_abs_dev < 1.0
+    # pmf without --engine, and the dependent command, run end to end.
+    assert cli.main(["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"] == "product_tree"
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"kind": "mixture", "eps": 0.3, "p": [0.2, 0.3, 0.1],
+                                "q": [0.4, 0.35, 0.5]}))
+    assert cli.main(["dependent", "--model", str(spec), "--k-max", "3"]) == 0
+
+
+def test_only_the_cli_engine_table_and_the_package_import_the_dp_oracle():
+    """pmf_dp is an oracle: no other module of the package imports it."""
+    package = pathlib.Path(asymptotics.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "pmf_dp" for a in node.names):
+                importers.add(path.name)
+    assert importers == {"cli.py", "__init__.py"}
 
 
 @pytest.mark.parametrize(

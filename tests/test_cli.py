@@ -51,7 +51,7 @@ def test_pmf_json_worked_example(tmp_path, capsys):
     assert code == 0
     assert err == ""
     obj = json.loads(out)
-    assert obj["provenance"] == "dp"
+    assert obj["provenance"] == "product_tree"
     assert obj["n"] == 3
     assert obj["support_max"] == 3
     assert obj["summary"]["lambda_n"] == pytest.approx(0.6, rel=1e-15)
@@ -891,7 +891,7 @@ _SWEEP = ["sweep", "--family", "constant_total:2", "--grid", "100,200"]
     (["verify", "--profile", "{p}", "--kind", "lambda", "--phi", "constant:4"], {"n": 99},
      "--n applies to --family only, not to --profile"),
     (["pmf", "--profile", "{p}"], {"precision": "rational"},
-     "--precision rational applies to --engine ie only, not dp"),
+     "--precision rational applies to --engine ie only, not tree"),
     (_SWEEP, {"phi": "power:1,0.5", "beta_cap": 0.3}, "sweep reads --phi only with --kind"),
     (_SWEEP, {"beta_cap": 0.3}, "sweep reads --beta-cap only with --kind"),
 ], ids=["pmf_n", "verify_n", "pmf_precision", "sweep_phi", "sweep_beta_cap"])

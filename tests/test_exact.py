@@ -30,8 +30,6 @@ from pblab.exact import (
     pmf_tree,
     poisson_distances,
     prob_zero_log,
-    sup_cdf_distance,
-    tv_distance,
 )
 from pblab.profiles import BernoulliProfile, ProfileFamily, generate
 
@@ -813,12 +811,11 @@ def test_dc_traced_peak_stays_below_three_and_a_half_rows():
 
 
 def test_poisson_distances_tabulate_once_for_both():
-    """poisson_distances gives each public distance's value bit for bit, from one window."""
+    """poisson_distances gives both distances' direct formulas bit for bit, from one window."""
     prof = BernoulliProfile(tuple((i % 4 + 1) / 40 for i in range(3000)))
     pmf = pmf_dc(prof)
     ref = PoissonRef(prof.summary.lambda_n)
     sup_cdf, tv = poisson_distances(pmf, ref)
-    assert (sup_cdf, tv) == (sup_cdf_distance(pmf, ref), tv_distance(pmf, ref))
     k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
     own = np.pad(pmf.probs(), (0, k_hi - pmf.support_max))
     terms = ref.pmf_points(k_hi)
@@ -831,7 +828,7 @@ def test_sup_cdf_distance_two_term_example():
     and the whole distance sits at k=1 where the pmf has ended but the
     Poisson still carries tail mass: D = 1 - (1/2)(1 + ln 2)."""
     pmf = pmf_dp(BernoulliProfile((0.5,)))
-    dist = sup_cdf_distance(pmf, PoissonRef(math.log(2.0)))
+    dist = poisson_distances(pmf, PoissonRef(math.log(2.0)))[0]
     assert dist == pytest.approx(1.0 - 0.5 * (1.0 + math.log(2.0)), rel=1e-12)
 
 
@@ -843,23 +840,20 @@ def test_tv_distance_single_entry_oracle():
     po1 = lam * math.exp(-lam)
     # mass beyond k=1 is 1 - po0 - po1, all of it excess over the pmf
     expected = 0.5 * (abs(0.5 - po0) + abs(0.5 - po1) + (1.0 - po0 - po1))
-    assert tv_distance(pmf, ref) == pytest.approx(expected, rel=1e-10)
+    assert poisson_distances(pmf, ref)[1] == pytest.approx(expected, rel=1e-10)
 
 
 def test_distances_reject_truncated_low_mass_pmf():
     head = pmf_dp(BernoulliProfile((0.5, 0.5)), k_max=0)  # mass 0.25 only
     ref = PoissonRef(1.0)
     with pytest.raises(ValidationError):
-        sup_cdf_distance(head, ref)
-    with pytest.raises(ValidationError):
-        tv_distance(head, ref)
+        poisson_distances(head, ref)
 
 
-def test_distances_accept_or_reject_a_truncated_pmf_alike():
-    """Both read the cumulative sum's last entry against 1 - 1e-12.
+def test_poisson_distances_accept_or_reject_a_truncated_pmf_on_the_mass_cap():
+    """A truncated pmf is accepted exactly when its cumulative mass reaches 1 - 1e-12.
 
-    numpy's pairwise sum and the cumulative sum round twelve entries
-    differently, so a check on each would split rows this close to the cap.
+    The rows sit within rounding of the cap, so both outcomes occur.
     """
     rng = np.random.default_rng(0)
     ref = PoissonRef(1.0)
@@ -867,15 +861,14 @@ def test_distances_accept_or_reject_a_truncated_pmf_alike():
     for _ in range(40):
         x = rng.uniform(0.01, 1.0, 12)
         pmf = Pmf(np.log(x / x.sum() * (1.0 - 1e-12)), 20, "dp")
-        accepted = []
-        for distance in (sup_cdf_distance, tv_distance):
-            try:
-                distance(pmf, ref)
-                accepted.append(True)
-            except ValidationError:
-                accepted.append(False)
-        assert accepted[0] == accepted[1]
-        outcomes.add(accepted[0])
+        reaches = float(np.cumsum(pmf.probs())[-1]) >= 1.0 - 1e-12
+        try:
+            poisson_distances(pmf, ref)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == reaches
+        outcomes.add(accepted)
     assert outcomes == {True, False}
 
 
@@ -886,7 +879,8 @@ def test_tv_dominates_sup_cdf():
     pmf = pmf_dc(prof)
     lam = sum(prof.probs)
     ref = PoissonRef(lam)
-    assert sup_cdf_distance(pmf, ref) <= tv_distance(pmf, ref) + 1e-15
+    sup_cdf, tv = poisson_distances(pmf, ref)
+    assert sup_cdf <= tv + 1e-15
 
 
 # ----------------------------------------------------------------------

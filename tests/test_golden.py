@@ -116,9 +116,9 @@ ZERO_ROW = (0.2, 0.3, 0.0)
 # {model200}, {out}, {outfile} and {config} are filled in.
 CASES = {
     "pmf_dc": ["pmf", "--profile", "{profile}", "--engine", "dc"],
-    "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
-    "pmf_tree": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40",
-                 "--engine", "tree"],
+    "pmf_dp_kmax": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40",
+                    "--engine", "dp"],
+    "pmf_tree": ["pmf", "--family", "index_power:0.5,0.5", "--n", "300", "--k-max", "40"],
     "approx": ["approx", "--family", "row_power:1,0.75", "--n", "200", "--kind", "poisson",
                "--k-max", "12"],
     "verify": ["verify", "--family", "row_power:1,0.75", "--n", "2000", "--kind", "poisson",
