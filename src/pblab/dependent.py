@@ -31,6 +31,7 @@ from .errors import SizeError, ValidationError
 from .exact import (
     Pmf,
     SymmetricSums,
+    _check_k_max,
     elementary_symmetric,
     pmf_inclusion_exclusion,
     pmf_tree,
@@ -336,8 +337,7 @@ def s_tilde(
     high-precision mode either route gives exact rationals over the binary
     float joints, and the float column is their correctly rounded image.
     """
-    if not 0 <= k_max <= model.n:
-        raise ValidationError(f"k_max={k_max} outside 0..{model.n}")
+    k_max = _check_k_max(k_max, model.n)
     vals = model.fast_sums(k_max, high_precision)
     if vals is None:
         _guard_generic(model.n)
@@ -402,8 +402,7 @@ def ratio_report(
         raise ValidationError(
             f"comparison row has n={indep.n}, model has n={model.n}"
         )
-    if not 0 <= k_max <= model.n:
-        raise ValidationError(f"k_max={k_max} outside 0..{model.n}")
+    k_max = _check_k_max(k_max, model.n)
     sums = s_tilde(model, model.n, high_precision)
     dep = tuple(pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1))
     ind = tuple(math.exp(lp) for lp in pmf_tree(indep, k_max).log_probs.tolist())
@@ -592,12 +591,27 @@ _MODEL_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    # A JSON true is a Python int, and a JSON string is not a number.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(data: dict, key: str) -> None:
+    row = data[key]
+    if not isinstance(row, list):
+        raise ValidationError(f"model key {key!r} must be a list of numbers, got {row!r}")
+    bad = next((i for i, v in enumerate(row) if not _is_number(v)), None)
+    if bad is not None:
+        raise ValidationError(f"model key {key!r} entry {bad} must be a number, got {row[bad]!r}")
+
+
 def model_from_dict(data: dict) -> DependentModel:
     """Build a model from its JSON form.
 
     {"kind": "mixture", "eps": e, "p": [...], "q": [...]} or
     {"kind": "product", "p": [...]}.  Unknown kinds and stray keys are
-    rejected so a typo cannot silently change the model.
+    rejected so a typo cannot silently change the model, and so is any
+    eps or p/q entry that is not a JSON number (true, "0.5", null).
     """
     if not isinstance(data, dict):
         raise ValidationError("model spec must be a JSON object")
@@ -610,6 +624,10 @@ def model_from_dict(data: dict) -> DependentModel:
     missing = _MODEL_KEYS[kind] - set(data)
     if missing:
         raise ValidationError(f"model spec missing keys {sorted(missing)}")
+    if kind == "mixture" and not _is_number(data["eps"]):
+        raise ValidationError(f"model key 'eps' must be a number, got {data['eps']!r}")
+    for key in sorted(_MODEL_KEYS[kind] - {"kind", "eps"}):
+        _check_numbers(data, key)
     if kind == "product":
         return ProductModel(BernoulliProfile(data["p"]))
     return MixtureModel(
