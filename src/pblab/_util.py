@@ -25,6 +25,12 @@ def log_factorial(k: int) -> float:
     return math.lgamma(k + 1.0)
 
 
+def spec_number(x: float) -> str:
+    """x as a spec-string token: its %g form when that reads back as x, else repr."""
+    token = format(x, "g")
+    return token if float(token) == x else repr(float(x))
+
+
 def neumaier_sum(terms) -> tuple[float, float]:
     """Compensated sum of an iterable of floats.
 

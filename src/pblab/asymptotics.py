@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._util import log_factorial
+from ._util import log_factorial, spec_number
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
@@ -86,7 +86,7 @@ class ApproxKind:
 
     def spec_string(self) -> str:
         if self.tag == "poisson_limit":
-            return f"poisson_limit:{self.lam:g}"
+            return f"poisson_limit:{spec_number(self.lam)}"
         return self.tag
 
 
@@ -256,6 +256,14 @@ def _sandwich_rails(tag: str, summary: ProfileSummary, cap: float | None):
     return functools.partial(poisson_form_bracket, summary)
 
 
+def check_sandwich_kind(tag: str, beta_cap: float | None) -> None:
+    """The checks of verify_sandwich that need no row: a sandwich kind, and a cap for beta only."""
+    if tag not in _SANDWICH_TAGS:
+        raise ValidationError(f"sandwich verification applies to {_SANDWICH_TAGS}, not {tag!r}")
+    if beta_cap is not None and tag != "beta_form":
+        raise ValidationError(f"beta_cap applies to beta_form only, not {tag}")
+
+
 def verify_sandwich(
     profile: BernoulliProfile,
     kind: ApproxKind,
@@ -279,18 +287,13 @@ def verify_sandwich(
     k = 1 under the lambda form: ratio 1/(1-p) = 1 + eps2) is decided by
     the last bits of the exact value; hence the default 1e-9.
     """
-    if kind.tag not in _SANDWICH_TAGS:
-        raise ValidationError(
-            f"sandwich verification applies to {_SANDWICH_TAGS}, not {kind.tag!r}"
-        )
+    check_sandwich_kind(kind.tag, beta_cap)
     summary = profile.summary
     if summary.lambda_n <= 0.0:
         raise HypothesisError("sandwich verification needs lambda_n > 0")
     cap: float | None = None
     if kind.tag == "beta_form":
         cap = float(beta_cap) if beta_cap is not None else (summary.m_n + 1.0) / 2.0
-    elif beta_cap is not None:
-        raise ValidationError(f"beta_cap applies to beta_form only, not {kind.tag}")
     rails = _sandwich_rails(kind.tag, summary, cap)
     rails(0)  # a cap below m_n, or m_n >= 1/2, raises here rather than after the engine
     n = profile.n

@@ -32,6 +32,7 @@ from ._util import read_json
 from .asymptotics import (
     ApproxKind,
     approx_pmf,
+    check_sandwich_kind,
     dehpfeif_report,
     verify_sandwich,
 )
@@ -269,7 +270,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.phi is not None:
         parse_window(cfg.phi)
     if cfg.kind is not None:
-        parse_kind(cfg.kind)
+        kind = parse_kind(cfg.kind)
+        if cfg.command in ("verify", "sweep"):
+            check_sandwich_kind(kind.tag, cfg.beta_cap)
     if cfg.grid is not None:
         check_grid(cfg.grid)
     # Options that only some combinations read; anywhere else they exit 2.

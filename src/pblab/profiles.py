@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._util import frozen_row
+from ._util import frozen_row, spec_number
 from .errors import HypothesisError, ValidationError
 
 FAMILY_KINDS = ("constant_total", "constant_p", "row_power", "index_power")
@@ -198,7 +198,7 @@ class ProfileFamily:
         return cls("index_power", (c, a))
 
     def spec_string(self) -> str:
-        inner = ",".join(format(x, "g") for x in self.params)
+        inner = ",".join(map(spec_number, self.params))
         return f"{self.kind}:{inner}"
 
 
@@ -352,8 +352,8 @@ class GrowthWindow:
 
     def spec_string(self) -> str:
         if self.kind == "constant":
-            return f"constant:{self.c:g}"
-        return f"{self.kind}:{self.c:g},{self.a:g}"
+            return f"constant:{spec_number(self.c)}"
+        return f"{self.kind}:{spec_number(self.c)},{spec_number(self.a)}"
 
 
 @dataclass(frozen=True)

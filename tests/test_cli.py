@@ -423,21 +423,33 @@ def test_dependent_rejects_runaway_sample_budget(tmp_path, capsys):
     assert json.loads(err)["error"] == "SizeError"
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "product", "p": ["a"]},
-    {"kind": "product", "p": 0.5},
-    {"kind": "product", "p": [[0.1, 0.2]]},
-    {"kind": "product", "p": [None]},
-    {"kind": "mixture", "eps": "x", "p": [0.1], "q": [0.2]},
-    {"kind": "mixture", "eps": None, "p": [0.1], "q": [0.2]},
-], ids=["p_string", "p_scalar", "p_2d", "p_null", "eps_string", "eps_null"])
-def test_dependent_rejects_malformed_model_values(tmp_path, capsys, spec):
+_MIX = {"kind": "mixture", "eps": 0.5, "p": [0.1, 0.2, 0.3], "q": [0.2, 0.3, 0.4]}
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "product", "p": ["a"]}, "p"),
+    ({"kind": "product", "p": 0.5}, "p"),
+    ({"kind": "product", "p": [[0.1, 0.2]]}, "p"),
+    ({"kind": "product", "p": [None]}, "p"),
+    ({"kind": "mixture", "eps": "x", "p": [0.1], "q": [0.2]}, "eps"),
+    ({"kind": "mixture", "eps": None, "p": [0.1], "q": [0.2]}, "eps"),
+    # JSON booleans and numeric strings are not numbers, though numpy would read them.
+    ({**_MIX, "eps": True}, "eps"),
+    ({**_MIX, "p": [False, 0.2, 0.3]}, "p"),
+    ({**_MIX, "eps": "0.5"}, "eps"),
+    ({**_MIX, "p": [0.1, "0.2", 0.3]}, "p"),
+    ({**_MIX, "q": [0.2, 0.3, True]}, "q"),
+], ids=["p_string", "p_scalar", "p_2d", "p_null", "eps_string", "eps_null",
+        "eps_true", "p_false", "eps_numeric_string", "p_numeric_string", "q_true"])
+def test_dependent_rejects_malformed_model_values(tmp_path, capsys, spec, key):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
     code, out, err = run_cli(["dependent", "--model", str(path)], capsys)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "ValidationError"
+    report = json.loads(err)
+    assert report["error"] == "ValidationError"
+    assert report["message"].startswith(f"model key {key!r} ")
 
 
 def test_dependent_rejects_bad_model_file(tmp_path, capsys):
@@ -561,6 +573,25 @@ def test_sweep_beta_kind_needs_explicit_cap(capsys):
     )
     assert code == 2
     assert "beta-cap" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("extra, message", [
+    (["--kind", "normal"], "sandwich verification applies to "
+                           "('lambda_form', 'beta_form', 'poisson_form'), not 'normal_local'"),
+    (["--kind", "lambda", "--beta-cap", "0.9"], "beta_cap applies to beta_form only, not lambda_form"),
+], ids=["normal", "lambda_beta_cap"])
+def test_sandwich_kind_is_checked_before_any_row_is_built(command, extra, message, monkeypatch,
+                                                           capsys):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "generate", no_row)
+    size = ["--n", "20000000"] if command == "verify" else ["--grid", "10000000,20000000"]
+    argv = [command, "--family", "constant_total:2", *size, "--phi", "constant:4", *extra]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
 
 
 # ------------------------------------------------- config files and overrides
@@ -969,6 +1000,37 @@ def test_grid_rule_messages(command, grid, message, capsys):
 
 
 # ------------------------------------------- engines, families, windows, NaN
+
+_SPEC_VALUES = (0.5, 2.0, 1.23456789, 0.654321987, 1.000001234, 0.333333333, 2.123456789,
+                0.1, 1e-300, 1.5e20, 1234567.0)
+
+
+@pytest.mark.parametrize("x", _SPEC_VALUES)
+def test_spec_strings_parse_back_to_their_parameters(x):
+    """A spec string keeps %g where that reads back exactly, and every digit otherwise."""
+    family = cli.parse_family(f"row_power:{x!r},{x!r}")
+    assert cli.parse_family(family.spec_string()) == family
+    for window in (cli.parse_window(f"power:{x!r},{x!r}"), cli.parse_window(f"constant:{x!r}")):
+        assert cli.parse_window(window.spec_string()) == window
+    kind = cli.parse_kind(f"poisson-limit:{x!r}")
+    assert float(kind.spec_string().partition(":")[2]) == kind.lam == x
+    if float(format(x, "g")) == x:
+        assert family.spec_string() == f"row_power:{x:g},{x:g}"
+
+
+def test_reports_print_spec_strings_with_every_digit(capsys):
+    argv = ["conditions", "--family", "row_power:1.23456789,0.654321987", "--grid", "10,20",
+            "--phi", "power:1.000001234,0.333333333"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["family"] == "row_power:1.23456789,0.654321987"
+    assert obj["window"] == "power:1.000001234,0.333333333"
+    argv = ["approx", "--family", "constant_total:2", "--n", "10",
+            "--kind", "poisson-limit:2.123456789"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["kind"] == "poisson_limit:2.123456789"
 
 def test_pmf_calls_the_engine_bound_in_cli_at_call_time(monkeypatch, capsys):
     """pmf looks its engine up per call, so a rebound cli.pmf_dc is the one run."""
