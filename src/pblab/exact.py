@@ -17,11 +17,8 @@ of the full run.
   cap D: with mu the sum of the node's p, the Chernoff bound
   P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) is at most e^-745, below the
   smallest subnormal 2^-1074, so the caps move no entry by more than
-  2n * 2^-1074.  Products and FFT sizes follow the capped lengths.  A row
-  longer than _SPLIT computes the two halves of its root on two threads,
-  with the same bits as on one: the tree and its caps are fixed by the
-  row, the worker's segments take their caps from the same table, and
-  each array is made and read by one thread until it is handed over whole.
+  2n * 2^-1074.  Products and FFT sizes follow the capped lengths.  It
+  runs on the calling thread, as every engine here does.
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
   per k), with a conditioning contract and an exact-rational mode.
@@ -58,14 +55,6 @@ _DC_BASE = 64
 _FFT_MIN = 4096
 # Leaves are expanded one batch per subtree of at most this many entries.
 _SUBTREE = 1 << 14
-# A longer row computes the two halves of its root on two threads.  Up to 2^16
-# the thread costs more than it saves (n = 3e4: 34 ms on two threads, 25 ms on
-# one); at 2^17 it saves a quarter (168 against 220 ms; 2-core host, in process).
-_SPLIT = 1 << 16
-# The worker thread computes the left half as segments of at most 1/_PARTS of
-# the row, so the large arrays of the merges near the root all belong to the
-# calling thread.
-_PARTS = 16
 # Every node of pmf_dc's tree keeps its coefficients up to a degree D whose
 # Chernoff tail bound is at most e^-_CAP_LOG: below 2^-1074 = e^-744.44, the
 # smallest subnormal, with room for the rounding of the bound itself.
@@ -229,17 +218,17 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     return _finish_log(log_f, profile.n, "product_tree", k_max)
 
 
-def _leaf_sizes(n: int, base: int = _DC_BASE) -> list[int]:
-    """Lengths of the segments of at most base entries that the tree stops at, left to right.
+def _leaf_sizes(n: int) -> list[int]:
+    """Lengths of the leaves of the tree over n entries, left to right.
 
-    A segment longer than base splits at half its length (the left half
+    A segment longer than _DC_BASE splits at half its length (the left half
     takes the floor), so the tree depends on n alone; _merge walks the
     same tree.
     """
-    if n <= base:
+    if n <= _DC_BASE:
         return [n]
     half = n // 2
-    return _leaf_sizes(half, base) + _leaf_sizes(n - half, base)
+    return _leaf_sizes(half) + _leaf_sizes(n - half)
 
 
 def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
@@ -343,66 +332,34 @@ def _join(halves: list) -> np.ndarray:
     return out
 
 
-def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None,
-           base: int = _DC_BASE) -> np.ndarray:
+def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None) -> np.ndarray:
     """Coefficients 0..D of the product of (1 - p_i) + p_i z over the segment p.
 
     p starts at entry start of the row whose _degree_caps are caps, and D
     is the segment's cap (its length where it has none).  Walks the tree of
-    _leaf_sizes(len(p), base).  leaves is an iterator over the products of
-    that tree's leaves in order, and each call consumes exactly the leaves
-    under its segment.  Without one, a segment of at most _SUBTREE entries
-    expands its own leaves in one _leaf_coeffs batch.
+    _leaf_sizes(len(p)).  The first segment of at most _SUBTREE entries on
+    the way down expands its leaves in one _leaf_coeffs batch, and leaves
+    iterates over them in order; each call below it consumes exactly the
+    leaves under its segment.
     """
     n = len(p)
     top = caps.get((start, n), n) + 1
     if leaves is None and n <= _SUBTREE:
         leaves = iter(_leaf_coeffs(p, _leaf_sizes(n)))
-    if n <= base:
+    if n <= _DC_BASE:
         return next(leaves)[:top]
     half = n // 2
-    halves = [_merge(p[:half], caps, start, leaves, base),
-              _merge(p[half:], caps, start + half, leaves, base)]
+    halves = [_merge(p[:half], caps, start, leaves),
+              _merge(p[half:], caps, start + half, leaves)]
     return _join(halves)[:top]
 
 
 def _product_coeffs(p: np.ndarray) -> np.ndarray:
     """Coefficients 0..D of the product of (1 - p_i) + p_i z over the whole profile.
 
-    D is the root's cap from _degree_caps (n where it has none).  A row
-    longer than _SPLIT computes the two halves of its root on two threads;
-    np.convolve and numpy's FFT release the GIL while they work.  A worker
-    thread computes the left half as segments of at most 1/_PARTS of the
-    row, one after another, while this thread computes the right half;
-    this thread then merges the segments up the left half and joins the
-    two halves.  Every segment is a node of the one tree and takes its cap
-    from the same dict, so the bits do not depend on the split.  Each
-    thread allocates from its own malloc arena; a worker that merged the
-    whole left half itself would hold large freed arrays in its arena, and
-    the peak RSS of `distance` at n = 10^6 then varied by up to 10 MB from
-    run to run.
+    D is the root's cap from _degree_caps (n where it has none).
     """
-    n = len(p)
-    caps = _degree_caps(p)
-    if n <= _SPLIT:
-        return _merge(p, caps)
-    # Imported here, so that a run whose rows never pass _SPLIT does not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    half, base = n // 2, -(-n // _PARTS)
-    ends = np.cumsum(_leaf_sizes(half, base)).tolist()
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        jobs = [pool.submit(_merge, p[a:b], caps, a) for a, b in zip([0, *ends], ends)]
-        # Each future is dropped once read, so the merge above it owns its segment.
-        parts = (jobs.pop(0).result() for _ in range(len(jobs)))
-        # The right half first, while the worker computes the left half's segments.
-        halves = [None, _merge(p[half:], caps, half)]
-        halves[0] = _merge(p[:half], caps, 0, parts, base)
-        return _join(halves)[: caps.get((0, n), n) + 1]
-    finally:
-        # Joins the worker; after a failure it starts no further segment.
-        pool.shutdown(cancel_futures=True)
+    return _merge(p, _degree_caps(p))
 
 
 def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
@@ -430,12 +387,8 @@ def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     no FFT of the row's length, and the FFT noise that products of that
     length left in the tails is gone.
 
-    A row longer than _SPLIT computes the two halves of its root at once
-    (see _product_coeffs).  The bits are those of a one-thread run: every
-    merge is the same call on the same inputs with the same cap, since the
-    tree and its caps are fixed by the row, and each array is made and
-    read by one thread until it is handed over whole.  The whole product is
-    computed, and k_max keeps its prefix.
+    The whole product is computed on the calling thread, and k_max keeps
+    its prefix.
     """
     k_max = _check_k_max(k_max, profile.n)
     coeffs = _product_coeffs(profile.probs)

@@ -314,9 +314,9 @@ def test_dc_batched_leaves_bit_identical_to_recursive(n):
 
     Covers a lone short leaf, uneven leaves and odd splits, output lengths
     on both sides of the FFT merge threshold, and rows on both sides of
-    the per-subtree leaf batches and the two-thread root split; every 7th
-    entry is an exact zero.  The reference applies the caps of
-    _degree_caps at every node, as the engine does.
+    the per-subtree leaf batches; every 7th entry is an exact zero.  The
+    reference applies the caps of _degree_caps at every node, as the
+    engine does.
     """
     p = _split_row(n)
     expected = _dc_coeffs_reference(p, exact._degree_caps(p))
@@ -761,39 +761,15 @@ def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
         assert ref.cdf_points(k_hi).tobytes() == expected_cdf.tobytes()
 
 
-def test_dc_worker_failure_is_raised_and_its_thread_joined(monkeypatch):
-    """A leaf expansion that fails on the worker thread (the left half) fails
-    pmf_dc, within a time bound and without a leftover thread."""
-    real = exact._leaf_coeffs
-    prof = BernoulliProfile(_split_row(70001))
-    raised = []
+def test_dc_starts_no_thread(monkeypatch):
+    """pmf_dc and _product_coeffs run on the calling thread, past 2^16 entries too."""
 
-    def fail_off_caller(p, sizes):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("left half failed")
-        return real(p, sizes)
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
 
-    def call():
-        try:
-            pmf_dc(prof)
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    monkeypatch.setattr(exact, "_leaf_coeffs", fail_off_caller)
-    before = threading.active_count()
-    caller = threading.Thread(target=call)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive()
-    assert [str(exc) for exc in raised] == ["left half failed"]
-    assert threading.active_count() == before
-
-
-def test_dc_root_split_leaves_no_thread_behind():
-    prof = BernoulliProfile(_split_row(70001))
-    before = threading.active_count()
-    pmf_dc(prof)
-    assert threading.active_count() == before
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    pmf_dc(BernoulliProfile(_split_row(70001)))
+    exact._product_coeffs(_split_row(200003))
 
 
 def test_dc_traced_peak_stays_below_three_and_a_half_rows():
