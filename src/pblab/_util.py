@@ -66,11 +66,26 @@ def frozen_row(values, what: str) -> np.ndarray:
 
 
 def read_json(path: str, what: str):
-    """The JSON value in the file at path; a read or parse error names it."""
+    """The JSON value in the file at path.
+
+    A read, decode or parse error names the file, and so does a key
+    repeated in one object, which json would otherwise let the last value win.
+    """
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{path}: repeated key {key!r} in {what} file")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {what} file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc

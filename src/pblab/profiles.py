@@ -285,6 +285,8 @@ def load_profile(path: str) -> BernoulliProfile:
             lines = fh.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read profile file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: profile file is not UTF-8: {exc}") from exc
     # A generator, so no second list of the lines' text is held.
     texts = (t for t in map(str.strip, lines) if t and t[0] != "#")
     try:

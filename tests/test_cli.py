@@ -10,9 +10,11 @@ rather than as a silently changed report format.
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
+import pathlib
 import re
 
 import pytest
@@ -481,6 +483,38 @@ def test_unreadable_json_file_messages(what, argv, tmp_path, capsys):
         assert json.loads(err) == {"error": "ValidationError", "message": message}
 
 
+@pytest.mark.parametrize("argv, what, name", [
+    (["pmf", "--profile"], "profile", "probs.txt"),
+    (["dependent", "--model"], "model", "model.json"),
+    (["pmf", "--config"], "config", "config.json"),
+], ids=["profile", "model", "config"])
+def test_non_utf8_input_file_exits_2_naming_it(argv, what, name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"0.1\xff\n")
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"] == "ValidationError"
+    assert report["message"].startswith(f"{path}: {what} file is not UTF-8: ")
+
+
+@pytest.mark.parametrize("argv, what, text", [
+    (["dependent", "--model"], "model",
+     '{"kind": "product", "p": [0.1, 0.2], "p": [0.5, 0.6]}'),
+    (["pmf", "--config"], "config", '{"family": "constant_p:0.3", "n": 4, "n": 6}'),
+], ids=["model", "config"])
+def test_repeated_json_key_exits_2_naming_it(argv, what, text, tmp_path, capsys):
+    path = tmp_path / f"{what}.json"
+    path.write_text(text)
+    key = "p" if what == "model" else "n"
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"{path}: repeated key {key!r} in {what} file",
+    }
+
+
 # -------------------------------------------------------------- sweep command
 
 def test_sweep_writes_point_files_and_aggregate(tmp_path, capsys):
@@ -876,6 +910,23 @@ def test_help_lists_exactly_the_options_the_command_reads(command, capsys):
     assert main([command, "--help"]) == 0
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == {"--help", "--config", "--out", "--format", *map(flag, READS[command])}
+
+
+def test_readme_command_table_matches_the_option_table():
+    """README's `| command | reads (required in bold) |` table lists each
+    command's read options in _COMMANDS order, the required ones in bold."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | reads (required in bold) |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        command, reads = re.fullmatch(r"\| `([a-z]+)` \| (.*) \|", line).groups()
+        rows[command] = reads.split(", ")
+    assert rows == {
+        command: [f"**`{flag(name)}`**" if name in requires else f"`{flag(name)}`"
+                  for name in reads]
+        for command, (_, _, reads, requires) in cli._COMMANDS.items()
+    }
 
 
 @pytest.mark.parametrize("command,option,value", [
