@@ -636,5 +636,5 @@ def model_from_dict(data: dict) -> DependentModel:
 
 
 def load_model(path: str) -> DependentModel:
-    """Read a model spec JSON file; read_json refuses a key repeated in it."""
+    """Read a model spec JSON file."""
     return model_from_dict(read_json(path, "model"))

@@ -498,15 +498,14 @@ def test_non_utf8_input_file_exits_2_naming_it(argv, what, name, tmp_path, capsy
     assert report["message"].startswith(f"{path}: {what} file is not UTF-8: ")
 
 
-@pytest.mark.parametrize("argv, what, text", [
-    (["dependent", "--model"], "model",
+@pytest.mark.parametrize("argv, what, key, text", [
+    (["dependent", "--model"], "model", "p",
      '{"kind": "product", "p": [0.1, 0.2], "p": [0.5, 0.6]}'),
-    (["pmf", "--config"], "config", '{"family": "constant_p:0.3", "n": 4, "n": 6}'),
+    (["pmf", "--config"], "config", "n", '{"family": "constant_p:0.3", "n": 4, "n": 6}'),
 ], ids=["model", "config"])
-def test_repeated_json_key_exits_2_naming_it(argv, what, text, tmp_path, capsys):
+def test_repeated_json_key_exits_2_naming_it(argv, what, key, text, tmp_path, capsys):
     path = tmp_path / f"{what}.json"
     path.write_text(text)
-    key = "p" if what == "model" else "n"
     code, out, err = run_cli(argv + [str(path)], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {
