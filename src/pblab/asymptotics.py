@@ -40,19 +40,27 @@ from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
 
-APPROX_TAGS = ("lambda_form", "beta_form", "poisson_form", "poisson_limit", "normal_local")
+# CLI name -> tag: the one vocabulary ApproxKind, its parse and its usage text read.
+APPROX_NAMES = {"lambda": "lambda_form", "beta": "beta_form", "poisson": "poisson_form",
+                "poisson-limit": "poisson_limit", "normal": "normal_local"}
+APPROX_USAGE = "|".join(
+    f"{name}:rate" if tag == "poisson_limit" else name for name, tag in APPROX_NAMES.items()
+)
 _SANDWICH_TAGS = ("lambda_form", "beta_form", "poisson_form")
 
 
 @dataclass(frozen=True)
 class ApproxKind:
-    """A named approximant; poisson_limit carries its fixed rate."""
+    """A named approximant; poisson_limit carries its fixed rate.
+
+    parse reads a CLI name (`poisson-limit:2`), spec_string writes the tag (`poisson_limit:2`).
+    """
 
     tag: str
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in APPROX_TAGS:
+        if self.tag not in APPROX_NAMES.values():
             raise ValidationError(f"unknown approximation tag {self.tag!r}")
         if self.tag == "poisson_limit":
             if self.lam is None:
@@ -65,24 +73,21 @@ class ApproxKind:
             raise ValidationError(f"{self.tag} takes no rate parameter")
 
     @classmethod
-    def lambda_form(cls) -> "ApproxKind":
-        return cls("lambda_form")
-
-    @classmethod
-    def beta_form(cls) -> "ApproxKind":
-        return cls("beta_form")
-
-    @classmethod
-    def poisson_form(cls) -> "ApproxKind":
-        return cls("poisson_form")
-
-    @classmethod
-    def poisson_limit(cls, lam: float) -> "ApproxKind":
-        return cls("poisson_limit", lam)
-
-    @classmethod
-    def normal_local(cls) -> "ApproxKind":
-        return cls("normal_local")
+    def parse(cls, spec: str) -> "ApproxKind":
+        """The approximant a CLI name (APPROX_USAGE) names."""
+        name, sep, rest = spec.partition(":")
+        tag = APPROX_NAMES.get(name)
+        if tag == "poisson_limit":
+            try:
+                lam = float(rest)
+            except ValueError as exc:
+                raise ValidationError(f"poisson-limit needs a rate, got {spec!r}") from exc
+            return cls(tag, lam)
+        if tag is None and not rest:
+            raise ValidationError(f"unknown approximation kind {name!r}; use {APPROX_USAGE}")
+        if sep:  # a parameter, or an empty one, on a kind that takes none
+            raise ValidationError(f"approximation kind {spec!r} takes no parameter")
+        return cls(tag)
 
     def spec_string(self) -> str:
         if self.tag == "poisson_limit":
@@ -264,6 +269,12 @@ def check_sandwich_kind(tag: str, beta_cap: float | None) -> None:
         raise ValidationError(f"beta_cap applies to beta_form only, not {tag}")
 
 
+def check_margin(margin: float) -> None:
+    """The violation margin verify_sandwich reads must be >= 0 (written so NaN fails too)."""
+    if not margin >= 0.0:
+        raise ValidationError("margin must be >= 0")
+
+
 def verify_sandwich(
     profile: BernoulliProfile,
     kind: ApproxKind,
@@ -282,12 +293,14 @@ def verify_sandwich(
     should fix an explicit cap instead so the envelope means the same thing
     at every n.  The rails are evaluated once at k = 0 before the engine
     runs, so a cap below m_n, or a poisson form with m_n >= 1/2, fails at
-    once.  A ratio is a violation only past a rail by more than margin.
+    once.  A ratio is a violation only past a rail by more than margin,
+    which must be >= 0.
     With margin 0, a rail the ratio attains exactly (every flat row at
     k = 1 under the lambda form: ratio 1/(1-p) = 1 + eps2) is decided by
     the last bits of the exact value; hence the default 1e-9.
     """
     check_sandwich_kind(kind.tag, beta_cap)
+    check_margin(margin)
     summary = profile.summary
     if summary.lambda_n <= 0.0:
         raise HypothesisError("sandwich verification needs lambda_n > 0")
@@ -409,6 +422,6 @@ def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple
         raise ValidationError("k_values must lie in 0..n")
     pmf = pmf_tree(profile, max(ks))
     lps = pmf.log_probs.tolist()
-    kind = ApproxKind.normal_local()
+    kind = ApproxKind("normal_local")
     ratios = tuple(math.exp(lps[k] - approx_pmf(kind, summary, lps[0], k)) for k in ks)
     return pmf, ratios

@@ -9,7 +9,13 @@ the options it reads, plus --out, --format and --config, as flags or as
 config keys; flags win over the file, and a null config value counts as
 not given.  An option read only in some combinations (--n with --family,
 pmf's --precision rational with --engine ie, a sweep's --phi and
---beta-cap with --kind) exits 2 in any other.  Every run with the same
+--beta-cap with --kind) exits 2 in any other.
+
+`_validate_config` checks every value and every combination before any
+computation, with the library's own rules: the spec strings of --family,
+--phi and --kind go through ProfileFamily.parse, GrowthWindow.parse and
+ApproxKind.parse, and --margin, --threshold and --sample-budget through
+the checkers of the functions that read them.  Every run with the same
 effective config (seed included) emits byte identical output: floats are
 fixed at 17 significant digits and files are written atomically, so a
 failed run never leaves a partial file behind.
@@ -30,8 +36,10 @@ from dataclasses import dataclass, fields
 from . import emit
 from ._util import read_json
 from .asymptotics import (
+    APPROX_USAGE,
     ApproxKind,
     approx_pmf,
+    check_margin,
     check_sandwich_kind,
     dehpfeif_report,
     verify_sandwich,
@@ -46,12 +54,12 @@ from .dependent import (
 from .errors import PblabError, ValidationError
 from .exact import _check_k_max, pmf_bruteforce, pmf_dc, pmf_dp, pmf_ie, pmf_tree
 from .profiles import (
-    FAMILY_KINDS,
     BernoulliProfile,
     GrowthWindow,
     ProfileFamily,
     check_conditions,
     check_grid,
+    check_threshold,
     generate,
     load_profile,
 )
@@ -59,13 +67,6 @@ from .profiles import (
 ENGINES = ("dp", "tree", "dc", "brute", "ie")
 FORMATS = ("csv", "json")
 PRECISIONS = ("float", "rational")
-
-_KIND_NAMES = {
-    "lambda": "lambda_form",
-    "beta": "beta_form",
-    "poisson": "poisson_form",
-    "normal": "normal_local",
-}
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ _OPTIONS = {
     "n": (_int, "row size for family-based profiles"),
     "grid": (_grid, "comma list of n values, e.g. 100,1000 (a JSON list in a config file)"),
     "phi": (_str, "window spec, e.g. power:1,0.5"),
-    "kind": (_str, "lambda|beta|poisson|poisson-limit:rate|normal"),
+    "kind": (_str, APPROX_USAGE),
     "beta_cap": (_float, "cap for the beta-form envelope"),
     "k_max": (_int, "largest k to evaluate"),
     "engine": (_choice(ENGINES), f"{'|'.join(ENGINES)}: the pmf engine (default tree)"),
@@ -159,53 +160,6 @@ _OPTIONS = {
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
-
-
-def parse_family(spec: str) -> ProfileFamily:
-    kind, _, rest = spec.partition(":")
-    if kind not in FAMILY_KINDS:
-        raise ValidationError(f"unknown family kind {kind!r}")
-    if not rest:
-        raise ValidationError(f"family spec {spec!r} needs parameters after ':'")
-    try:
-        params = tuple(float(x) for x in rest.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse family parameters in {spec!r}") from exc
-    return ProfileFamily(kind, params)
-
-
-def parse_window(spec: str) -> GrowthWindow:
-    kind, _, rest = spec.partition(":")
-    try:
-        params = tuple(float(x) for x in rest.split(",")) if rest else ()
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse window parameters in {spec!r}") from exc
-    if kind == "constant" and len(params) == 1:
-        return GrowthWindow.constant(params[0])
-    if kind in ("power", "power_of_lambda") and len(params) == 2:
-        return GrowthWindow(kind, *params)
-    raise ValidationError(
-        f"window spec {spec!r} must be power:c,a or power_of_lambda:c,a or constant:c"
-    )
-
-
-def parse_kind(spec: str) -> ApproxKind:
-    name, _, rest = spec.partition(":")
-    if name == "poisson-limit":
-        try:
-            lam = float(rest)
-        except ValueError as exc:
-            raise ValidationError(f"poisson-limit needs a rate, got {spec!r}") from exc
-        return ApproxKind.poisson_limit(lam)
-    if rest:
-        raise ValidationError(f"approximation kind {spec!r} takes no parameter")
-    tag = _KIND_NAMES.get(name)
-    if tag is None:
-        raise ValidationError(
-            f"unknown approximation kind {name!r}; "
-            "use lambda|beta|poisson|poisson-limit:rate|normal"
-        )
-    return ApproxKind(tag)
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -256,23 +210,19 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("n must be >= 1")
     if cfg.k_max is not None and cfg.k_max < 0:
         raise ValidationError("k_max must be >= 0")
-    # Written so that NaN fails them too.
-    if not cfg.margin >= 0.0:
-        raise ValidationError("margin must be >= 0")
-    if not cfg.threshold > 0.0:
-        raise ValidationError("threshold must be > 0")
+    check_margin(cfg.margin)
+    check_threshold(cfg.threshold)
     validate_sample_budget(cfg.sample_budget)
     if cfg.profile is not None and cfg.family is not None:
         raise ValidationError("give either a profile file or a family, not both")
     # Parse eagerly so malformed specs fail before any computation.
     if cfg.family is not None:
-        parse_family(cfg.family)
+        ProfileFamily.parse(cfg.family)
     if cfg.phi is not None:
-        parse_window(cfg.phi)
-    if cfg.kind is not None:
-        kind = parse_kind(cfg.kind)
-        if cfg.command in ("verify", "sweep"):
-            check_sandwich_kind(kind.tag, cfg.beta_cap)
+        GrowthWindow.parse(cfg.phi)
+    kind = None if cfg.kind is None else ApproxKind.parse(cfg.kind)
+    if kind is not None and cfg.command in ("verify", "sweep"):
+        check_sandwich_kind(kind.tag, cfg.beta_cap)
     if cfg.grid is not None:
         check_grid(cfg.grid)
     # Options that only some combinations read; anywhere else they exit 2.
@@ -280,20 +230,30 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("--n applies to --family only, not to --profile")
     if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
         raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
-    if cfg.command == "sweep" and cfg.kind is None:
-        for name in ("phi", "beta_cap"):
-            if getattr(cfg, name) is not None:
-                raise ValidationError(f"sweep reads {_flag(name)} only with --kind")
+    if cfg.command == "sweep":
+        if kind is None:
+            for name in ("phi", "beta_cap"):
+                if getattr(cfg, name) is not None:
+                    raise ValidationError(f"sweep reads {_flag(name)} only with --kind")
+        elif cfg.phi is None:
+            raise ValidationError("sweep with --kind needs --phi")
+        elif kind.tag == "beta_form" and cfg.beta_cap is None:
+            raise ValidationError(
+                "sweep over a beta-form envelope needs an explicit --beta-cap "
+                "(a per-n default would change meaning across the grid)"
+            )
+    # The commands that read --n build their row from --profile or --family with --n.
+    if "n" in _COMMANDS[cfg.command][2] and cfg.profile is None:
+        if cfg.family is None:
+            raise ValidationError(f"{cfg.command} needs --profile or --family with --n")
+        if cfg.n is None:
+            raise ValidationError("a family needs --n to produce a profile")
 
 
 def _resolve_profile(cfg: ExperimentConfig) -> BernoulliProfile:
     if cfg.profile is not None:
         return load_profile(cfg.profile)
-    if cfg.family is not None:
-        if cfg.n is None:
-            raise ValidationError("a family needs --n to produce a profile")
-        return generate(parse_family(cfg.family), cfg.n)
-    raise ValidationError(f"{cfg.command} needs --profile or --family with --n")
+    return generate(ProfileFamily.parse(cfg.family), cfg.n)
 
 
 def _deliver(cfg: ExperimentConfig, table: emit.Table, path: str | None = None) -> None:
@@ -316,7 +276,7 @@ def _cmd_pmf(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_approx(cfg: ExperimentConfig) -> None:
-    kind = parse_kind(cfg.kind)
+    kind = ApproxKind.parse(cfg.kind)
     profile = _resolve_profile(cfg)
     summary = profile.summary
     ks = list(range(_check_k_max(cfg.k_max, profile.n) + 1))
@@ -325,8 +285,8 @@ def _cmd_approx(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> None:
-    kind = parse_kind(cfg.kind)
-    window = parse_window(cfg.phi)
+    kind = ApproxKind.parse(cfg.kind)
+    window = GrowthWindow.parse(cfg.phi)
     profile = _resolve_profile(cfg)
     report = verify_sandwich(
         profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
@@ -340,8 +300,8 @@ def _cmd_distance(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_conditions(cfg: ExperimentConfig) -> None:
-    family = parse_family(cfg.family)
-    window = parse_window(cfg.phi)
+    family = ProfileFamily.parse(cfg.family)
+    window = GrowthWindow.parse(cfg.phi)
     report = check_conditions(family, cfg.grid, window, threshold=cfg.threshold)
     _deliver(cfg, emit.conditions_table(report, family.spec_string()))
 
@@ -358,7 +318,7 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
     diagnostics = check_scheme(
         model,
         indep,
-        RareSetSpec.empty(),
+        RareSetSpec("empty"),
         max(1, k_max),
         sample_budget=cfg.sample_budget,
         seed=cfg.seed,
@@ -394,15 +354,8 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:
     kind = window = None
     if cfg.kind is not None:
-        if cfg.phi is None:
-            raise ValidationError("sweep with --kind needs --phi")
-        kind, window = parse_kind(cfg.kind), parse_window(cfg.phi)
-        if kind.tag == "beta_form" and cfg.beta_cap is None:
-            raise ValidationError(
-                "sweep over a beta-form envelope needs an explicit --beta-cap "
-                "(a per-n default would change meaning across the grid)"
-            )
-    family = parse_family(cfg.family)
+        kind, window = ApproxKind.parse(cfg.kind), GrowthWindow.parse(cfg.phi)
+    family = ProfileFamily.parse(cfg.family)
     grid = list(cfg.grid)
     summaries, envelopes, distances, points = zip(
         *(_sweep_point(cfg, family, kind, window, n) for n in grid)

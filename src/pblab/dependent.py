@@ -241,13 +241,18 @@ class CallableModel(DependentModel):
         return CallableModel(len(kept), sub_fn)
 
 
+# rare-set kind -> the field it reads
+_RARE_KINDS = {"empty": None, "contains_any": "indices", "explicit": "tuples"}
+
+
 @dataclass(frozen=True)
 class RareSetSpec:
     """Which k-tuples are exempt from the closeness conditions.
 
-    kinds: empty (no exemptions); contains_any (tuples touching a fixed
-    index set J); explicit (a literal list of tuples, small n only).
-    is_rare is the one-row case of rare_mask.  Indices are 0-based.
+    kinds: empty (no exemptions); contains_any (tuples touching the
+    index set `indices`); explicit (the literal list `tuples`, small n
+    only).  A kind given the field it does not read is refused.  is_rare
+    is the one-row case of rare_mask.  Indices are 0-based.
     """
 
     kind: str
@@ -255,7 +260,7 @@ class RareSetSpec:
     tuples: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("empty", "contains_any", "explicit"):
+        if self.kind not in _RARE_KINDS:
             raise ValidationError(f"unknown rare-set kind {self.kind!r}")
         object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
         object.__setattr__(
@@ -263,18 +268,9 @@ class RareSetSpec:
             "tuples",
             frozenset(tuple(sorted(int(i) for i in t)) for t in self.tuples),
         )
-
-    @classmethod
-    def empty(cls) -> "RareSetSpec":
-        return cls("empty")
-
-    @classmethod
-    def contains_any(cls, indices) -> "RareSetSpec":
-        return cls("contains_any", indices=frozenset(indices))
-
-    @classmethod
-    def explicit(cls, tuples) -> "RareSetSpec":
-        return cls("explicit", tuples=frozenset(tuple(t) for t in tuples))
+        for name in ("indices", "tuples"):
+            if getattr(self, name) and name != _RARE_KINDS[self.kind]:
+                raise ValidationError(f"rare-set kind {self.kind} takes no {name}")
 
     def is_rare(self, t) -> bool:
         """rare_mask of the one row t (any iterable of indices)."""

@@ -111,9 +111,11 @@ class Pmf:
         return np.exp(self.log_probs)
 
     def prob(self, k: int) -> float:
-        return math.exp(self.log_probs[k])
+        return math.exp(self.log_prob(k))
 
     def log_prob(self, k: int) -> float:
+        if not 0 <= k <= self.support_max:
+            raise ValidationError(f"k={k} outside 0..{self.support_max}")
         return float(self.log_probs[k])
 
     def total_mass(self) -> float:

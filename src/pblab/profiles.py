@@ -19,8 +19,10 @@ import numpy as np
 from ._util import frozen_row, spec_number
 from .errors import HypothesisError, ValidationError
 
-FAMILY_KINDS = ("constant_total", "constant_p", "row_power", "index_power")
-WINDOW_KINDS = ("power", "power_of_lambda", "constant")
+# kind -> number of parameters: the one vocabulary of each spec format, read
+# by the type's constructor, its parse and its spec_string.
+FAMILY_KINDS = {"constant_total": 1, "constant_p": 1, "row_power": 2, "index_power": 2}
+WINDOW_KINDS = {"power": 2, "power_of_lambda": 2, "constant": 1}
 
 # Entries per summand array in the row sums (256 KiB of float64), so a sum
 # never holds a second full-row array next to the row itself.
@@ -172,8 +174,7 @@ class ProfileFamily:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValidationError(f"unknown family kind {self.kind!r}")
-        arity = {"constant_total": 1, "constant_p": 1, "row_power": 2,
-                 "index_power": 2}[self.kind]
+        arity = FAMILY_KINDS[self.kind]
         coerced = tuple(float(x) for x in self.params)
         if len(coerced) != arity:
             raise ValidationError(
@@ -182,20 +183,18 @@ class ProfileFamily:
         object.__setattr__(self, "params", coerced)
 
     @classmethod
-    def constant_total(cls, c: float) -> "ProfileFamily":
-        return cls("constant_total", (c,))
-
-    @classmethod
-    def constant_p(cls, p: float) -> "ProfileFamily":
-        return cls("constant_p", (p,))
-
-    @classmethod
-    def row_power(cls, c: float, a: float) -> "ProfileFamily":
-        return cls("row_power", (c, a))
-
-    @classmethod
-    def index_power(cls, c: float, a: float) -> "ProfileFamily":
-        return cls("index_power", (c, a))
+    def parse(cls, spec: str) -> "ProfileFamily":
+        """The family a spec string kind:p1[,p2] names; the inverse of spec_string."""
+        kind, _, rest = spec.partition(":")
+        if kind not in FAMILY_KINDS:
+            raise ValidationError(f"unknown family kind {kind!r}")
+        if not rest:
+            raise ValidationError(f"family spec {spec!r} needs parameters after ':'")
+        try:
+            params = tuple(float(x) for x in rest.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"cannot parse family parameters in {spec!r}") from exc
+        return cls(kind, params)
 
     def spec_string(self) -> str:
         inner = ",".join(map(spec_number, self.params))
@@ -305,39 +304,46 @@ class GrowthWindow:
     """A positive scalar function of n used to bound the k-range k^2 <= phi(n).
 
     Kinds: power(c, a) -> c*n^a; power_of_lambda(c, a) -> c*lambda_n^a;
-    constant(c) -> c.  c must be finite and positive, and a a number, so
-    phi is never NaN (inf * 0 would be).  A power past the float range is
-    inf, and a may be infinite.
+    constant(c) -> c, whose a stays None.  c must be finite and positive,
+    and a a number, so phi is never NaN (inf * 0 would be).  A power past
+    the float range is inf, and a may be infinite.
     """
 
     kind: str
     c: float
-    a: float = 0.0
+    a: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in WINDOW_KINDS:
             raise ValidationError(f"unknown window kind {self.kind!r}")
-        c, a = float(self.c), float(self.a)
+        arity, given = WINDOW_KINDS[self.kind], 1 + (self.a is not None)
+        if given != arity:
+            raise ValidationError(f"window {self.kind} takes {arity} parameter(s), got {given}")
+        c = float(self.c)
         if not c > 0:
             raise ValidationError("window scale c must be > 0")
         if c == math.inf:
             raise ValidationError("window scale c must be finite")
-        if math.isnan(a):
-            raise ValidationError("window exponent a must not be NaN")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
+        if self.a is not None:
+            a = float(self.a)
+            if math.isnan(a):
+                raise ValidationError("window exponent a must not be NaN")
+            object.__setattr__(self, "a", a)
 
     @classmethod
-    def power(cls, c: float, a: float) -> "GrowthWindow":
-        return cls("power", c, a)
-
-    @classmethod
-    def power_of_lambda(cls, c: float, a: float) -> "GrowthWindow":
-        return cls("power_of_lambda", c, a)
-
-    @classmethod
-    def constant(cls, c: float) -> "GrowthWindow":
-        return cls("constant", c)
+    def parse(cls, spec: str) -> "GrowthWindow":
+        """The window a spec string kind:c[,a] names; the inverse of spec_string."""
+        kind, _, rest = spec.partition(":")
+        try:
+            params = tuple(float(x) for x in rest.split(",")) if rest else ()
+        except ValueError as exc:
+            raise ValidationError(f"cannot parse window parameters in {spec!r}") from exc
+        if WINDOW_KINDS.get(kind) != len(params):
+            forms = " or ".join(f"{k}:{','.join('ca'[:arity])}"
+                                for k, arity in WINDOW_KINDS.items())
+            raise ValidationError(f"window spec {spec!r} must be {forms}")
+        return cls(kind, *params)
 
     def value(self, n: int, lambda_n: float | None = None) -> float:
         if self.kind == "constant":
@@ -353,9 +359,8 @@ class GrowthWindow:
         return self.c * _pow_or_inf(base, self.a)
 
     def spec_string(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{spec_number(self.c)}"
-        return f"{self.kind}:{spec_number(self.c)},{spec_number(self.a)}"
+        params = (self.c, self.a)[:WINDOW_KINDS[self.kind]]
+        return f"{self.kind}:{','.join(map(spec_number, params))}"
 
 
 @dataclass(frozen=True)
@@ -457,6 +462,12 @@ def check_grid(grid) -> tuple[int, ...]:
     return grid
 
 
+def check_threshold(threshold: float) -> None:
+    """The smallness cutoff check_conditions reads must be > 0 (written so NaN fails too)."""
+    if not threshold > 0.0:
+        raise ValidationError("threshold must be > 0")
+
+
 def check_conditions(
     family: ProfileFamily,
     grid,
@@ -472,6 +483,7 @@ def check_conditions(
     a tiny final value is evidence in favour of max-entry smallness, never a
     proof of the limit.
     """
+    check_threshold(threshold)
     rows = []
     for n in check_grid(grid):
         probs = generate(family, n).probs

@@ -54,11 +54,42 @@ def make_summary(probs):
 
 
 def test_kind_constructors_and_spec_strings():
-    assert ApproxKind.lambda_form().spec_string() == "lambda_form"
-    assert ApproxKind.beta_form().spec_string() == "beta_form"
-    assert ApproxKind.poisson_form().spec_string() == "poisson_form"
-    assert ApproxKind.poisson_limit(2.5).spec_string() == "poisson_limit:2.5"
-    assert ApproxKind.normal_local().spec_string() == "normal_local"
+    assert ApproxKind("lambda_form").spec_string() == "lambda_form"
+    assert ApproxKind("beta_form").spec_string() == "beta_form"
+    assert ApproxKind("poisson_form").spec_string() == "poisson_form"
+    assert ApproxKind("poisson_limit", 2.5).spec_string() == "poisson_limit:2.5"
+    assert ApproxKind("normal_local").spec_string() == "normal_local"
+
+
+def test_kind_parse_maps_each_cli_name_to_its_tag():
+    kinds = {
+        "lambda": ApproxKind("lambda_form"),
+        "beta": ApproxKind("beta_form"),
+        "poisson": ApproxKind("poisson_form"),
+        "poisson-limit:2.5": ApproxKind("poisson_limit", 2.5),
+        "normal": ApproxKind("normal_local"),
+    }
+    assert [spec.partition(":")[0] for spec in kinds] == list(asymptotics.APPROX_NAMES)
+    for spec, kind in kinds.items():
+        assert ApproxKind.parse(spec) == kind
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("lambda:", "approximation kind 'lambda:' takes no parameter"),
+    ("normal:1", "approximation kind 'normal:1' takes no parameter"),
+    ("foo", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
+    ("foo:", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
+    ("foo:1", "approximation kind 'foo:1' takes no parameter"),
+    ("poisson-limit", "poisson-limit needs a rate, got 'poisson-limit'"),
+    ("poisson-limit:", "poisson-limit needs a rate, got 'poisson-limit:'"),
+    ("poisson-limit:-1", "poisson_limit rate must be finite > 0, got -1.0"),
+    ("lambda_form", "unknown approximation kind 'lambda_form'; "
+                    "use lambda|beta|poisson|poisson-limit:rate|normal"),
+])
+def test_kind_parse_errors(spec, message):
+    with pytest.raises(ValidationError) as info:
+        ApproxKind.parse(spec)
+    assert str(info.value) == message
 
 
 def test_kind_validation():
@@ -81,36 +112,36 @@ def test_anchored_forms_return_anchor_at_zero():
     """The k=0 identity: anchored forms return p0_log itself, bit for bit."""
     s = make_summary((0.1, 0.2, 0.3))
     p0 = -0.685179
-    assert approx_pmf(ApproxKind.lambda_form(), s, p0, 0) == p0
-    assert approx_pmf(ApproxKind.beta_form(), s, p0, 0) == p0
+    assert approx_pmf(ApproxKind("lambda_form"), s, p0, 0) == p0
+    assert approx_pmf(ApproxKind("beta_form"), s, p0, 0) == p0
 
 
 def test_lambda_form_value():
     s = make_summary((0.1, 0.2, 0.3))
     p0 = prob_zero_log(BernoulliProfile((0.1, 0.2, 0.3)))
-    got = approx_pmf(ApproxKind.lambda_form(), s, p0, 2)
+    got = approx_pmf(ApproxKind("lambda_form"), s, p0, 2)
     assert got == pytest.approx(p0 + 2 * math.log(0.6) - math.log(2.0), abs=1e-14)
 
 
 def test_poisson_form_at_zero_is_minus_lambda():
     s = make_summary((0.25, 0.25))
-    assert approx_pmf(ApproxKind.poisson_form(), s, -123.0, 0) == -0.5
+    assert approx_pmf(ApproxKind("poisson_form"), s, -123.0, 0) == -0.5
 
 
 def test_poisson_limit_ignores_profile_rate():
     s = make_summary((0.25, 0.25))
-    got = approx_pmf(ApproxKind.poisson_limit(3.0), s, 0.0, 2)
+    got = approx_pmf(ApproxKind("poisson_limit", 3.0), s, 0.0, 2)
     assert got == pytest.approx(-3.0 + 2 * math.log(3.0) - math.log(2.0), abs=1e-14)
 
 
 def test_approx_pmf_domain_errors():
     s = make_summary((0.0, 0.0))
     with pytest.raises(HypothesisError):
-        approx_pmf(ApproxKind.lambda_form(), s, 0.0, 1)
+        approx_pmf(ApproxKind("lambda_form"), s, 0.0, 1)
     with pytest.raises(HypothesisError):
-        approx_pmf(ApproxKind.normal_local(), s, 0.0, 1)
+        approx_pmf(ApproxKind("normal_local"), s, 0.0, 1)
     with pytest.raises(ValidationError):
-        approx_pmf(ApproxKind.lambda_form(), make_summary((0.5,)), 0.0, -1)
+        approx_pmf(ApproxKind("lambda_form"), make_summary((0.5,)), 0.0, -1)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +256,8 @@ def test_log_inequality_grid():
 def test_sandwich_worked_example():
     report = verify_sandwich(
         BernoulliProfile((0.1, 0.2, 0.3)),
-        ApproxKind.lambda_form(),
-        GrowthWindow.constant(1.0),
+        ApproxKind("lambda_form"),
+        GrowthWindow("constant", 1.0),
     )
     assert report.k_values == (0, 1)
     assert report.ratios[0] == 1.0
@@ -240,8 +271,8 @@ def test_sandwich_worked_example():
 def test_sandwich_window_boundary_inclusive():
     report = verify_sandwich(
         BernoulliProfile((0.05,) * 100),
-        ApproxKind.lambda_form(),
-        GrowthWindow.constant(16.0),
+        ApproxKind("lambda_form"),
+        GrowthWindow("constant", 16.0),
     )
     assert report.k_values == (0, 1, 2, 3, 4)
 
@@ -249,8 +280,8 @@ def test_sandwich_window_boundary_inclusive():
 def test_sandwich_beta_form_one_sided():
     report = verify_sandwich(
         BernoulliProfile((0.3,) * 40),
-        ApproxKind.beta_form(),
-        GrowthWindow.power(1, 0.5),
+        ApproxKind("beta_form"),
+        GrowthWindow("power", 1, 0.5),
         beta_cap=0.5,
     )
     assert all(r <= 1.0 + 1e-9 for r in report.ratios)
@@ -262,15 +293,15 @@ def test_sandwich_beta_form_one_sided():
 def test_sandwich_beta_default_cap_halfway():
     report = verify_sandwich(
         BernoulliProfile((0.3,) * 40),
-        ApproxKind.beta_form(),
-        GrowthWindow.constant(4.0),
+        ApproxKind("beta_form"),
+        GrowthWindow("constant", 4.0),
     )
     assert report.beta_cap == pytest.approx(0.65, rel=1e-15)
 
 
 def test_sandwich_poisson_form_uses_provable_rails():
     prof = BernoulliProfile((0.01,) * 500)
-    report = verify_sandwich(prof, ApproxKind.poisson_form(), GrowthWindow.power(1, 0.5))
+    report = verify_sandwich(prof, ApproxKind("poisson_form"), GrowthWindow("power", 1, 0.5))
     s = summarize(prof)
     lo0, up0, _ = poisson_form_bracket(s, 0)
     assert report.lower_env[0] == lo0
@@ -280,15 +311,27 @@ def test_sandwich_poisson_form_uses_provable_rails():
 
 def test_sandwich_input_rules():
     prof = BernoulliProfile((0.1, 0.2))
-    w = GrowthWindow.constant(1.0)
+    w = GrowthWindow("constant", 1.0)
     with pytest.raises(ValidationError):
-        verify_sandwich(prof, ApproxKind.normal_local(), w)
+        verify_sandwich(prof, ApproxKind("normal_local"), w)
     with pytest.raises(ValidationError):
-        verify_sandwich(prof, ApproxKind.lambda_form(), w, beta_cap=0.5)
+        verify_sandwich(prof, ApproxKind("lambda_form"), w, beta_cap=0.5)
     with pytest.raises(HypothesisError):
-        verify_sandwich(BernoulliProfile((0.0, 0.0)), ApproxKind.lambda_form(), w)
+        verify_sandwich(BernoulliProfile((0.0, 0.0)), ApproxKind("lambda_form"), w)
     with pytest.raises(HypothesisError):
-        verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind.poisson_form(), w)
+        verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind("poisson_form"), w)
+
+
+@pytest.mark.parametrize("margin", [math.nan, -1.0, -math.inf])
+def test_sandwich_refuses_a_margin_the_cli_refuses(margin, monkeypatch):
+    """A NaN margin would count no violation and a negative one would flag
+    correct ratios; both are refused before the engine runs."""
+    prof = BernoulliProfile((0.3,) * 50)
+    window = GrowthWindow("constant", 16.0)
+    assert verify_sandwich(prof, ApproxKind("lambda_form"), window, margin=0.0).violations == 0
+    monkeypatch.setattr(asymptotics, "pmf_tree", None)
+    with pytest.raises(ValidationError, match="^margin must be >= 0$"):
+        verify_sandwich(prof, ApproxKind("lambda_form"), window, margin=margin)
 
 
 def test_sandwich_preconditions_fail_before_the_dp(monkeypatch):
@@ -296,14 +339,14 @@ def test_sandwich_preconditions_fail_before_the_dp(monkeypatch):
         raise AssertionError("the exact engine ran before the rails were checked")
 
     monkeypatch.setattr(asymptotics, "pmf_tree", no_engine)
-    w = GrowthWindow.constant(4.0)
+    w = GrowthWindow("constant", 4.0)
     with pytest.raises(HypothesisError, match="beta cap 0.2 must satisfy"):
-        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.2)
+        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind("beta_form"), w, beta_cap=0.2)
     with pytest.raises(HypothesisError, match="needs m_n < 1/2"):
-        verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind.poisson_form(), w)
+        verify_sandwich(BernoulliProfile((0.7, 0.1)), ApproxKind("poisson_form"), w)
     # The stub sits where verify_sandwich takes its exact PMF: a valid call reaches it.
     with pytest.raises(AssertionError, match="exact engine ran"):
-        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind.beta_form(), w, beta_cap=0.5)
+        verify_sandwich(BernoulliProfile((0.3,) * 40), ApproxKind("beta_form"), w, beta_cap=0.5)
 
 
 def test_a_rail_the_ratio_attains_is_not_breached_by_rounding():
@@ -314,7 +357,7 @@ def test_a_rail_the_ratio_attains_is_not_breached_by_rounding():
     """
     prof = BernoulliProfile((0.05,) * 3000)
     report = verify_sandwich(
-        prof, ApproxKind.lambda_form(), GrowthWindow.power(1, 0.5), margin=1e-12
+        prof, ApproxKind("lambda_form"), GrowthWindow("power", 1, 0.5), margin=1e-12
     )
     assert report.upper_env[1] == pytest.approx(1.0 / 0.95, rel=1e-15)
     assert report.ratios[1] == pytest.approx(1.0 / 0.95, rel=1e-13)
@@ -328,8 +371,8 @@ def test_production_paths_do_not_call_the_dp_oracle(monkeypatch, tmp_path, capsy
     for module in (exact, asymptotics, dependent, cli):
         monkeypatch.setattr(module, "pmf_dp", no_dp, raising=False)
     prof = BernoulliProfile(tuple((i % 5 + 1) / 20 for i in range(60)))
-    w = GrowthWindow.constant(9.0)
-    for kind in (ApproxKind.lambda_form(), ApproxKind.beta_form(), ApproxKind.poisson_form()):
+    w = GrowthWindow("constant", 9.0)
+    for kind in (ApproxKind("lambda_form"), ApproxKind("beta_form"), ApproxKind("poisson_form")):
         assert verify_sandwich(prof, kind, w).violations == 0
     pmf, _ = normal_local_report(prof, (3, 9))
     assert pmf.provenance == "product_tree"
@@ -359,12 +402,13 @@ def test_only_the_cli_engine_table_and_the_package_import_the_dp_oracle():
 
 @pytest.mark.parametrize(
     "window",
-    [GrowthWindow.constant(168.0), GrowthWindow.constant(169.0), GrowthWindow.power(1, 400)],
+    [GrowthWindow("constant", 168.0), GrowthWindow("constant", 169.0),
+     GrowthWindow("power", 1, 400)],
     ids=["below_13_squared", "13_squared", "past_float_range"],
 )
 def test_sandwich_window_covers_every_k_once_phi_reaches_n_plus_1_squared(window):
     prof = BernoulliProfile((0.05,) * 12)
-    report = verify_sandwich(prof, ApproxKind.lambda_form(), window)
+    report = verify_sandwich(prof, ApproxKind("lambda_form"), window)
     assert report.k_values == tuple(range(13))
 
 
@@ -373,7 +417,7 @@ def test_sandwich_window_growth_never_shrinks_deviation():
     prof = BernoulliProfile(tuple((i % 3 + 1) / 30 for i in range(60)))
     devs = [
         verify_sandwich(
-            prof, ApproxKind.lambda_form(), GrowthWindow.constant(phi)
+            prof, ApproxKind("lambda_form"), GrowthWindow("constant", phi)
         ).max_abs_dev
         for phi in (1.0, 4.0, 9.0, 16.0, 25.0)
     ]
@@ -472,7 +516,7 @@ def test_normal_local_spot_values():
     pmf, ratios = normal_local_report(prof, (50,))
     assert pmf.prob(50) == pytest.approx(0.0795892, abs=1e-7)
     normal = math.exp(
-        approx_pmf(ApproxKind.normal_local(), summarize(prof), 0.0, 50)
+        approx_pmf(ApproxKind("normal_local"), summarize(prof), 0.0, 50)
     )
     assert normal == pytest.approx(0.0797885, abs=1e-7)
     exact = math.comb(100, 50) / 2**100
@@ -513,12 +557,12 @@ def test_report_floats_are_python_floats():
     reports = [
         summarize(prof),
         dehpfeif_report(prof),
-        verify_sandwich(prof, ApproxKind.lambda_form(), GrowthWindow.constant(4.0)),
-        verify_sandwich(prof, ApproxKind.beta_form(), GrowthWindow.constant(4.0)),
+        verify_sandwich(prof, ApproxKind("lambda_form"), GrowthWindow("constant", 4.0)),
+        verify_sandwich(prof, ApproxKind("beta_form"), GrowthWindow("constant", 4.0)),
         ratio_report(model, prof, 4),
         ratio_report(model, prof, 4, high_precision=True),
-        check_scheme(model, prof, RareSetSpec.explicit([(0, 1), (2,)]), 3),
-        check_scheme(model, prof, RareSetSpec.contains_any([1]), 3),
+        check_scheme(model, prof, RareSetSpec("explicit", tuples=[(0, 1), (2,)]), 3),
+        check_scheme(model, prof, RareSetSpec("contains_any", indices=[1]), 3),
     ]
     for report in reports:
         leaves = list(_float_leaves(report))

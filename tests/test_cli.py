@@ -20,9 +20,16 @@ import re
 import pytest
 
 from pblab import cli, profiles
+from pblab.asymptotics import ApproxKind
 from pblab.cli import main
 from pblab.exact import prob_zero_log
-from pblab.profiles import BernoulliProfile
+from pblab.profiles import (
+    FAMILY_KINDS,
+    WINDOW_KINDS,
+    BernoulliProfile,
+    GrowthWindow,
+    ProfileFamily,
+)
 
 WORKED_PROBS = (0.1, 0.2, 0.3)
 WORKED_PMF = (0.504, 0.398, 0.092, 0.006)
@@ -627,6 +634,43 @@ def test_sandwich_kind_is_checked_before_any_row_is_built(command, extra, messag
     assert json.loads(err) == {"error": "ValidationError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--family", "constant_total:2", "--grid", "8,16", "--kind", "lambda"],
+     "sweep with --kind needs --phi"),
+    (["sweep", "--family", "constant_total:2", "--grid", "8,16", "--kind", "beta",
+      "--phi", "constant:4"],
+     "sweep over a beta-form envelope needs an explicit --beta-cap "
+     "(a per-n default would change meaning across the grid)"),
+    (["pmf", "--family", "constant_total:2"], "a family needs --n to produce a profile"),
+    (["approx", "--kind", "lambda"], "approx needs --profile or --family with --n"),
+    (["verify", "--n", "8", "--kind", "lambda", "--phi", "constant:4"],
+     "verify needs --profile or --family with --n"),
+    (["distance"], "distance needs --profile or --family with --n"),
+], ids=["sweep_phi", "sweep_beta_cap", "family_n", "approx", "verify", "distance"])
+def test_combination_is_refused_by_build_config(argv, message, monkeypatch, capsys):
+    """Every combination rule lives in _validate_config, so no handler runs."""
+    def no_handler(cfg):
+        raise AssertionError("a handler ran")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (no_handler, *cli._COMMANDS[argv[0]][1:]))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["approx", "verify"])
+def test_kind_with_an_empty_parameter_exits_2_as_flag_or_config(command, tmp_path, capsys):
+    argv = drop(base_argv(command, tmp_path), "kind")
+    by_flag = run_cli(argv + ["--kind", "lambda:"], capsys)
+    assert by_flag == run_cli(argv + ["--config", write_config(tmp_path, {"kind": "lambda:"})],
+                              capsys)
+    code, out, err = by_flag
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError", "message": "approximation kind 'lambda:' takes no parameter",
+    }
+
+
 # ------------------------------------------------- config files and overrides
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -911,6 +955,28 @@ def test_help_lists_exactly_the_options_the_command_reads(command, capsys):
     assert listed == {"--help", "--config", "--out", "--format", *map(flag, READS[command])}
 
 
+def test_readme_spec_examples_parse_through_their_owning_type():
+    """Every example in README's spec-string list parses through the type that
+    owns its format: families, growth windows and approximation kinds."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("\n- families:"):text.index("\nExamples:")]
+    items = re.split(r"\n- ", section)[1:]
+    owners = {"families": ProfileFamily, "growth windows": GrowthWindow,
+              "approximation kinds": ApproxKind}
+    assert [item.partition(":")[0] for item in items] == list(owners)
+    for item in items:
+        name, _, body = item.partition(":")
+        examples = [e.replace("RATE", "2") for e in re.findall(r"`([^`]*)`", body)
+                    if e != "--profile"]
+        assert examples
+        for example in examples:
+            owners[name].parse(example)
+    assert "ProfileFamily.parse" in text
+    assert "GrowthWindow.parse" in text
+    assert "ApproxKind.parse" in text
+
+
 def test_readme_command_table_matches_the_option_table():
     """README's `| command | reads (required in bold) |` table lists each
     command's read options in _COMMANDS order, the required ones in bold."""
@@ -1003,6 +1069,8 @@ def test_null_config_value_means_not_given(tmp_path, capsys):
     ("foo", "unknown family kind 'foo'"),
     ("constant_p:bar", "cannot parse family parameters in 'constant_p:bar'"),
     ("constant_p", "family spec 'constant_p' needs parameters after ':'"),
+    ("constant_p:", "family spec 'constant_p:' needs parameters after ':'"),
+    ("row_power:1", "family row_power takes 2 parameter(s), got 1"),
 ])
 def test_family_kind_is_checked_before_its_parameters(spec, message, capsys):
     code, out, err = run_cli(["pmf", "--family", spec, "--n", "3"], capsys)
@@ -1012,9 +1080,10 @@ def test_family_kind_is_checked_before_its_parameters(spec, message, capsys):
 
 def test_sweep_parses_kind_and_window_once_per_run(monkeypatch, capsys):
     calls = []
-    for name in ("parse_kind", "parse_window"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda spec, real=real: calls.append(spec) or real(spec))
+    for owner in (ApproxKind, GrowthWindow):
+        real = owner.parse
+        monkeypatch.setattr(owner, "parse",
+                            lambda spec, real=real: calls.append(spec) or real(spec))
 
     def count(grid):
         calls.clear()
@@ -1057,12 +1126,14 @@ _SPEC_VALUES = (0.5, 2.0, 1.23456789, 0.654321987, 1.000001234, 0.333333333, 2.1
 
 @pytest.mark.parametrize("x", _SPEC_VALUES)
 def test_spec_strings_parse_back_to_their_parameters(x):
-    """A spec string keeps %g where that reads back exactly, and every digit otherwise."""
-    family = cli.parse_family(f"row_power:{x!r},{x!r}")
-    assert cli.parse_family(family.spec_string()) == family
-    for window in (cli.parse_window(f"power:{x!r},{x!r}"), cli.parse_window(f"constant:{x!r}")):
-        assert cli.parse_window(window.spec_string()) == window
-    kind = cli.parse_kind(f"poisson-limit:{x!r}")
+    """A spec string keeps %g where that reads back exactly, and every digit
+    otherwise, so parse inverts spec_string for every family and window kind."""
+    for owner, kinds in ((ProfileFamily, FAMILY_KINDS), (GrowthWindow, WINDOW_KINDS)):
+        for kind, arity in kinds.items():
+            parsed = owner.parse(f"{kind}:" + ",".join([repr(x)] * arity))
+            assert owner.parse(parsed.spec_string()) == parsed
+    family = ProfileFamily.parse(f"row_power:{x!r},{x!r}")
+    kind = ApproxKind.parse(f"poisson-limit:{x!r}")
     assert float(kind.spec_string().partition(":")[2]) == kind.lam == x
     if float(format(x, "g")) == x:
         assert family.spec_string() == f"row_power:{x:g},{x:g}"

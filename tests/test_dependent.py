@@ -323,7 +323,7 @@ def test_ratio_report_validation():
 
 def test_diagnostics_self_comparison_is_exact():
     p = BernoulliProfile((0.2, 0.5, 0.8, 0.3))
-    diag = check_scheme(ProductModel(p), p, RareSetSpec.empty(), 4)
+    diag = check_scheme(ProductModel(p), p, RareSetSpec("empty"), 4)
     assert diag.b1_max_dev == (0.0, 0.0, 0.0, 0.0)
     assert diag.b2_ratio == (1.0, 1.0, 1.0, 1.0)
     assert diag.b3_ratio == (1.0, 1.0, 1.0, 1.0)
@@ -332,7 +332,7 @@ def test_diagnostics_self_comparison_is_exact():
 
 
 def test_diagnostics_worked_mixture_deviation():
-    diag = check_scheme(WORKED, INDEP, RareSetSpec.empty(), 2)
+    diag = check_scheme(WORKED, INDEP, RareSetSpec("empty"), 2)
     assert diag.b1_max_dev[0] == pytest.approx(0.0, abs=1e-12)
     assert diag.b1_max_dev[1] == pytest.approx(1.0 / 9.0, rel=1e-9)
     assert diag.b1_overall == pytest.approx(1.0 / 9.0, rel=1e-9)
@@ -343,7 +343,7 @@ def test_diagnostics_worked_mixture_deviation():
 def test_diagnostics_contains_any_restriction():
     m = mixture(0.5, 0.2, 0.4, 3)
     indep = BernoulliProfile((0.3,) * 3)
-    diag = check_scheme(m, indep, RareSetSpec.contains_any((0,)), 2)
+    diag = check_scheme(m, indep, RareSetSpec("contains_any", indices=(0,)), 2)
     # Only the pair (1, 2) survives the filter at k=2.
     assert diag.checked_counts == (2, 1)
     # Joint sums: full S_1 = 3(0.3) = 0.9, non-rare part = 2(0.3) = 0.6.
@@ -355,7 +355,7 @@ def test_diagnostics_contains_any_restriction():
 def test_diagnostics_explicit_rare_tuples():
     m = mixture(0.5, 0.2, 0.4, 3)
     indep = BernoulliProfile((0.3,) * 3)
-    rare = RareSetSpec.explicit(((0, 1),))
+    rare = RareSetSpec("explicit", tuples=((0, 1),))
     diag = check_scheme(m, indep, rare, 2)
     assert diag.checked_counts == (3, 2)
     # S_2 = 3(0.10); removing the (0,1) joint leaves 0.20.
@@ -366,7 +366,7 @@ def test_diagnostics_explicit_rare_tuples():
 def test_diagnostics_zero_product_flag():
     m = ProductModel(BernoulliProfile((0.5, 0.5)))
     indep = BernoulliProfile((0.0, 0.5))
-    diag = check_scheme(m, indep, RareSetSpec.empty(), 1)
+    diag = check_scheme(m, indep, RareSetSpec("empty"), 1)
     assert math.isinf(diag.b1_max_dev[0])
     assert diag.zero_product[0]
 
@@ -375,8 +375,8 @@ def test_diagnostics_sampled_mode_is_deterministic():
     # C(25, 12) is above the exhaustive cutoff, so k=12 samples tuples.
     p = BernoulliProfile((0.4,) * 25)
     m = ProductModel(p)
-    a = check_scheme(m, p, RareSetSpec.empty(), 12, sample_budget=64, seed=7)
-    b = check_scheme(m, p, RareSetSpec.empty(), 12, sample_budget=64, seed=7)
+    a = check_scheme(m, p, RareSetSpec("empty"), 12, sample_budget=64, seed=7)
+    b = check_scheme(m, p, RareSetSpec("empty"), 12, sample_budget=64, seed=7)
     assert a.modes[-1] == "sampled"
     assert a.b1_max_dev == b.b1_max_dev
     assert a.checked_counts == b.checked_counts
@@ -385,13 +385,13 @@ def test_diagnostics_sampled_mode_is_deterministic():
 
 def test_diagnostics_validation():
     with pytest.raises(ValidationError):
-        check_scheme(WORKED, BernoulliProfile((0.3,)), RareSetSpec.empty(), 1)
+        check_scheme(WORKED, BernoulliProfile((0.3,)), RareSetSpec("empty"), 1)
     with pytest.raises(ValidationError):
-        check_scheme(WORKED, INDEP, RareSetSpec.empty(), 0)
+        check_scheme(WORKED, INDEP, RareSetSpec("empty"), 0)
     with pytest.raises(ValidationError):
-        check_scheme(WORKED, INDEP, RareSetSpec.empty(), 1, sample_budget=0)
+        check_scheme(WORKED, INDEP, RareSetSpec("empty"), 1, sample_budget=0)
     with pytest.raises(ValidationError):
-        check_scheme(WORKED, INDEP, RareSetSpec.contains_any((9,)), 1)
+        check_scheme(WORKED, INDEP, RareSetSpec("contains_any", indices=(9,)), 1)
 
 
 @pytest.mark.parametrize("tuples, message", [
@@ -402,15 +402,15 @@ def test_diagnostics_validation():
 def test_diagnostics_reject_bad_explicit_tuples(tuples, message):
     half = ProductModel(BernoulliProfile((0.5,) * 6))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        check_scheme(half, half.profile, RareSetSpec.explicit(tuples), 2)
+        check_scheme(half, half.profile, RareSetSpec("explicit", tuples=tuples), 2)
 
 
 def test_diagnostics_sample_budget_cap():
     # Above the cap the guard fires before any tuple is drawn; the cap itself
     # is accepted.
     with pytest.raises(SizeError):
-        check_scheme(WORKED, INDEP, RareSetSpec.empty(), 2, sample_budget=10**6 + 1)
-    diag = check_scheme(WORKED, INDEP, RareSetSpec.empty(), 2, sample_budget=10**6)
+        check_scheme(WORKED, INDEP, RareSetSpec("empty"), 2, sample_budget=10**6 + 1)
+    diag = check_scheme(WORKED, INDEP, RareSetSpec("empty"), 2, sample_budget=10**6)
     assert diag.checked_counts == (2, 1)
 
 
@@ -542,34 +542,34 @@ def _scheme_cases():
     m12 = spread_mixture(12)
     m200 = spread_mixture(200)
     half = ProductModel(BernoulliProfile((0.5,) * 6))
-    yield "empty", m12, BernoulliProfile(m12.marginals), RareSetSpec.empty(), 4, {}
-    yield "contains_any", m12, BernoulliProfile((0.02,) * 12), RareSetSpec.contains_any(
-        (0, 5)), 4, {}
-    yield "explicit", m12, BernoulliProfile(m12.marginals), RareSetSpec.explicit(
-        ((0, 1), (2, 3, 4), (7,), (11, 3))), 3, {}
+    yield "empty", m12, BernoulliProfile(m12.marginals), RareSetSpec("empty"), 4, {}
+    yield "contains_any", m12, BernoulliProfile((0.02,) * 12), RareSetSpec(
+        "contains_any", indices=(0, 5)), 4, {}
+    yield "explicit", m12, BernoulliProfile(m12.marginals), RareSetSpec(
+        "explicit", tuples=((0, 1), (2, 3, 4), (7,), (11, 3))), 3, {}
     # The complement holds 2 indices, fewer than k_max: no non-rare 3- or 4-tuples.
-    yield "contains_most", m12, BernoulliProfile(m12.marginals), RareSetSpec.contains_any(
-        range(10)), 4, {}
-    yield "contains_all", half, BernoulliProfile((0.5,) * 6), RareSetSpec.contains_any(
-        range(6)), 2, {}
+    yield "contains_most", m12, BernoulliProfile(m12.marginals), RareSetSpec(
+        "contains_any", indices=range(10)), 4, {}
+    yield "contains_all", half, BernoulliProfile((0.5,) * 6), RareSetSpec(
+        "contains_any", indices=range(6)), 2, {}
     # Subtracting every pair's joint from S_2 rounds to a negative part.
     triple = ProductModel(BernoulliProfile((0.3, 0.2, 0.05)))
-    yield "explicit_all_pairs", triple, triple.profile, RareSetSpec.explicit(
-        itertools.combinations(range(3), 2)), 2, {}
+    yield "explicit_all_pairs", triple, triple.profile, RareSetSpec(
+        "explicit", tuples=itertools.combinations(range(3), 2)), 2, {}
     yield "zero_product", half, BernoulliProfile((0.5, 0.5, 0.0, 0.5, 0.5, 0.5)), \
-        RareSetSpec.empty(), 3, {}
-    yield "sampled", m200, BernoulliProfile(m200.marginals), RareSetSpec.empty(), 3, {
+        RareSetSpec("empty"), 3, {}
+    yield "sampled", m200, BernoulliProfile(m200.marginals), RareSetSpec("empty"), 3, {
         "sample_budget": 500, "seed": 11}
     yield "sampled_contains_any", m200, BernoulliProfile(m200.p_profile.probs), \
-        RareSetSpec.contains_any((3, 50, 199)), 3, {"sample_budget": 300, "seed": 4}
+        RareSetSpec("contains_any", indices=(3, 50, 199)), 3, {"sample_budget": 300, "seed": 4}
     # 91,390 tuples at k = 4: many chunks.
     m40 = spread_mixture(40, eps=0.2)
-    yield "many_chunks", m40, BernoulliProfile(m40.q_profile.probs), RareSetSpec.empty(), 4, {}
+    yield "many_chunks", m40, BernoulliProfile(m40.q_profile.probs), RareSetSpec("empty"), 4, {}
     m10 = spread_mixture(10, eps=0.3)
     yield "callable", CallableModel(10, m10.joint), BernoulliProfile(m10.marginals), \
-        RareSetSpec.empty(), 4, {}
+        RareSetSpec("empty"), 4, {}
     yield "callable_nan", NanAtOneTuple(m10), BernoulliProfile(m10.marginals), \
-        RareSetSpec.explicit(((0, 3), (5,))), 3, {}
+        RareSetSpec("explicit", tuples=((0, 3), (5,))), 3, {}
 
 
 SCHEME_CASES = {case[0]: case[1:] for case in _scheme_cases()}
@@ -591,13 +591,13 @@ def test_diagnostics_generic_model_past_the_guard_with_empty_rare_set():
     m = spread_mixture(30)
     model = CallableModel(30, m.joint)
     indep = BernoulliProfile(m.marginals)
-    diag = check_scheme(model, indep, RareSetSpec.empty(), 2)
+    diag = check_scheme(model, indep, RareSetSpec("empty"), 2)
     assert diag.b2_ratio == diag.b3_ratio == (1.0, 1.0)
     assert diag.checked_counts == (30, 435)
-    assert repr(diag) == repr(check_scheme(m, indep, RareSetSpec.empty(), 2))
+    assert repr(diag) == repr(check_scheme(m, indep, RareSetSpec("empty"), 2))
     # A rare set whose B2 needs the model's sums still hits the guard.
     with pytest.raises(SizeError):
-        check_scheme(model, indep, RareSetSpec.contains_any((0,)), 2)
+        check_scheme(model, indep, RareSetSpec("contains_any", indices=(0,)), 2)
 
 
 def test_array_b1_reference_cases_reach_their_branches():
@@ -691,25 +691,36 @@ def test_joint_many_is_the_one_evaluator():
 
 
 def test_rare_set_membership():
-    assert not RareSetSpec.empty().is_rare((0, 1))
-    ca = RareSetSpec.contains_any((2, 5))
+    assert not RareSetSpec("empty").is_rare((0, 1))
+    ca = RareSetSpec("contains_any", indices=(2, 5))
     assert ca.is_rare((1, 2))
     assert not ca.is_rare((0, 1))
-    ex = RareSetSpec.explicit(((1, 0), (3,)))
+    ex = RareSetSpec("explicit", tuples=((1, 0), (3,)))
     assert ex.is_rare((0, 1))  # order does not matter
     assert ex.is_rare((3,))
     assert not ex.is_rare((0, 3))
 
 
 def test_rare_set_spec_strings():
-    assert RareSetSpec.empty().spec_string() == "empty"
-    assert RareSetSpec.contains_any((3, 1)).spec_string() == "contains_any:1,3"
-    assert RareSetSpec.explicit(((2, 1),)).spec_string() == "explicit:1,2"
+    assert RareSetSpec("empty").spec_string() == "empty"
+    assert RareSetSpec("contains_any", indices=(3, 1)).spec_string() == "contains_any:1,3"
+    assert RareSetSpec("explicit", tuples=((2, 1),)).spec_string() == "explicit:1,2"
 
 
 def test_rare_set_unknown_kind():
     with pytest.raises(ValidationError):
         RareSetSpec("weird")
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("empty", "indices", {1, 2}),
+    ("empty", "tuples", [(0, 1)]),
+    ("contains_any", "tuples", [(0, 1)]),
+    ("explicit", "indices", {1}),
+])
+def test_rare_set_refuses_the_field_its_kind_does_not_read(kind, field, value):
+    with pytest.raises(ValidationError, match=f"^rare-set kind {kind} takes no {field}$"):
+        RareSetSpec(kind, **{field: value})
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,16 @@ def test_pmf_accessors():
     assert pmf.provenance == "dp"
 
 
+@pytest.mark.parametrize("k", [-1, 4, 10])
+def test_pmf_accessors_refuse_k_outside_the_support(k):
+    """A negative k does not wrap to the far end of the row, and a k past
+    support_max is no bare IndexError."""
+    pmf = pmf_tree(WORKED)
+    for accessor in (pmf.prob, pmf.log_prob):
+        with pytest.raises(ValidationError, match=rf"^k={k} outside 0\.\.3$"):
+            accessor(k)
+
+
 # ----------------------------------------------------------------------
 # the five engines on worked examples, and their one contract
 # ----------------------------------------------------------------------
@@ -450,7 +460,7 @@ def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
     segment length would ask for 2^18.  The lighter row runs no rfft at
     all, the other some."""
     n = 1 << 17
-    p = generate(ProfileFamily.index_power(c, a), n).probs
+    p = generate(ProfileFamily("index_power", (c, a)), n).probs
     root = exact._degree_caps(p)[(0, n)]
     sizes = []
     real = np.fft.rfft
@@ -469,7 +479,7 @@ def test_dc_matches_tree_in_log_on_a_light_row():
     """index_power:0.5,0.5 at n = 5000: no entry whose tree value is above
     1e-300 is -inf (uncapped, 213 were), and at least 4 times the 99
     entries the uncapped engine got within 1e-9 of the tree in log are."""
-    prof = generate(ProfileFamily.index_power(0.5, 0.5), 5000)
+    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), 5000)
     dc = np.array(pmf_dc(prof).log_probs)
     tree = np.array(pmf_tree(prof).log_probs)
     assert not np.any(np.isneginf(dc) & (tree > math.log(1e-300)))

@@ -77,8 +77,8 @@ import os
 import numpy as np
 import pytest
 
-from pblab.cli import main, parse_family
-from pblab.profiles import generate
+from pblab.cli import main
+from pblab.profiles import ProfileFamily, generate
 
 DC_N = 4200
 
@@ -462,7 +462,7 @@ def test_verify_exact_column_is_the_binomial(name):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     n = int(argv[argv.index("--n") + 1])
-    probs = generate(parse_family(argv[argv.index("--family") + 1]), n).probs
+    probs = generate(ProfileFamily.parse(argv[argv.index("--family") + 1]), n).probs
     v = float(probs[0])
     assert np.all(probs == v)
     rows = json.loads(out.getvalue())["rows"]

@@ -216,22 +216,22 @@ def test_summary_scalar_inequalities(probs):
 
 
 def test_family_constant_total():
-    prof = generate(ProfileFamily.constant_total(2.0), 8)
+    prof = generate(ProfileFamily("constant_total", (2.0,)), 8)
     assert prof.probs.tolist() == [0.25] * 8
 
 
 def test_family_constant_p():
-    prof = generate(ProfileFamily.constant_p(0.3), 5)
+    prof = generate(ProfileFamily("constant_p", (0.3,)), 5)
     assert prof.probs.tolist() == [0.3] * 5
 
 
 def test_family_row_power():
-    prof = generate(ProfileFamily.row_power(1.0, 0.75), 16)
+    prof = generate(ProfileFamily("row_power", (1.0, 0.75)), 16)
     assert prof.probs.tolist() == [16.0**-0.75] * 16
 
 
 def test_family_index_power():
-    prof = generate(ProfileFamily.index_power(0.5, 0.5), 4)
+    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), 4)
     expected = [0.5 * i**-0.5 for i in (1, 2, 3, 4)]
     assert prof.probs.tolist() == expected
 
@@ -241,35 +241,35 @@ def test_family_index_power_is_libm_pow_bit_for_bit(c, a):
     """Each entry is the Python expression c * float(i) ** -a (numpy's SIMD power is not)."""
     n = 10**5
     want = np.array([c * float(i) ** -a for i in range(1, n + 1)])
-    assert generate(ProfileFamily.index_power(c, a), n).probs.tobytes() == want.tobytes()
+    assert generate(ProfileFamily("index_power", (c, a)), n).probs.tobytes() == want.tobytes()
 
 
 def test_family_generation_is_deterministic():
-    fam = ProfileFamily.index_power(0.5, 0.5)
+    fam = ProfileFamily("index_power", (0.5, 0.5))
     assert generate(fam, 100).probs.tobytes() == generate(fam, 100).probs.tobytes()
 
 
 def test_family_out_of_range_at_small_n():
     # constant_total(2) at n=2 would need entries exactly 1.
     with pytest.raises(ValidationError) as info:
-        generate(ProfileFamily.constant_total(2.0), 2)
+        generate(ProfileFamily("constant_total", (2.0,)), 2)
     assert str(info.value) == (
         "family constant_total:2 yields entry 1.0 at index 0 for n=2, outside [0, 1)"
     )
-    generate(ProfileFamily.constant_total(2.0), 3)  # fine from n=3 on
+    generate(ProfileFamily("constant_total", (2.0,)), 3)  # fine from n=3 on
     # The message names the first offending index, not the first entry.
     with pytest.raises(ValidationError) as info:
-        generate(ProfileFamily.index_power(0.5, -0.5), 5)
+        generate(ProfileFamily("index_power", (0.5, -0.5)), 5)
     assert str(info.value) == (
         "family index_power:0.5,-0.5 yields entry 1.0 at index 3 for n=5, outside [0, 1)"
     )
 
 
 @pytest.mark.parametrize("family, message", [
-    (ProfileFamily.index_power(float("nan"), 1.0), "yields entry nan at index 0"),
-    (ProfileFamily.index_power(1e300, -10.0), "yields entry 1e+300 at index 0"),
-    (ProfileFamily.index_power(0.0, -math.inf), "yields entry nan at index 1"),
-    (ProfileFamily.row_power(1e300, -20.0), "yields entry inf at index 0"),
+    (ProfileFamily("index_power", (float("nan"), 1.0)), "yields entry nan at index 0"),
+    (ProfileFamily("index_power", (1e300, -10.0)), "yields entry 1e+300 at index 0"),
+    (ProfileFamily("index_power", (0.0, -math.inf)), "yields entry nan at index 1"),
+    (ProfileFamily("row_power", (1e300, -20.0)), "yields entry inf at index 0"),
 ])
 def test_family_out_of_range_names_a_python_float_without_warnings(family, message):
     # c * i^-a past the float range is inf and 0 * inf is nan, as in Python,
@@ -283,10 +283,10 @@ def test_family_out_of_range_names_a_python_float_without_warnings(family, messa
 
 
 @pytest.mark.parametrize("family, message", [
-    (ProfileFamily.index_power(0.5, -2000.0), "yields entry inf at index 1 for n=10"),
+    (ProfileFamily("index_power", (0.5, -2000.0)), "yields entry inf at index 1 for n=10"),
     # 2.0 is out of range before any power overflows.
-    (ProfileFamily.index_power(2.0, -2000.0), "yields entry 2.0 at index 0 for n=10"),
-    (ProfileFamily.row_power(0.5, -2000.0), "yields entry inf at index 0 for n=10"),
+    (ProfileFamily("index_power", (2.0, -2000.0)), "yields entry 2.0 at index 0 for n=10"),
+    (ProfileFamily("row_power", (0.5, -2000.0)), "yields entry inf at index 0 for n=10"),
 ])
 def test_family_power_past_the_float_range_is_inf_not_an_overflow_error(family, message):
     with pytest.raises(ValidationError) as info:
@@ -302,8 +302,8 @@ def test_family_arity_checked():
 
 
 def test_spec_string_round_trip_shape():
-    assert ProfileFamily.row_power(1, 0.75).spec_string() == "row_power:1,0.75"
-    assert ProfileFamily.constant_p(0.3).spec_string() == "constant_p:0.3"
+    assert ProfileFamily("row_power", (1, 0.75)).spec_string() == "row_power:1,0.75"
+    assert ProfileFamily("constant_p", (0.3,)).spec_string() == "constant_p:0.3"
 
 
 # ----------------------------------------------------------------------
@@ -410,15 +410,15 @@ def test_load_profile_empty_file(tmp_path):
 
 
 def test_window_power():
-    assert GrowthWindow.power(1, 0.5).value(10000) == pytest.approx(100.0)
+    assert GrowthWindow("power", 1, 0.5).value(10000) == pytest.approx(100.0)
 
 
 def test_window_constant():
-    assert GrowthWindow.constant(3.0).value(12345) == 3.0
+    assert GrowthWindow("constant", 3.0).value(12345) == 3.0
 
 
 def test_window_power_of_lambda_needs_lambda():
-    w = GrowthWindow.power_of_lambda(1, 0.5)
+    w = GrowthWindow("power_of_lambda", 1, 0.5)
     assert w.value(10, lambda_n=4.0) == pytest.approx(2.0)
     with pytest.raises(HypothesisError):
         w.value(10)
@@ -427,14 +427,14 @@ def test_window_power_of_lambda_needs_lambda():
 
 
 def test_window_past_the_float_range_is_inf():
-    assert GrowthWindow.power(1, 400).value(50) == math.inf
-    assert GrowthWindow.power_of_lambda(1, 1e6).value(50, lambda_n=2.0) == math.inf
-    assert GrowthWindow.power(2, 3).value(10) == 2000.0
+    assert GrowthWindow("power", 1, 400).value(50) == math.inf
+    assert GrowthWindow("power_of_lambda", 1, 1e6).value(50, lambda_n=2.0) == math.inf
+    assert GrowthWindow("power", 2, 3).value(10) == 2000.0
 
 
 def test_window_rejects_nonpositive_scale():
     with pytest.raises(ValidationError):
-        GrowthWindow.power(0.0, 1.0)
+        GrowthWindow("power", 0.0, 1.0)
 
 
 @pytest.mark.parametrize("c, a, message", [
@@ -445,12 +445,37 @@ def test_window_rejects_nonpositive_scale():
 ])
 def test_window_rejects_what_could_make_phi_nan(c, a, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        GrowthWindow.power(c, a)
+        GrowthWindow("power", c, a)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("constant", 4.0, 0.5), "window constant takes 1 parameter(s), got 2"),
+    (("power", 1.0), "window power takes 2 parameter(s), got 1"),
+    (("power_of_lambda", 1.0), "window power_of_lambda takes 2 parameter(s), got 1"),
+])
+def test_window_takes_exactly_its_kinds_parameters(args, message):
+    with pytest.raises(ValidationError) as info:
+        GrowthWindow(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("power:1", "window spec 'power:1' must be power:c,a or power_of_lambda:c,a or constant:c"),
+    ("constant:4,0.5", "window spec 'constant:4,0.5' must be power:c,a or power_of_lambda:c,a "
+                       "or constant:c"),
+    ("foo:1", "window spec 'foo:1' must be power:c,a or power_of_lambda:c,a or constant:c"),
+    ("foo:x", "cannot parse window parameters in 'foo:x'"),
+    ("constant:0", "window scale c must be > 0"),
+])
+def test_window_parse_errors(spec, message):
+    with pytest.raises(ValidationError) as info:
+        GrowthWindow.parse(spec)
+    assert str(info.value) == message
 
 
 def test_window_exponent_may_be_infinite():
-    assert GrowthWindow.power(1.0, math.inf).value(10) == math.inf
-    assert GrowthWindow.power(1.0, -math.inf).value(10) == 0.0
+    assert GrowthWindow("power", 1.0, math.inf).value(10) == math.inf
+    assert GrowthWindow("power", 1.0, -math.inf).value(10) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +486,7 @@ def test_window_exponent_may_be_infinite():
 def test_conditions_row_power_grid():
     """sum b^2 for row_power(1, 3/4) is n^{-1/2}: 0.25, 0.0625, 0.015625."""
     report = check_conditions(
-        ProfileFamily.row_power(1, 0.75), (16, 256, 4096), GrowthWindow.power(1, 0.5)
+        ProfileFamily("row_power", (1, 0.75)), (16, 256, 4096), GrowthWindow("power", 1, 0.5)
     )
     assert [r.sum_sq for r in report.rows] == pytest.approx(
         [0.25, 0.0625, 0.015625], rel=1e-12
@@ -473,7 +498,7 @@ def test_conditions_row_power_grid():
 
 def test_conditions_constant_p_not_decreasing():
     report = check_conditions(
-        ProfileFamily.constant_p(0.3), (10, 100), GrowthWindow.power(1, 0.5)
+        ProfileFamily("constant_p", (0.3,)), (10, 100), GrowthWindow("power", 1, 0.5)
     )
     assert [r.m_n for r in report.rows] == [0.3, 0.3]
     assert not report.a1.decreasing
@@ -481,7 +506,7 @@ def test_conditions_constant_p_not_decreasing():
 
 def test_conditions_constant_total_window_product():
     report = check_conditions(
-        ProfileFamily.constant_total(2.0), (10, 100), GrowthWindow.power(1, 0.5)
+        ProfileFamily("constant_total", (2.0,)), (10, 100), GrowthWindow("power", 1, 0.5)
     )
     # phi(n) * m_n = sqrt(n) * 2/n = 2/sqrt(n)
     assert [r.phi_m for r in report.rows] == pytest.approx(
@@ -497,7 +522,7 @@ def test_flat_rows_and_their_sums_hold_no_second_full_row():
     over chunk-sized summand arrays: peak memory is one row, not two."""
     n = 200_000
     row_bytes = 8 * n
-    family = ProfileFamily.row_power(1.2, 0.65)
+    family = ProfileFamily("row_power", (1.2, 0.65))
     tracemalloc.start()
     try:
         profile = generate(family, n)
@@ -507,7 +532,7 @@ def test_flat_rows_and_their_sums_hold_no_second_full_row():
         summed = tracemalloc.get_traced_memory()[1] - row_bytes
         tracemalloc.reset_peak()
         del profile
-        check_conditions(family, [10, n], GrowthWindow.power(1.0, 0.4))
+        check_conditions(family, [10, n], GrowthWindow("power", 1.0, 0.4))
         conditions = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,14 +542,21 @@ def test_flat_rows_and_their_sums_hold_no_second_full_row():
 
 
 def test_conditions_grid_validation():
-    fam = ProfileFamily.constant_p(0.3)
-    w = GrowthWindow.power(1, 0.5)
+    fam = ProfileFamily("constant_p", (0.3,))
+    w = GrowthWindow("power", 1, 0.5)
     with pytest.raises(ValidationError, match="^grid needs at least two points$"):
         check_conditions(fam, (10,), w)
     with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
         check_conditions(fam, (10, 10), w)
     with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
         check_conditions(fam, (100, 10), w)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_conditions_refuse_a_threshold_the_cli_refuses(threshold):
+    fam = ProfileFamily("constant_p", (0.3,))
+    with pytest.raises(ValidationError, match="^threshold must be > 0$"):
+        check_conditions(fam, (10, 20), GrowthWindow("power", 1, 0.5), threshold=threshold)
 
 
 def test_condition_report_reads_a_stable_mean_from_its_rows():
