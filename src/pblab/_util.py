@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -23,6 +24,14 @@ def log_factorial(k: int) -> float:
     if k <= 20:
         return _LOG_FACT_TABLE[k]
     return math.lgamma(k + 1.0)
+
+
+def as_count(value, what: str) -> int:
+    """value as an int through operator.index: ints and numpy ints pass, a float (2.0 too) does not."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def spec_number(x: float) -> str:

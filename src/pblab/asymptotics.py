@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._util import log_factorial, spec_number
+from ._util import as_count, log_factorial, spec_number
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
@@ -77,14 +77,14 @@ class ApproxKind:
         """The approximant a CLI name (APPROX_USAGE) names."""
         name, sep, rest = spec.partition(":")
         tag = APPROX_NAMES.get(name)
+        if tag is None:
+            raise ValidationError(f"unknown approximation kind {name!r}; use {APPROX_USAGE}")
         if tag == "poisson_limit":
             try:
                 lam = float(rest)
             except ValueError as exc:
                 raise ValidationError(f"poisson-limit needs a rate, got {spec!r}") from exc
             return cls(tag, lam)
-        if tag is None and not rest:
-            raise ValidationError(f"unknown approximation kind {name!r}; use {APPROX_USAGE}")
         if sep:  # a parameter, or an empty one, on a kind that takes none
             raise ValidationError(f"approximation kind {spec!r} takes no parameter")
         return cls(tag)
@@ -386,6 +386,7 @@ def mmm_residual(
     """
     if c <= 0.0 or not math.isfinite(c):
         raise ValidationError("constant c must be finite and > 0")
+    k = as_count(k, "k")
     if k < 0:
         raise ValidationError("k must be nonnegative")
     summary = profile.summary
@@ -415,7 +416,7 @@ def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple
     against.
     """
     summary = profile.summary
-    ks = [int(k) for k in k_values]
+    ks = [as_count(k, "k") for k in k_values]
     if not ks:
         raise ValidationError("k_values must be nonempty")
     if min(ks) < 0 or max(ks) > profile.n:

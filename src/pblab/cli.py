@@ -348,7 +348,7 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: 
         )
         dist = dehpfeif_report(profile) if positive else None
         point = emit.envelope_table(envelope)
-    return summary, envelope, dist if positive else None, point
+    return summary, envelope, dist, point
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:

@@ -24,8 +24,9 @@ of the full run.
   per k), with a conditioning contract and an exact-rational mode.
 
 Plus the k-fold symmetric sums, the log zero-probability, a truncated
-Poisson reference, and poisson_distances, which gives the sup-of-CDF and
-total-variation distances to it from one tabulation.
+Poisson reference, and poisson_distances, which tabulates a pmf against
+it once, in three arrays and with no padded copy, for both the sup-of-CDF
+and the total-variation distance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import frozen_row, log_factorial, neumaier_sum
+from ._util import as_count, frozen_row, log_factorial, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
 from .profiles import BernoulliProfile, alpha_n
 
@@ -126,6 +127,7 @@ def _check_k_max(k_max: int | None, n: int) -> int:
     """The top k an engine returns: n when k_max is None, else k_max in 0..n."""
     if k_max is None:
         return n
+    k_max = as_count(k_max, "k_max")
     if not 0 <= k_max <= n:
         raise ValidationError(f"k_max={k_max} outside 0..{n}")
     return k_max
@@ -621,6 +623,8 @@ class PoissonRef:
         something below it: exactly 0.0.  Those entries are zero-filled
         rather than evaluated.
         """
+        if k_hi < 0:
+            raise ValidationError(f"k_hi={k_hi} must be nonnegative")
         lam = self.lam
         log_lam = math.log(lam)
         log_fact = []
@@ -633,39 +637,33 @@ class PoissonRef:
         out[: len(log_fact)] = np.exp(-lam + ks * log_lam - np.array(log_fact))
         return out
 
-    def cdf_points(self, k_hi: int) -> np.ndarray:
-        return np.cumsum(self.pmf_points(k_hi))
 
+def poisson_distances(pmf: Pmf, ref: PoissonRef) -> tuple[float, float]:
+    """(sup_cdf, tv) of pmf from ref, tabulated once at k = 0..k_hi.
 
-def _against_poisson(pmf: Pmf, ref: PoissonRef) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pmf's probabilities and CDF and the reference's probabilities at k = 0..k_hi.
-
-    The pmf's rows are zero-padded past its support, and its CDF holds its
-    last value there, which is what a cumulative sum over the padded row
-    gives bit for bit.  k_hi covers the pmf's support and reaches where the
-    reference's tail is certified below 1e-12, so the omitted contribution
-    is below reporting precision.  The pmf must carry essentially all of
-    its mass: full support, or a truncated support whose cumulative mass
-    reaches 1 - 1e-12.
+    sup_cdf = sup_k |CDF(pmf)(k) - CDF(ref)(k)|; tv = (1/2) sum_k |pmf(k) - ref(k)|.
+    k_hi covers the pmf's support and reaches where ref's tail is certified
+    below 1e-12.  A truncated pmf must carry cumulative mass >= 1 - 1e-12.
+    Past its support the pmf is 0 and its CDF holds its total, so the
+    differences there, -t and total - c, are exact and go straight into the
+    one buffer of differences: no padded copy is made, and each distance
+    reduces the same values in the same order as over the padded rows.
     """
-    probs = pmf.probs()
-    cdf = np.cumsum(probs)
-    total = float(cdf[-1])
+    own = pmf.probs()
+    top = len(own)
+    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
+    terms = ref.pmf_points(k_hi)
+    diff = np.empty(k_hi + 1)
+    np.subtract(own, terms[:top], out=diff[:top])
+    np.negative(terms[top:], out=diff[top:])
+    tv = 0.5 * float(np.abs(diff, out=diff).sum())
+    total = float(np.cumsum(own, out=own)[-1])
     if pmf.support_max < pmf.n and total < 1.0 - 1e-12:
         raise ValidationError(
             f"pmf covers mass {total:.17g} on 0..{pmf.support_max}; "
             "need full support or cumulative mass >= 1 - 1e-12"
         )
-    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-    pad = (0, k_hi - pmf.support_max)
-    return np.pad(probs, pad), np.pad(cdf, pad, mode="edge"), ref.pmf_points(k_hi)
-
-
-def poisson_distances(pmf: Pmf, ref: PoissonRef) -> tuple[float, float]:
-    """(sup_cdf, tv) of pmf from ref, off one _against_poisson tabulation.
-
-    sup_cdf = sup_k |CDF(pmf)(k) - CDF(ref)(k)|; tv = (1/2) sum_k |pmf(k) - ref(k)|.
-    """
-    own, own_cdf, terms = _against_poisson(pmf, ref)
-    sup_cdf = float(np.max(np.abs(own_cdf - np.cumsum(terms))))
-    return sup_cdf, 0.5 * float(np.abs(own - terms).sum())
+    np.cumsum(terms, out=terms)
+    np.subtract(own, terms[:top], out=diff[:top])
+    np.subtract(total, terms[top:], out=diff[top:])
+    return float(np.abs(diff, out=diff).max()), tv

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._util import frozen_row, spec_number
+from ._util import as_count, frozen_row, spec_number
 from .errors import HypothesisError, ValidationError
 
 # kind -> number of parameters: the one vocabulary of each spec format, read
@@ -454,7 +454,7 @@ class ConditionReport:
 
 def check_grid(grid) -> tuple[int, ...]:
     """The grid of n as a tuple of ints; it needs two or more, strictly increasing."""
-    grid = tuple(int(n) for n in grid)
+    grid = tuple(as_count(n, "grid point") for n in grid)
     if len(grid) < 2:
         raise ValidationError("grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -7,6 +7,7 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,7 +80,9 @@ def test_kind_parse_maps_each_cli_name_to_its_tag():
     ("normal:1", "approximation kind 'normal:1' takes no parameter"),
     ("foo", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
     ("foo:", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
-    ("foo:1", "approximation kind 'foo:1' takes no parameter"),
+    ("foo:1", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
+    ("poisson_limit:2", "unknown approximation kind 'poisson_limit'; "
+                        "use lambda|beta|poisson|poisson-limit:rate|normal"),
     ("poisson-limit", "poisson-limit needs a rate, got 'poisson-limit'"),
     ("poisson-limit:", "poisson-limit needs a rate, got 'poisson-limit:'"),
     ("poisson-limit:-1", "poisson_limit rate must be finite > 0, got -1.0"),
@@ -507,8 +510,20 @@ def test_normal_residual_validation():
     prof = BernoulliProfile((0.5,) * 4)
     with pytest.raises(ValidationError):
         mmm_residual(prof, 1, 0.0)
+    with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.5$"):
+        mmm_residual(prof, 2.5, 1.0)
+    assert mmm_residual(prof, np.int64(2), 1.0) == mmm_residual(prof, 2, 1.0)
     with pytest.raises(HypothesisError):
         mmm_residual(BernoulliProfile((0.0, 0.0)), 0, 1.0)
+
+
+def test_normal_local_report_takes_counts():
+    """A numpy int is a count; a float k is refused, not truncated to int."""
+    prof = BernoulliProfile((0.5,) * 10)
+    assert normal_local_report(prof, np.array([2, 3]))[1] == normal_local_report(prof, [2, 3])[1]
+    for ks in ([2.7, 3.2], [2.0]):
+        with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.[07]$"):
+            normal_local_report(prof, ks)
 
 
 def test_normal_local_spot_values():

@@ -671,6 +671,19 @@ def test_kind_with_an_empty_parameter_exits_2_as_flag_or_config(command, tmp_pat
     }
 
 
+@pytest.mark.parametrize("command", ["approx", "verify"])
+def test_kind_spelled_as_its_report_tag_exits_2_as_unknown(command, tmp_path, capsys):
+    """Reports print the tag poisson_limit:2; --kind reads the CLI names only."""
+    argv = drop(base_argv(command, tmp_path), "kind")
+    code, out, err = run_cli(argv + ["--kind", "poisson_limit:2"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": "unknown approximation kind 'poisson_limit'; "
+                   "use lambda|beta|poisson|poisson-limit:rate|normal",
+    }
+
+
 # ------------------------------------------------- config files and overrides
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

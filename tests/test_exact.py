@@ -172,6 +172,16 @@ def test_engines_share_the_k_max_rule(engine):
         assert str(info.value) == f"k_max={k_max} outside 0..3"
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_take_k_max_as_a_count(engine):
+    """A numpy int is a count; a float, 2.0 included, is refused as the CLI refuses it."""
+    assert engine(WORKED, np.int64(2)).log_probs.tobytes() == engine(WORKED, 2).log_probs.tobytes()
+    for k_max in (2.0, 2.5):
+        with pytest.raises(ValidationError) as info:
+            engine(WORKED, k_max)
+        assert str(info.value) == f"k_max must be an integer, got {k_max!r}"
+
+
 def test_dp_truncation_is_prefix_of_full_run():
     """The recurrence never reads above k, so truncation is bitwise exact."""
     prof = BernoulliProfile(tuple((i % 7 + 1) / 10 for i in range(40)))
@@ -738,12 +748,12 @@ def test_poisson_ref_truncation_certifies_tail():
     for lam in (0.5, 3.0, 100.0):
         ref = PoissonRef(lam)
         k = ref.truncation_k(1e-12)
-        mass = float(ref.cdf_points(k)[-1])
+        mass = float(np.cumsum(ref.pmf_points(k))[-1])
         assert 1.0 - mass < 1e-12
 
 
 def test_poisson_ref_cdf_monotone():
-    cdf = PoissonRef(4.0).cdf_points(60)
+    cdf = np.cumsum(PoissonRef(4.0).pmf_points(60))
     assert np.all(np.diff(cdf) >= 0)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -768,7 +778,13 @@ def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
     for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far):
         assert ref.pmf_points(k_hi).tobytes() == full[: k_hi + 1].tobytes()
         expected_cdf = np.cumsum(full[: k_hi + 1])
-        assert ref.cdf_points(k_hi).tobytes() == expected_cdf.tobytes()
+        assert np.cumsum(ref.pmf_points(k_hi)).tobytes() == expected_cdf.tobytes()
+
+
+def test_poisson_ref_pmf_points_refuse_a_negative_top():
+    with pytest.raises(ValidationError, match=r"^k_hi=-3 must be nonnegative$"):
+        PoissonRef(2.0).pmf_points(-3)
+    assert PoissonRef(2.0).pmf_points(0).tolist() == [math.exp(-2.0)]
 
 
 def test_dc_starts_no_thread(monkeypatch):
@@ -797,16 +813,39 @@ def test_dc_traced_peak_stays_below_three_and_a_half_rows():
 
 
 def test_poisson_distances_tabulate_once_for_both():
-    """poisson_distances gives both distances' direct formulas bit for bit, from one window."""
-    prof = BernoulliProfile(tuple((i % 4 + 1) / 40 for i in range(3000)))
-    pmf = pmf_dc(prof)
-    ref = PoissonRef(prof.summary.lambda_n)
-    sup_cdf, tv = poisson_distances(pmf, ref)
-    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-    own = np.pad(pmf.probs(), (0, k_hi - pmf.support_max))
-    terms = ref.pmf_points(k_hi)
-    assert sup_cdf == float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
-    assert tv == 0.5 * float(np.abs(own - terms).sum())
+    """poisson_distances gives both distances' direct formulas bit for bit, from one window.
+
+    The rows: a full support; a full support the reference runs past
+    (k_hi > n); a truncated tree pmf above the mass cap.
+    """
+    full = BernoulliProfile(tuple((i % 4 + 1) / 40 for i in range(3000)))
+    short = generate(ProfileFamily("constant_p", (0.9,)), 20)
+    light = generate(ProfileFamily("constant_total", (2.0,)), 1000)
+    shapes = []  # (the reference runs past n, the pmf is truncated)
+    for pmf, prof in ((pmf_dc(full), full), (pmf_dc(short), short), (pmf_tree(light, 60), light)):
+        ref = PoissonRef(prof.summary.lambda_n)
+        sup_cdf, tv = poisson_distances(pmf, ref)
+        k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
+        own = np.pad(pmf.probs(), (0, k_hi - pmf.support_max))
+        terms = ref.pmf_points(k_hi)
+        assert sup_cdf == float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
+        assert tv == 0.5 * float(np.abs(own - terms).sum())
+        shapes.append((k_hi > prof.n, pmf.support_max < prof.n))
+    assert shapes == [(False, False), (True, False), (False, True)]
+
+
+def test_poisson_distances_traced_peak_stays_below_three_and_a_half_rows():
+    """The pmf's probabilities, the reference's terms and one buffer of
+    differences are the only arrays of the row's length beyond the inputs."""
+    n = 10**6
+    pmf = Pmf(np.full(n + 1, -math.log(n + 1)), n, "dp")
+    tracemalloc.start()
+    try:
+        poisson_distances(pmf, PoissonRef(999.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n
 
 
 def test_sup_cdf_distance_two_term_example():

@@ -552,6 +552,16 @@ def test_conditions_grid_validation():
         check_conditions(fam, (100, 10), w)
 
 
+def test_conditions_grid_takes_counts():
+    """A numpy int is a count; a float n is refused, not floored."""
+    fam = ProfileFamily("constant_p", (0.3,))
+    w = GrowthWindow("power", 1, 0.5)
+    assert check_conditions(fam, np.array([100, 1000]), w).grid == (100, 1000)
+    for grid in ([100.5, 1000.9], [100.0, 1000]):
+        with pytest.raises(ValidationError, match=r"^grid point must be an integer, got 100\.[05]$"):
+            check_conditions(fam, grid, w)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
 def test_conditions_refuse_a_threshold_the_cli_refuses(threshold):
     fam = ProfileFamily("constant_p", (0.3,))
