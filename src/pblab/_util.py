@@ -10,20 +10,26 @@ import numpy as np
 
 from .errors import ValidationError
 
-# log(k!) for k = 0..20 is math.log of the exact integer math.factorial(k);
-# lgamma covers the rest.
-_LOG_FACT_TABLE: tuple[float, ...] = tuple(
-    math.log(math.factorial(k)) if k else 0.0 for k in range(21)
-)
+# log(k!) for k = 0..20 is math.log of the exact integer math.factorial(k).
+_LOG_FACT_TABLE = tuple(math.log(math.factorial(k)) for k in range(21))
 
 
-def log_factorial(k: int) -> float:
-    """Return log(k!) for integer k >= 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k <= 20:
-        return _LOG_FACT_TABLE[k]
-    return math.lgamma(k + 1.0)
+def log_factorials(ks: np.ndarray) -> np.ndarray:
+    """log(k!) at each entry of an int array of k >= 0: the table to 20, libm's lgamma above."""
+    small = ks <= 20
+    out = np.empty(ks.shape)
+    out[small] = np.take(_LOG_FACT_TABLE, ks[small])
+    out[~small] = libm_map(math.lgamma, ks[~small] + 1.0)
+    return out
+
+
+def libm_map(fn, values) -> np.ndarray:
+    """fn of each entry of values, one Python float at a time, as a float64 array of values' shape.
+
+    For libm's exp, lgamma and pow: np.exp, and numpy's d ** 2 (d * d), can differ in the last bit.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)
 
 
 def as_count(value, what: str) -> int:
@@ -32,6 +38,16 @@ def as_count(value, what: str) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def as_counts(values, what: str) -> np.ndarray:
+    """values as an int array of entries >= 0; a float, bool or object dtype is refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got dtype {arr.dtype}")
+    if (arr < 0).any():
+        raise ValidationError(f"{what} must be nonnegative")
+    return arr
 
 
 def spec_number(x: float) -> str:
@@ -62,10 +78,10 @@ def neumaier_sum(terms) -> tuple[float, float]:
     return total + comp, total_abs
 
 
-def frozen_row(values, what: str) -> np.ndarray:
-    """A new read-only 1-D float64 copy of values; the caller checks entries."""
+def frozen_row(values, what: str, dtype=np.float64) -> np.ndarray:
+    """A new read-only 1-D copy of values (float64 unless dtype says); the caller checks entries."""
     try:
-        row = np.array(values, dtype=np.float64)
+        row = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a row of numbers: {exc}") from exc
     if row.ndim != 1:

@@ -1,8 +1,11 @@
 """Local approximations to the count distribution and their error envelopes.
 
 Three Poisson-type forms share the shape approx(k) = anchor * rate^k / k!,
-and each is one (anchor, rate, rails) entry: _poisson_type gives its anchor
-and rate, _sandwich_rails its k -> (lower, upper, valid) rails.
+and each is one (anchor, rate, rails) entry: approx_pmf's table gives its
+anchor and rate, _sandwich_rails its (lower, upper, valid) rail columns.  Every
+approximant and envelope takes an int array of k (a Python int is the 0-d
+case) and returns arrays; exp, lgamma and the normal square are libm's,
+mapped per entry, so each entry is bit for bit the scalar formula's.
 
 * lambda_form: anchor P(V=0), rate lambda_n.  Two-sided envelope
   [1 - eps1, 1 + eps2] with eps1 = k^2 m/lambda, eps2 = km/(1-km).
@@ -31,11 +34,12 @@ the sandwich verifier uses the provable rails.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from ._util import as_count, log_factorial, spec_number
+import numpy as np
+
+from ._util import as_count, as_counts, frozen_row, libm_map, log_factorials, spec_number
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
@@ -95,65 +99,50 @@ class ApproxKind:
         return self.tag
 
 
-def _poisson_type(
-    kind: ApproxKind, summary: ProfileSummary, p0_log: float
-) -> tuple[float, float, str]:
-    """(log anchor, rate, rate name) of a Poisson-type form."""
-    if kind.tag == "lambda_form":
-        return p0_log, summary.lambda_n, "lambda_n"
-    if kind.tag == "beta_form":
-        return p0_log, summary.beta_n, "beta_n"
-    if kind.tag == "poisson_form":
-        return -summary.lambda_n, summary.lambda_n, "lambda_n"
-    return -kind.lam, kind.lam, "lam"  # poisson_limit: rate validated at construction
-
-
-def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k: int) -> float:
-    """Log of the named approximant at k.
+def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k) -> np.ndarray:
+    """Log of the named approximant at each k of an int array (a scalar for a 0-d k).
 
     p0_log anchors the lambda and beta forms; passing the exact engine's own
     k=0 entry makes the ratio at k=0 equal 1 bit for bit.
     """
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    ks = as_counts(k, "k")
     if kind.tag == "normal_local":
         if summary.var_n <= 0.0:
             raise HypothesisError("normal_local needs var_n > 0")
         var = summary.var_n
-        return -0.5 * math.log(2.0 * math.pi * var) - (k - summary.lambda_n) ** 2 / (2.0 * var)
-    anchor, rate, name = _poisson_type(kind, summary, p0_log)
-    if k == 0:
-        return anchor
-    if rate <= 0.0:
+        square = libm_map(lambda d: d ** 2, ks - summary.lambda_n)  # libm's pow
+        return (-0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var))[()]
+    anchor, rate, name = {  # (log anchor, rate, its name); ApproxKind checked poisson_limit's
+        "lambda_form": (p0_log, summary.lambda_n, "lambda_n"),
+        "beta_form": (p0_log, summary.beta_n, "beta_n"),
+        "poisson_form": (-summary.lambda_n, summary.lambda_n, "lambda_n"),
+    }.get(kind.tag) or (-kind.lam, kind.lam, "lam")
+    if rate <= 0.0 and ks.any():
         raise HypothesisError(f"{kind.tag} needs {name} > 0 for k >= 1")
-    return anchor + k * math.log(rate) - log_factorial(k)
+    log_rate = math.log(rate) if rate > 0.0 else 0.0
+    return np.where(ks > 0, anchor + ks * log_rate - log_factorials(ks), anchor)[()]
 
 
-def envelope_thm1(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
-    """Two-sided envelope for the lambda form: returns (eps1, eps2, valid).
+def envelope_thm1(summary: ProfileSummary, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided envelope for the lambda form: the (eps1, eps2, valid) columns at k.
 
     ratio in [1 - eps1, 1 + eps2] with eps1 = k^2 m/lambda and
     eps2 = km/(1 - km), provable at finite n whenever km < 1 and eps1 < 1
     (those conditions also force km <= lambda, which the lower-bound product
-    expansion needs).  k = 0 gives the exact ratio 1.
+    expansion needs).  k = 0 gives the exact ratio 1; eps2 is inf where km >= 1.
     """
     if summary.lambda_n <= 0.0:
         raise HypothesisError("envelope needs lambda_n > 0")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    if k == 0:
-        return 0.0, 0.0, True
-    m = summary.m_n
-    eps1 = k * k * m / summary.lambda_n
-    km = k * m
-    eps2 = km / (1.0 - km) if km < 1.0 else math.inf
-    return eps1, eps2, (km < 1.0 and eps1 < 1.0)
+    ks = as_counts(k, "k")
+    eps1 = ks * ks * summary.m_n / summary.lambda_n
+    km = ks * summary.m_n
+    with np.errstate(divide="ignore"):
+        eps2 = np.where(km < 1.0, km / (1.0 - km), math.inf)
+    return eps1, eps2[()], (km < 1.0) & (eps1 < 1.0)
 
 
-def envelope_thm2(
-    summary: ProfileSummary, beta_cap: float, k: int
-) -> tuple[float, bool]:
-    """One-sided envelope for the beta form: returns (eps, valid).
+def envelope_thm2(summary: ProfileSummary, beta_cap: float, k) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided envelope for the beta form: the (eps, valid) columns at k.
 
     eps = k^2 cap / (lambda (1 - cap)) bounds the shortfall of the ratio
     below 1; the ratio itself never exceeds 1.  The cap must dominate every
@@ -162,44 +151,36 @@ def envelope_thm2(
     """
     if summary.lambda_n <= 0.0:
         raise HypothesisError("envelope needs lambda_n > 0")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    ks = as_counts(k, "k")
     cap = float(beta_cap)
     if cap < summary.m_n or cap >= 1.0:
         raise HypothesisError(
             f"beta cap {cap!r} must satisfy m_n <= cap < 1 (m_n = {summary.m_n!r})"
         )
-    if k == 0:
-        return 0.0, True
-    eps = k * k * cap / (summary.lambda_n * (1.0 - cap))
+    eps = ks * ks * cap / (summary.lambda_n * (1.0 - cap))
     return eps, eps < 1.0
 
 
-def _upper_rail(summary: ProfileSummary, eps2: float) -> float:
-    """e^(sum b^2) (1 + eps2); inf when eps2 is inf or the product overflows."""
-    try:
-        return math.exp(summary.sum_sq) * (1.0 + eps2)
-    except OverflowError:
-        return math.inf
+def envelope_thm3(summary: ProfileSummary, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stated display around the plain Poisson form: the (lower, upper, valid) columns.
 
-
-def envelope_thm3(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
-    """The stated display around the plain Poisson form: (lower, upper, valid).
-
-    lower = 1 - eps1, upper = e^(sum b^2) (1 + eps2).  The upper half is
-    provable; the lower half is NOT attainable near k = 0 (see the module
-    docstring), where the true ratio sits below 1 by the zero-probability
-    identity.  poisson_form_bracket gives the two-sided bracket that holds.
-    Requires every entry below 1/2 (m_n < 1/2).
+    lower = 1 - eps1, upper = e^(sum b^2) (1 + eps2), inf where eps2 is inf
+    or the product overflows.  Only the upper half is provable (see the
+    module docstring).  Requires every entry below 1/2 (m_n < 1/2).
     """
     if summary.m_n >= 0.5:
         raise HypothesisError(f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}")
     eps1, eps2, valid = envelope_thm1(summary, k)
-    return 1.0 - eps1, _upper_rail(summary, eps2), valid
+    try:
+        grow = math.exp(summary.sum_sq)
+    except OverflowError:
+        grow = math.inf
+    with np.errstate(over="ignore"):
+        return 1.0 - eps1, grow * (1.0 + eps2), valid
 
 
-def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float, bool]:
-    """Provable two-sided bracket for the plain Poisson form.
+def poisson_form_bracket(summary: ProfileSummary, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Provable two-sided bracket for the plain Poisson form: (lower, upper, valid) columns.
 
     e^(-sum b^2) (1 - eps1) <= P(V=k) / (e^(-lambda) lambda^k / k!)
                             <= e^(sum b^2) (1 + eps2).
@@ -215,50 +196,61 @@ def poisson_form_bracket(summary: ProfileSummary, k: int) -> tuple[float, float,
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Exact-vs-approximant ratios over a window with their proved rails.
+    """Exact-vs-approximant ratios over the window k = 0..k_hi with their proved rails.
 
-    Stores the measured columns and the inputs; validity_mask marks the k
-    where the side conditions hold.  Read-only properties of the columns:
-    violations counts rail breaches beyond margin among those k only, and
-    max_abs_dev is the sup of |ratio - 1| over the whole window.
+    Stores the measured columns and the inputs, each column a read-only
+    float64 array (validity_mask a bool one, marking the k where the side
+    conditions hold).  Read-only properties of the columns: k_values, the
+    ratios exp(log_exact - log_approx), violations, which counts rail
+    breaches beyond margin among the valid k only, and max_abs_dev, the sup
+    of |ratio - 1| over the whole window.
     """
 
     kind: str
     n: int
     window: str
-    k_values: tuple[int, ...]
-    log_exact: tuple[float, ...]
-    log_approx: tuple[float, ...]
-    ratios: tuple[float, ...]
-    lower_env: tuple[float, ...]
-    upper_env: tuple[float, ...]
-    validity_mask: tuple[bool, ...]
+    log_exact: np.ndarray
+    log_approx: np.ndarray
+    lower_env: np.ndarray
+    upper_env: np.ndarray
+    validity_mask: np.ndarray
     margin: float
     beta_cap: float | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("log_exact", "log_approx", "lower_env", "upper_env", "validity_mask"):
+            dtype = bool if name == "validity_mask" else np.float64
+            object.__setattr__(self, name, frozen_row(getattr(self, name), name, dtype))
+
+    @property
+    def k_values(self) -> np.ndarray:
+        return np.arange(len(self.log_exact))
+
+    @property
+    def ratios(self) -> np.ndarray:
+        return libm_map(math.exp, self.log_exact - self.log_approx)
+
     @property
     def violations(self) -> int:
-        rows = zip(self.ratios, self.lower_env, self.upper_env, self.validity_mask)
-        margin = self.margin
-        return sum(1 for r, lo, up, ok in rows if ok and (r < lo - margin or r > up + margin))
+        r, margin = self.ratios, self.margin
+        past = (r < self.lower_env - margin) | (r > self.upper_env + margin)
+        return int(np.count_nonzero(past & self.validity_mask))
 
     @property
     def max_abs_dev(self) -> float:
-        return max(abs(r - 1.0) for r in self.ratios)
+        return float(np.abs(self.ratios - 1.0).max())
 
 
-def _sandwich_rails(tag: str, summary: ProfileSummary, cap: float | None):
-    """The form's k -> (lower, upper, valid) rails around its ratio."""
+def _sandwich_rails(tag: str, summary: ProfileSummary, cap: float | None, ks: np.ndarray):
+    """The form's (lower, upper, valid) rail columns around its ratio at ks."""
     if tag == "lambda_form":
-        def rails(k: int) -> tuple[float, float, bool]:
-            eps1, eps2, valid = envelope_thm1(summary, k)
-            return 1.0 - eps1, 1.0 + eps2, valid
-        return rails
+        eps1, eps2, valid = envelope_thm1(summary, ks)
+        return 1.0 - eps1, 1.0 + eps2, valid
     if tag == "beta_form":
         # The upper half is unconditional; a nonpositive lower rail is simply
         # vacuous, so every k participates in violation counting.
-        return lambda k: (1.0 - envelope_thm2(summary, cap, k)[0], 1.0, True)
-    return functools.partial(poisson_form_bracket, summary)
+        return 1.0 - envelope_thm2(summary, cap, ks)[0], np.ones(ks.shape), np.ones(ks.shape, bool)
+    return poisson_form_bracket(summary, ks)
 
 
 def check_sandwich_kind(tag: str, beta_cap: float | None) -> None:
@@ -291,7 +283,7 @@ def verify_sandwich(
     k=0 is exactly 1 for the anchored forms.  A missing beta cap defaults
     to (m_n + 1)/2, halfway between the largest entry and 1; sweeps over n
     should fix an explicit cap instead so the envelope means the same thing
-    at every n.  The rails are evaluated once at k = 0 before the engine
+    at every n.  The rails are evaluated over the window before the engine
     runs, so a cap below m_n, or a poisson form with m_n >= 1/2, fails at
     once.  A ratio is a violation only past a rail by more than margin,
     which must be >= 0.
@@ -307,24 +299,18 @@ def verify_sandwich(
     cap: float | None = None
     if kind.tag == "beta_form":
         cap = float(beta_cap) if beta_cap is not None else (summary.m_n + 1.0) / 2.0
-    rails = _sandwich_rails(kind.tag, summary, cap)
-    rails(0)  # a cap below m_n, or m_n >= 1/2, raises here rather than after the engine
     n = profile.n
     phi = window.value(n, summary.lambda_n)
     k_hi = n if phi >= (n + 1) ** 2 else math.isqrt(int(phi))
-    ks = tuple(range(k_hi + 1))
-    log_exact = tuple(pmf_tree(profile, k_hi).log_probs.tolist())
-    log_approx = tuple(approx_pmf(kind, summary, log_exact[0], k) for k in ks)
-    ratios = tuple(math.exp(le - la) for le, la in zip(log_exact, log_approx))
-    lower_env, upper_env, mask = zip(*(rails(k) for k in ks))
+    ks = np.arange(k_hi + 1)
+    lower_env, upper_env, mask = _sandwich_rails(kind.tag, summary, cap, ks)
+    log_exact = pmf_tree(profile, k_hi).log_probs
     return EnvelopeReport(
         kind=kind.tag,
         n=n,
         window=window.spec_string(),
-        k_values=ks,
         log_exact=log_exact,
-        log_approx=log_approx,
-        ratios=ratios,
+        log_approx=approx_pmf(kind, summary, float(log_exact[0]), ks),
         lower_env=lower_env,
         upper_env=upper_env,
         validity_mask=mask,
@@ -381,26 +367,19 @@ def mmm_residual(
     """Absolute-constant normal residual at one k: returns (lhs, rhs, holds).
 
     lhs = |B P(V=k) - (2 pi)^(-1/2) e^(-(k-lambda)^2 / (2 B^2))| with
-    B = sqrt(var_n); rhs = c * sum p q (p^2 + q^2) / B^3.  The constant c
-    is the caller's to supply; nothing here estimates it.  Diagnostic only.
+    B = sqrt(var_n), the second term being B times the normal_local density
+    at k; rhs = c * sum p q (p^2 + q^2) / B^3.  The constant c is the
+    caller's to supply; nothing here estimates it.  Diagnostic only.
     """
     if c <= 0.0 or not math.isfinite(c):
         raise ValidationError("constant c must be finite and > 0")
     k = as_count(k, "k")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
     summary = profile.summary
-    if summary.var_n <= 0.0:
-        raise HypothesisError("normal residual needs var_n > 0 (nondegenerate count)")
+    # approx_pmf refuses a negative k, and var_n = 0 (a degenerate count).
+    gauss = math.exp(approx_pmf(ApproxKind("normal_local"), summary, 0.0, k))
     b = math.sqrt(summary.var_n)
-    if k <= profile.n:
-        pk = pmf_tree(profile, k).prob(k)
-    else:
-        pk = 0.0
-    gauss = math.exp(-((k - summary.lambda_n) ** 2) / (2.0 * summary.var_n)) / math.sqrt(
-        2.0 * math.pi
-    )
-    lhs = abs(b * pk - gauss)
+    pk = pmf_tree(profile, k).prob(k) if k <= profile.n else 0.0
+    lhs = abs(b * pk - b * gauss)
     p = profile.probs
     q = 1.0 - p
     spread = math.fsum(memoryview(p * q * (p * p + q * q)))
@@ -408,21 +387,18 @@ def mmm_residual(
     return lhs, rhs, lhs < rhs
 
 
-def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, tuple[float, ...]]:
-    """Exact PMF plus normal_local ratios at the requested k values.
+def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, np.ndarray]:
+    """Exact PMF plus the normal_local ratios at the requested k values, as a float64 array.
 
     The PMF comes from the product-tree engine (pmf_tree), truncated at the
     largest requested k; pmf_dp stays the log-domain oracle it is checked
     against.
     """
-    summary = profile.summary
-    ks = [as_count(k, "k") for k in k_values]
-    if not ks:
+    if not np.size(k_values):
         raise ValidationError("k_values must be nonempty")
-    if min(ks) < 0 or max(ks) > profile.n:
+    ks = as_counts(k_values, "k")
+    if ks.max() > profile.n:
         raise ValidationError("k_values must lie in 0..n")
-    pmf = pmf_tree(profile, max(ks))
-    lps = pmf.log_probs.tolist()
-    kind = ApproxKind("normal_local")
-    ratios = tuple(math.exp(lps[k] - approx_pmf(kind, summary, lps[0], k)) for k in ks)
-    return pmf, ratios
+    pmf = pmf_tree(profile, int(ks.max()))
+    log_approx = approx_pmf(ApproxKind("normal_local"), profile.summary, 0.0, ks)
+    return pmf, libm_map(math.exp, pmf.log_probs[ks] - log_approx)

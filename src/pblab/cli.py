@@ -33,6 +33,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import emit
 from ._util import read_json
 from .asymptotics import (
@@ -279,8 +281,8 @@ def _cmd_approx(cfg: ExperimentConfig) -> None:
     kind = ApproxKind.parse(cfg.kind)
     profile = _resolve_profile(cfg)
     summary = profile.summary
-    ks = list(range(_check_k_max(cfg.k_max, profile.n) + 1))
-    log_vals = [approx_pmf(kind, summary, summary.alpha_n, k) for k in ks]
+    ks = np.arange(_check_k_max(cfg.k_max, profile.n) + 1)
+    log_vals = approx_pmf(kind, summary, summary.alpha_n, ks)
     _deliver(cfg, emit.approx_table(kind.spec_string(), summary, ks, log_vals))
 
 

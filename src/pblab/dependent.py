@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import read_json
+from ._util import as_count, frozen_row, libm_map, read_json
 from .errors import SizeError, ValidationError
 from .exact import (
     Pmf,
@@ -360,31 +360,42 @@ def pmf_dependent(model: DependentModel, k: int, high_precision: bool = False) -
 class RatioReport:
     """Dependent and independent PMF values for k = 0..k_max; the ratios are properties.
 
-    Stores the two measured columns.  Read-only properties of them: entries
-    lists (k, ratio) where the independent probability is positive;
-    omitted_k lists the k skipped for a zero denominator, whether the
-    probability is exactly zero or its exp underflows to 0.0.
+    Stores the two measured columns as read-only float64 arrays.  Read-only
+    properties of them: ratios divides them at each k, nan where the
+    independent probability is not positive (exactly zero, or its exp
+    underflowed to 0.0); entries lists (k, ratio) at the other k, omitted_k
+    the k skipped, and max_abs_dev the sup of |ratio - 1| over the entries.
     """
 
-    dep_probs: tuple[float, ...]
-    indep_probs: tuple[float, ...]
+    dep_probs: np.ndarray
+    indep_probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("dep_probs", "indep_probs"):
+            object.__setattr__(self, name, frozen_row(getattr(self, name), name))
 
     @property
-    def k_values(self) -> tuple[int, ...]:
-        return tuple(range(len(self.dep_probs)))
+    def k_values(self) -> np.ndarray:
+        return np.arange(len(self.dep_probs))
+
+    @property
+    def ratios(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a subnormal denominator: inf, as a Python float gives
+            return np.divide(self.dep_probs, self.indep_probs, where=self.indep_probs > 0.0,
+                             out=np.full(len(self.dep_probs), math.nan))
 
     @property
     def entries(self) -> tuple[tuple[int, float], ...]:
-        pairs = enumerate(zip(self.dep_probs, self.indep_probs))
-        return tuple((k, d / i) for k, (d, i) in pairs if i > 0.0)
+        kept = self.indep_probs > 0.0
+        return tuple(zip(np.flatnonzero(kept).tolist(), self.ratios[kept].tolist()))
 
     @property
     def omitted_k(self) -> tuple[int, ...]:
-        return tuple(k for k, i in enumerate(self.indep_probs) if not i > 0.0)
+        return tuple(np.flatnonzero(~(self.indep_probs > 0.0)).tolist())
 
     @property
     def max_abs_dev(self) -> float:
-        return max((abs(r - 1.0) for _, r in self.entries), default=0.0)
+        return float(np.fmax.reduce(np.abs(self.ratios - 1.0), initial=0.0))  # fmax skips nan
 
 
 def ratio_report(
@@ -400,9 +411,8 @@ def ratio_report(
         )
     k_max = _check_k_max(k_max, model.n)
     sums = s_tilde(model, model.n, high_precision)
-    dep = tuple(pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1))
-    ind = tuple(math.exp(lp) for lp in pmf_tree(indep, k_max).log_probs.tolist())
-    return RatioReport(dep, ind)
+    dep = [pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1)]
+    return RatioReport(dep, libm_map(math.exp, pmf_tree(indep, k_max).log_probs))
 
 
 @dataclass(frozen=True)
@@ -553,6 +563,8 @@ def check_scheme(
     """
     if indep.n != model.n:
         raise ValidationError(f"comparison row has n={indep.n}, model has n={model.n}")
+    k_max, sample_budget, seed = (as_count(v, name) for v, name in (
+        (k_max, "k_max"), (sample_budget, "sample_budget"), (seed, "seed")))
     if not 1 <= k_max <= model.n:
         raise ValidationError(f"k_max={k_max} outside 1..{model.n}")
     validate_sample_budget(sample_budget)

@@ -42,6 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._util import libm_map
 from .asymptotics import DistanceReport, EnvelopeReport
 from .dependent import RatioReport, SchemeDiagnostics
 from .errors import ValidationError
@@ -237,33 +238,29 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _exp(log_values) -> list[float]:
-    # math.exp per entry, not np.exp: the two may differ in the last bit.
-    return list(map(math.exp, log_values))
-
-
 def _attrs(items, *names) -> list[list]:
     """One column per attribute name, read off each item in turn."""
     return [[getattr(item, name) for item in items] for name in names]
 
 
 def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
-    log_probs = pmf.log_probs.tolist()
+    log_probs = pmf.log_probs
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
             "summary": asdict(summary)}
-    return Table(("k", "prob", "log_prob"),
-                 (range(len(log_probs)), _exp(log_probs), log_probs), meta)
+    probs = libm_map(math.exp, log_probs)  # not np.exp, which may differ in the last bit
+    return Table(("k", "prob", "log_prob"), (range(len(log_probs)), probs, log_probs), meta)
 
 
 def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:
     meta = {"kind": kind, "summary": asdict(summary)}
-    return Table(("k", "approx_prob", "log_approx"), (ks, _exp(log_values), log_values), meta)
+    columns = (ks, libm_map(math.exp, log_values), log_values)
+    return Table(("k", "approx_prob", "log_approx"), columns, meta)
 
 
 def envelope_table(r: EnvelopeReport) -> Table:
     header = ("k", "exact", "approx", "ratio", "lower_env", "upper_env", "valid")
-    columns = (r.k_values, _exp(r.log_exact), _exp(r.log_approx), r.ratios,
-               r.lower_env, r.upper_env, r.validity_mask)
+    exact, approx = libm_map(math.exp, r.log_exact), libm_map(math.exp, r.log_approx)
+    columns = (r.k_values, exact, approx, r.ratios, r.lower_env, r.upper_env, r.validity_mask)
     summary = {"max_abs_dev": r.max_abs_dev, "violations": r.violations, "window": r.window,
                "k_count": len(r.k_values)}
     meta = {"kind": r.kind, "n": r.n, "window": r.window, "beta_cap": r.beta_cap,
@@ -313,13 +310,12 @@ def dependent_table(
     header = ("k", "dep_prob", "indep_prob", "ratio",
               "b1_max_dev", "b2_ratio", "b3_ratio", "mode", "checked")
     diag = diagnostics_table(diagnostics)
-    ks = report.k_values
-    ratio_by_k = dict(report.entries)
+    ks = report.k_values.tolist()
     row_by_k = {k: j for j, k in enumerate(diagnostics.k_values)}
     picks = [row_by_k.get(k) for k in ks]
     joined = [[None if j is None else column[j] for j in picks] for column in diag.columns[1:6]]
-    columns = (ks, report.dep_probs, report.indep_probs, [ratio_by_k.get(k) for k in ks],
-               *joined)
+    ratios = [None if math.isnan(r) else r for r in report.ratios.tolist()]  # nan: omitted k
+    columns = (ks, report.dep_probs, report.indep_probs, ratios, *joined)
     meta = {"model": model_kind, "n": n, "precision": precision}
     tail = {"omitted_k": report.omitted_k, "max_abs_dev": report.max_abs_dev,
             "diagnostics": diag}

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_count, frozen_row, log_factorial, neumaier_sum
+from ._util import as_count, frozen_row, log_factorials, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
 from .profiles import BernoulliProfile, alpha_n
 
@@ -115,6 +115,7 @@ class Pmf:
         return math.exp(self.log_prob(k))
 
     def log_prob(self, k: int) -> float:
+        k = as_count(k, "k")
         if not 0 <= k <= self.support_max:
             raise ValidationError(f"k={k} outside 0..{self.support_max}")
         return float(self.log_probs[k])
@@ -593,9 +594,10 @@ class PoissonRef:
         object.__setattr__(self, "lam", lam)
 
     def log_pmf(self, k: int) -> float:
+        k = as_count(k, "k")
         if k < 0:
             raise ValidationError("k must be nonnegative")
-        return -self.lam + k * math.log(self.lam) - log_factorial(k)
+        return -self.lam + k * math.log(self.lam) - float(log_factorials(np.asarray(k)))
 
     def truncation_k(self, tail_mass: float) -> int:
         """Smallest K (up to stride) with certified tail mass below tail_mass.
@@ -618,23 +620,19 @@ class PoissonRef:
     def pmf_points(self, k_hi: int) -> np.ndarray:
         """Probabilities at k = 0..k_hi.
 
-        Past the mode the terms only fall, so from the first k > lam whose
-        log term is below _LOG_UNDERFLOW on, every entry is exp of
-        something below it: exactly 0.0.  Those entries are zero-filled
-        rather than evaluated.
+        Bernstein's inequality for the Poisson tail gives
+        log P(lam + x) <= -x^2 / (2 (lam + x/3)), which is below
+        _LOG_UNDERFLOW = -u once x >= u/3 + sqrt((u/3)^2 + 2 u lam).  Every
+        term from there on is exp of something below -745.13: exactly 0.0.
+        Those entries are zero-filled rather than evaluated.
         """
         if k_hi < 0:
             raise ValidationError(f"k_hi={k_hi} must be nonnegative")
-        lam = self.lam
-        log_lam = math.log(lam)
-        log_fact = []
-        for k in range(k_hi + 1):
-            log_fact.append(log_factorial(k))
-            if k > lam and -lam + k * log_lam - log_fact[-1] < _LOG_UNDERFLOW:
-                break
-        ks = np.arange(len(log_fact), dtype=np.float64)
+        lam, c = self.lam, -_LOG_UNDERFLOW / 3.0
+        top = min(k_hi, math.ceil(lam + c + math.sqrt(c * c - 2.0 * _LOG_UNDERFLOW * lam)))
+        ks = np.arange(top + 1)
         out = np.zeros(k_hi + 1)
-        out[: len(log_fact)] = np.exp(-lam + ks * log_lam - np.array(log_fact))
+        out[: top + 1] = np.exp(-lam + ks * math.log(lam) - log_factorials(ks))
         return out
 
 

@@ -35,6 +35,8 @@ from pblab.profiles import (
     ConditionReport,
     ConditionRow,
     GrowthWindow,
+    ProfileFamily,
+    generate,
     summarize,
 )
 
@@ -145,6 +147,147 @@ def test_approx_pmf_domain_errors():
         approx_pmf(ApproxKind("normal_local"), s, 0.0, 1)
     with pytest.raises(ValidationError):
         approx_pmf(ApproxKind("lambda_form"), make_summary((0.5,)), 0.0, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: approx_pmf(ApproxKind("lambda_form"), make_summary((0.1, 0.2)), 0.0, k),
+        lambda k: approx_pmf(ApproxKind("normal_local"), make_summary((0.1, 0.2)), 0.0, k),
+        lambda k: envelope_thm1(make_summary((0.1, 0.2)), k),
+        lambda k: envelope_thm2(make_summary((0.1, 0.2)), 0.5, k),
+        lambda k: envelope_thm3(make_summary((0.1, 0.2)), k),
+        lambda k: poisson_form_bracket(make_summary((0.1, 0.2)), k),
+    ],
+    ids=["approx_pmf", "approx_pmf_normal", "thm1", "thm2", "thm3", "bracket"],
+)
+def test_array_entry_points_refuse_float_and_negative_k(call):
+    for k in (np.array([1.0, 2.0]), [1, 2.5], 2.0, True):
+        with pytest.raises(ValidationError, match="^k must be integers, got dtype "):
+            call(k)
+    for k in (np.array([2, -1]), -1):
+        with pytest.raises(ValidationError, match="^k must be nonnegative$"):
+            call(k)
+
+
+# ----------------------------------------------------------------------
+# the array path against the scalar formulas, bit for bit
+# ----------------------------------------------------------------------
+#
+# The reference is the per-k math-module code the array path replaced.
+# k runs past 20 (the lgamma branch) to 2000 and beyond; np.exp in place
+# of math.exp, or numpy's d * d in place of Python's d ** 2, changes the
+# last bit of hundreds of these entries.
+
+
+def _ref_log_factorial(k):
+    return math.log(math.factorial(k)) if k <= 20 else math.lgamma(k + 1.0)
+
+
+def _ref_approx(kind, s, p0, k):
+    if kind.tag == "normal_local":
+        var = s.var_n
+        return -0.5 * math.log(2.0 * math.pi * var) - (k - s.lambda_n) ** 2 / (2.0 * var)
+    if kind.tag == "poisson_limit":
+        anchor, rate = -kind.lam, kind.lam
+    else:
+        anchor, rate = {"lambda_form": (p0, s.lambda_n), "beta_form": (p0, s.beta_n),
+                        "poisson_form": (-s.lambda_n, s.lambda_n)}[kind.tag]
+    return anchor if k == 0 else anchor + k * math.log(rate) - _ref_log_factorial(k)
+
+
+def _ref_thm1(s, k):
+    if k == 0:
+        return 0.0, 0.0, True
+    eps1, km = k * k * s.m_n / s.lambda_n, k * s.m_n
+    return eps1, km / (1.0 - km) if km < 1.0 else math.inf, km < 1.0 and eps1 < 1.0
+
+
+def _ref_thm3(s, k):
+    eps1, eps2, valid = _ref_thm1(s, k)
+    try:
+        upper = math.exp(s.sum_sq) * (1.0 + eps2)
+    except OverflowError:
+        upper = math.inf
+    return 1.0 - eps1, upper, valid
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+_BIT_ROWS = {
+    # lambda_n ~ 50, so k up to n = 4000 runs far past it; every entry below 1/2.
+    "index_power": (generate(ProfileFamily("index_power", (0.4, 0.5)), 4000), 4000),
+    # sum b^2 = 810 > 709.78: e^(sum b^2) overflows and the upper rail is inf.
+    "constant_p": (generate(ProfileFamily("constant_p", (0.45,)), 4000), 2500),
+}
+
+
+@pytest.mark.parametrize("row", list(_BIT_ROWS))
+def test_array_path_matches_the_scalar_formulas_bit_for_bit(row):
+    prof, k_hi = _BIT_ROWS[row]
+    s = summarize(prof)
+    ks = np.arange(k_hi + 1)
+    lps = exact.pmf_tree(prof, k_hi).log_probs
+    p0 = float(lps[0])
+    for kind in map(ApproxKind.parse, ("lambda", "beta", "poisson", "poisson-limit:2.5", "normal")):
+        got = approx_pmf(kind, s, p0, ks)
+        assert _bits(got) == _bits([_ref_approx(kind, s, p0, k) for k in range(k_hi + 1)])
+        assert approx_pmf(kind, s, p0, 2000) == got[2000]
+    for got, want in zip(envelope_thm1(s, ks), zip(*(_ref_thm1(s, k) for k in range(k_hi + 1)))):
+        assert _bits(got) == _bits(want)
+    cap = (s.m_n + 1.0) / 2.0
+    eps, _ = envelope_thm2(s, cap, ks)
+    assert _bits(eps) == _bits([k * k * cap / (s.lambda_n * (1.0 - cap)) for k in range(k_hi + 1)])
+    display = [_ref_thm3(s, k) for k in range(k_hi + 1)]
+    lower, upper, valid = poisson_form_bracket(s, ks)
+    assert _bits(envelope_thm3(s, ks)[1]) == _bits(upper) == _bits([u for _, u, _ in display])
+    assert _bits(lower) == _bits([math.exp(-s.sum_sq) * lo for lo, _, _ in display])
+    assert valid.tolist() == [v for _, _, v in display]
+    assert (row == "constant_p") == math.isinf(upper[0])
+    # The ratio columns: the sandwich report's over the whole row, and the normal ones.
+    report = verify_sandwich(prof, ApproxKind("lambda_form"), GrowthWindow("constant", k_hi**2))
+    want = [math.exp(le - _ref_approx(ApproxKind("lambda_form"), s, p0, k))
+            for k, le in enumerate(lps.tolist())]
+    assert _bits(report.ratios) == _bits(want)
+    # Far in the tails the normal ratio leaves the float range, and math.exp raises.
+    normal = ApproxKind("normal_local")
+    logs = {k: le - _ref_approx(normal, s, p0, k) for k, le in enumerate(lps.tolist())}
+    finite = [k for k, x in logs.items() if x < 700.0]
+    assert len(finite) > 200
+    _, ratios = normal_local_report(prof, finite)
+    assert _bits(ratios) == _bits([math.exp(logs[k]) for k in finite])
+
+
+def test_reports_call_the_approximant_and_the_rails_once(monkeypatch, capsys):
+    """One array call per report, not one call per k."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(asymptotics, "approx_pmf", counted("approx", approx_pmf))
+    monkeypatch.setattr(asymptotics, "_sandwich_rails",
+                        counted("rails", asymptotics._sandwich_rails))
+    monkeypatch.setattr(cli, "approx_pmf", counted("cli approx", approx_pmf))
+    prof = generate(ProfileFamily("index_power", (0.45, 0.5)), 400)
+    for name in ("lambda", "beta", "poisson"):
+        calls.clear()
+        report = verify_sandwich(prof, ApproxKind.parse(name), GrowthWindow("power", 1, 1))
+        assert len(report.k_values) == 21
+        assert calls == {"approx": 1, "rails": 1}, name
+    calls.clear()
+    assert len(normal_local_report(prof, range(0, 40, 2))[1]) == 20
+    assert calls == {"approx": 1}
+    calls.clear()
+    argv = ["approx", "--kind", "normal", "--family", "index_power:0.5,0.5", "--n", "400"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 401
+    assert calls == {"cli approx": 1}
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +405,7 @@ def test_sandwich_worked_example():
         ApproxKind("lambda_form"),
         GrowthWindow("constant", 1.0),
     )
-    assert report.k_values == (0, 1)
+    assert report.k_values.tolist() == [0, 1]
     assert report.ratios[0] == 1.0
     assert report.ratios[1] == pytest.approx(0.398 / 0.3024, rel=1e-12)
     assert report.upper_env[1] == pytest.approx(1.0 + 0.3 / 0.7, rel=1e-12)
@@ -277,7 +420,7 @@ def test_sandwich_window_boundary_inclusive():
         ApproxKind("lambda_form"),
         GrowthWindow("constant", 16.0),
     )
-    assert report.k_values == (0, 1, 2, 3, 4)
+    assert report.k_values.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_sandwich_beta_form_one_sided():
@@ -412,7 +555,7 @@ def test_only_the_cli_engine_table_and_the_package_import_the_dp_oracle():
 def test_sandwich_window_covers_every_k_once_phi_reaches_n_plus_1_squared(window):
     prof = BernoulliProfile((0.05,) * 12)
     report = verify_sandwich(prof, ApproxKind("lambda_form"), window)
-    assert report.k_values == tuple(range(13))
+    assert report.k_values.tolist() == list(range(13))
 
 
 def test_sandwich_window_growth_never_shrinks_deviation():
@@ -518,12 +661,20 @@ def test_normal_residual_validation():
 
 
 def test_normal_local_report_takes_counts():
-    """A numpy int is a count; a float k is refused, not truncated to int."""
+    """An int array is counts; a float k is refused, not truncated to int."""
     prof = BernoulliProfile((0.5,) * 10)
-    assert normal_local_report(prof, np.array([2, 3]))[1] == normal_local_report(prof, [2, 3])[1]
-    for ks in ([2.7, 3.2], [2.0]):
-        with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.[07]$"):
+    ratios = normal_local_report(prof, [2, 3])[1]
+    assert ratios.dtype == np.float64
+    assert np.array_equal(normal_local_report(prof, np.array([2, 3], dtype=np.uint8))[1], ratios)
+    for ks in ([2.7, 3.2], [2.0], np.array([2.0])):
+        with pytest.raises(ValidationError, match=r"^k must be integers, got dtype float64$"):
             normal_local_report(prof, ks)
+    with pytest.raises(ValidationError, match="^k_values must be nonempty$"):
+        normal_local_report(prof, [])
+    with pytest.raises(ValidationError, match="^k must be nonnegative$"):
+        normal_local_report(prof, [-1, 2])
+    with pytest.raises(ValidationError, match=r"^k_values must lie in 0\.\.n$"):
+        normal_local_report(prof, [2, 11])
 
 
 def test_normal_local_spot_values():
@@ -539,7 +690,7 @@ def test_normal_local_spot_values():
 
 
 # ----------------------------------------------------------------------
-# report fields are Python floats, not numpy scalars
+# per-k columns are read-only arrays; every other report value is a Python number
 # ----------------------------------------------------------------------
 
 
@@ -566,7 +717,15 @@ def test_poisson_form_upper_rail_is_inf_once_exp_overflows():
     assert (lower, upper) == (0.0, math.inf)
 
 
-def test_report_floats_are_python_floats():
+# The stored columns of the two per-k reports: read-only numpy arrays of this dtype.
+_COLUMNS = {
+    EnvelopeReport: {"log_exact": np.float64, "log_approx": np.float64, "lower_env": np.float64,
+                     "upper_env": np.float64, "validity_mask": np.bool_},
+    RatioReport: {"dep_probs": np.float64, "indep_probs": np.float64},
+}
+
+
+def test_report_columns_are_read_only_arrays_and_scalars_python_numbers():
     prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
     model = MixtureModel(0.3, prof, BernoulliProfile([0.1, 0.2, 0.1, 0.2, 0.1, 0.2]))
     reports = [
@@ -574,15 +733,28 @@ def test_report_floats_are_python_floats():
         dehpfeif_report(prof),
         verify_sandwich(prof, ApproxKind("lambda_form"), GrowthWindow("constant", 4.0)),
         verify_sandwich(prof, ApproxKind("beta_form"), GrowthWindow("constant", 4.0)),
+        verify_sandwich(prof, ApproxKind("poisson_form"), GrowthWindow("constant", 4.0)),
         ratio_report(model, prof, 4),
         ratio_report(model, prof, 4, high_precision=True),
         check_scheme(model, prof, RareSetSpec("explicit", tuples=[(0, 1), (2,)]), 3),
         check_scheme(model, prof, RareSetSpec("contains_any", indices=[1]), 3),
     ]
     for report in reports:
+        for name, dtype in _COLUMNS.get(type(report), {}).items():
+            column = getattr(report, name)
+            assert type(column) is np.ndarray and column.dtype == dtype, name
+            assert column.ndim == 1 and not column.flags.writeable, name
+        # Every float a report gives outside its array columns is a Python float.
         leaves = list(_float_leaves(report))
         assert leaves
         assert all(type(x) is float for x in leaves), type(report).__name__
+    for report in reports[2:5]:
+        assert type(report.violations) is int and type(report.max_abs_dev) is float
+        assert report.k_values.tolist() == [0, 1, 2]
+    for report in reports[5:7]:
+        assert type(report.max_abs_dev) is float
+        assert all(type(k) is int and type(r) is float for k, r in report.entries)
+        assert report.omitted_k == ()
 
 
 # ----------------------------------------------------------------------
@@ -590,13 +762,19 @@ def test_report_floats_are_python_floats():
 # ----------------------------------------------------------------------
 
 
-def _one_k_report(ratio: float, valid: bool) -> EnvelopeReport:
-    """A hand-built one-k report with rails [0.5, 1.5] and margin 0.25."""
-    return EnvelopeReport(
-        kind="lambda_form", n=10, window="constant:1", k_values=(1,), log_exact=(0.0,),
-        log_approx=(0.0,), ratios=(ratio,), lower_env=(0.5,), upper_env=(1.5,),
-        validity_mask=(valid,), margin=0.25,
+def _hand_report(ratios, valid) -> EnvelopeReport:
+    """A hand-built report of these ratios (log_approx 0) with rails [0.5, 1.5] and margin 0.25.
+
+    Every ratio used here survives exp(log(r)) exactly, so the report's
+    ratios are the ones written.
+    """
+    report = EnvelopeReport(
+        kind="lambda_form", n=10, window="constant:4", log_exact=[math.log(r) for r in ratios],
+        log_approx=[0.0] * len(ratios), lower_env=[0.5] * len(ratios),
+        upper_env=[1.5] * len(ratios), validity_mask=valid, margin=0.25,
     )
+    assert report.ratios.tolist() == list(ratios)
+    return report
 
 
 @pytest.mark.parametrize(
@@ -604,26 +782,22 @@ def _one_k_report(ratio: float, valid: bool) -> EnvelopeReport:
     [
         (1.0, True, 0),
         (2.0, True, 1),  # past the upper rail by more than the margin
-        (0.125, True, 1),  # past the lower rail by more than the margin
+        (0.0625, True, 1),  # past the lower rail by more than the margin
         (1.75, True, 0),  # exactly upper + margin
         (0.25, True, 0),  # exactly lower - margin
-        (5.0, False, 0),  # past the rail, but the side conditions fail
+        (4.0, False, 0),  # past the rail, but the side conditions fail
     ],
     ids=["inside", "above", "below", "at_upper_margin", "at_lower_margin", "invalid"],
 )
 def test_envelope_violations_count_valid_k_past_a_rail_by_more_than_margin(ratio, valid, count):
-    assert _one_k_report(ratio, valid).violations == count
+    assert _hand_report([ratio], [valid]).violations == count
 
 
 def test_envelope_max_abs_dev_spans_the_whole_window():
-    report = EnvelopeReport(
-        kind="lambda_form", n=10, window="constant:4", k_values=(0, 1, 2),
-        log_exact=(0.0,) * 3, log_approx=(0.0,) * 3, ratios=(1.0, 2.0, 5.0),
-        lower_env=(0.5,) * 3, upper_env=(1.5,) * 3, validity_mask=(True, True, False),
-        margin=0.25,
-    )
+    report = _hand_report([1.0, 2.0, 4.0], [True, True, False])
+    assert report.k_values.tolist() == [0, 1, 2]
     assert report.violations == 1
-    assert report.max_abs_dev == 4.0
+    assert report.max_abs_dev == 3.0
 
 
 def test_distance_ratio_is_tv_over_predicted_bit_for_bit():
@@ -638,9 +812,9 @@ def test_distance_ratio_is_tv_over_predicted_bit_for_bit():
 
 
 _DERIVED = {
-    EnvelopeReport: ("violations", "max_abs_dev"),
+    EnvelopeReport: ("k_values", "ratios", "violations", "max_abs_dev"),
     DistanceReport: ("predicted", "ratio"),
-    RatioReport: ("k_values", "entries", "omitted_k", "max_abs_dev"),
+    RatioReport: ("k_values", "ratios", "entries", "omitted_k", "max_abs_dev"),
     ConditionReport: ("grid", "a1", "a4", "window_m", "window_over_lambda", "lambda_trend",
                       "lambda_last"),
     ConditionRow: ("phi_m", "phi_over_lambda"),

@@ -303,7 +303,8 @@ def test_ratio_report_omits_underflowing_denominators():
 def test_ratio_report_reads_its_ratios_from_the_two_columns():
     # A hand-built report: the 0.0 denominator at k = 1 is omitted, not divided by.
     report = RatioReport(dep_probs=(0.5, 0.25, 0.125), indep_probs=(0.25, 0.0, 0.5))
-    assert report.k_values == (0, 1, 2)
+    assert report.k_values.tolist() == [0, 1, 2]
+    assert np.array_equal(report.ratios, [2.0, math.nan, 0.25], equal_nan=True)
     assert report.entries == ((0, 2.0), (2, 0.25))
     assert report.omitted_k == (1,)
     assert report.max_abs_dev == 1.0
@@ -403,6 +404,20 @@ def test_diagnostics_reject_bad_explicit_tuples(tuples, message):
     half = ProductModel(BernoulliProfile((0.5,) * 6))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         check_scheme(half, half.profile, RareSetSpec("explicit", tuples=tuples), 2)
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((2.0,), {}, "k_max"),
+    ((2,), {"sample_budget": 5.5}, "sample_budget"),
+    ((2,), {"seed": 1.5}, "seed"),
+], ids=["k_max", "sample_budget", "seed"])
+def test_diagnostics_take_counts_not_floats(args, kwargs, name):
+    """A float count is refused by name, not multiplied into a TypeError or stored."""
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        check_scheme(WORKED, INDEP, RareSetSpec("empty"), *args, **kwargs)
+    counts = {"sample_budget": np.int64(5), "seed": np.int64(1)}
+    diag = check_scheme(WORKED, INDEP, RareSetSpec("empty"), np.int64(2), **counts)
+    assert type(diag.sample_budget) is int and type(diag.seed) is int
 
 
 def test_diagnostics_sample_budget_cap():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pblab import exact
-from pblab._util import log_factorial
 from pblab.errors import (
     ConditioningError,
     HypothesisError,
@@ -744,6 +743,18 @@ def test_poisson_ref_validation():
         PoissonRef(1.0).log_pmf(-1)
 
 
+def test_point_lookups_take_counts_not_floats():
+    """A non-integer k is refused by name, not evaluated off the lattice or indexed."""
+    ref = PoissonRef(2.0)
+    pmf = pmf_tree(BernoulliProfile((0.3, 0.4, 0.2)))
+    for lookup in (ref.log_pmf, pmf.log_prob, pmf.prob):
+        for k in (25.5, 2.5, 2.0):
+            with pytest.raises(ValidationError, match=f"^k must be an integer, got {k}$"):
+                lookup(k)
+    assert ref.log_pmf(np.int64(3)) == ref.log_pmf(3)
+    assert pmf.log_prob(np.int64(2)) == pmf.log_prob(2)
+
+
 def test_poisson_ref_truncation_certifies_tail():
     for lam in (0.5, 3.0, 100.0):
         ref = PoissonRef(lam)
@@ -761,7 +772,8 @@ def test_poisson_ref_cdf_monotone():
 def _poisson_log_terms_reference(lam, k_hi):
     """Every Poisson log term up to k_hi, with no underflow cutoff."""
     ks = np.arange(k_hi + 1, dtype=np.float64)
-    log_fact = np.array([log_factorial(k) for k in range(k_hi + 1)])
+    log_fact = np.array([math.log(math.factorial(k)) if k <= 20 else math.lgamma(k + 1.0)
+                         for k in range(k_hi + 1)])
     return -lam + ks * math.log(lam) - log_fact
 
 
