@@ -32,6 +32,18 @@ def libm_map(fn, values) -> np.ndarray:
     return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)
 
 
+def libm_exp(values) -> np.ndarray:
+    """libm's exp of each entry of values, as libm_map gives it, with inf where it overflows."""
+    return libm_map(_exp_or_inf, values)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def as_count(value, what: str) -> int:
     """value as an int through operator.index: ints and numpy ints pass, a float (2.0 too) does not."""
     try:

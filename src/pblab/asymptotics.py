@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_count, as_counts, frozen_row, libm_map, log_factorials, spec_number
+from ._util import as_count, as_counts, frozen_row, libm_exp, libm_map, log_factorials, spec_number
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
@@ -171,10 +171,7 @@ def envelope_thm3(summary: ProfileSummary, k) -> tuple[np.ndarray, np.ndarray, n
     if summary.m_n >= 0.5:
         raise HypothesisError(f"poisson form bracket needs m_n < 1/2, got {summary.m_n!r}")
     eps1, eps2, valid = envelope_thm1(summary, k)
-    try:
-        grow = math.exp(summary.sum_sq)
-    except OverflowError:
-        grow = math.inf
+    grow = float(libm_exp(summary.sum_sq))
     with np.errstate(over="ignore"):
         return 1.0 - eps1, grow * (1.0 + eps2), valid
 
@@ -228,7 +225,7 @@ class EnvelopeReport:
 
     @property
     def ratios(self) -> np.ndarray:
-        return libm_map(math.exp, self.log_exact - self.log_approx)
+        return libm_exp(self.log_exact - self.log_approx)
 
     @property
     def violations(self) -> int:
@@ -401,4 +398,4 @@ def normal_local_report(profile: BernoulliProfile, k_values) -> tuple[Pmf, np.nd
         raise ValidationError("k_values must lie in 0..n")
     pmf = pmf_tree(profile, int(ks.max()))
     log_approx = approx_pmf(ApproxKind("normal_local"), profile.summary, 0.0, ks)
-    return pmf, libm_map(math.exp, pmf.log_probs[ks] - log_approx)
+    return pmf, libm_exp(pmf.log_probs[ks] - log_approx)

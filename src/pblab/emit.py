@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import libm_map
+from ._util import libm_exp
 from .asymptotics import DistanceReport, EnvelopeReport
 from .dependent import RatioReport, SchemeDiagnostics
 from .errors import ValidationError
@@ -247,19 +247,19 @@ def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
     log_probs = pmf.log_probs
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
             "summary": asdict(summary)}
-    probs = libm_map(math.exp, log_probs)  # not np.exp, which may differ in the last bit
+    probs = libm_exp(log_probs)  # not np.exp, which may differ in the last bit
     return Table(("k", "prob", "log_prob"), (range(len(log_probs)), probs, log_probs), meta)
 
 
 def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:
     meta = {"kind": kind, "summary": asdict(summary)}
-    columns = (ks, libm_map(math.exp, log_values), log_values)
+    columns = (ks, libm_exp(log_values), log_values)
     return Table(("k", "approx_prob", "log_approx"), columns, meta)
 
 
 def envelope_table(r: EnvelopeReport) -> Table:
     header = ("k", "exact", "approx", "ratio", "lower_env", "upper_env", "valid")
-    exact, approx = libm_map(math.exp, r.log_exact), libm_map(math.exp, r.log_approx)
+    exact, approx = libm_exp(r.log_exact), libm_exp(r.log_approx)
     columns = (r.k_values, exact, approx, r.ratios, r.lower_env, r.upper_env, r.validity_mask)
     summary = {"max_abs_dev": r.max_abs_dev, "violations": r.violations, "window": r.window,
                "k_count": len(r.k_values)}

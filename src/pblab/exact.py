@@ -12,13 +12,13 @@ of the full run.
   one entry at a time; kept as the log-domain oracle for pmf_tree.
 * pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: the
   leaves are expanded in one batched pass per subtree of at most _SUBTREE
-  entries and multiplied up a fixed tree of pairs (direct convolution, rfft
-  for long products).  Every node keeps its coefficients up to a certified
-  cap D: with mu the sum of the node's p, the Chernoff bound
-  P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) is at most e^-745, below the
-  smallest subnormal 2^-1074, so the caps move no entry by more than
-  2n * 2^-1074.  Products and FFT sizes follow the capped lengths.  It
-  runs on the calling thread, as every engine here does.
+  entries and multiplied up a fixed tree of pairs, every product a direct
+  convolution of nonnegative rows.  Every node keeps only a certified band
+  lo..D of its coefficients, whose Chernoff tail bounds on each side are at
+  most e^-745, below the smallest subnormal 2^-1074: the caps move no entry
+  by more than 2n * 2^-1074, and every entry that is a normal double
+  carries a small relative error.  It runs on the calling thread, as every
+  engine here does.
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
   per k), with a conditioning contract and an exact-rational mode.
@@ -52,16 +52,14 @@ PROVENANCES = (
 
 # Direct quadratic convolution below this length; split and multiply above.
 _DC_BASE = 64
-# np.convolve up to this output length; FFT beyond it.
-_FFT_MIN = 4096
 # Leaves are expanded one batch per subtree of at most this many entries.
 _SUBTREE = 1 << 14
-# Every node of pmf_dc's tree keeps its coefficients up to a degree D whose
-# Chernoff tail bound is at most e^-_CAP_LOG: below 2^-1074 = e^-744.44, the
-# smallest subnormal, with room for the rounding of the bound itself.
+# Every node of pmf_dc's tree keeps its coefficients in a band lo..D whose
+# two Chernoff tail bounds are at most e^-_CAP_LOG: below 2^-1074 = e^-744.44,
+# the smallest subnormal, with room for the rounding of the bounds themselves.
 _CAP_LOG = 745.0
 # Newton's method for the caps stops once no step exceeds _NEWTON_TOL, or
-# after _NEWTON_STEPS steps; any iterate is a valid cap.
+# after _NEWTON_STEPS steps; any iterate after the first step is a valid cap.
 _NEWTON_STEPS = 64
 _NEWTON_TOL = 1e-3
 # Hard guard for the 2^n enumeration.
@@ -263,28 +261,34 @@ def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 
 
-def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], int]:
-    """Certified top degree D of the nodes of pmf_dc's tree over the row p.
+def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
+    """Certified band (lo, D) of degrees of the nodes of pmf_dc's tree over the row p.
 
     Keyed by the (start, length) of the node's segment of p; a node that is
-    not a key keeps all its length + 1 coefficients.  With mu the node's
-    mean (the sum of its p), the Chernoff bound
-    P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) of every key is at most
-    e^-_CAP_LOG, below the smallest subnormal.
+    not a key keeps the band (0, length).  With mu the node's mean (the sum
+    of its p), the Chernoff bounds P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1)
+    and P(S <= a) <= e^-mu (e mu / a)^a at a = lo - 1 < mu of every key are
+    at most e^-_CAP_LOG, below the smallest subnormal.
 
     The tree is _leaf_sizes's, built top down one level at a time; a
     segment of at most _DC_BASE entries passes to the next level unchanged,
     so every level tiles the row.  mu is summed bottom up: the deepest
     level's segments each sum their own entries, and every node above sums
     its one or two children.  No mu is a difference of prefix sums, which
-    at a large total would cancel and read 0 for a light segment.  mu is
-    rounded up by a relative 1e-9, far above the rounding of its sums, and
-    by the smallest subnormal, so that it is positive; a larger mu only
-    raises the bound.  D + 1 is the root of
-    g(t) = t log(t / (e mu)) + mu - _CAP_LOG, found by Newton's method from
-    t = length + 1 for all nodes at once.  g is convex and increasing past
-    mu, so every iterate from above is a root or above one, and a cap.  A
-    node with g(length + 1) < 0 is shorter than its cap and skips the solve.
+    at a large total would cancel and read 0 for a light segment.  Each
+    bound takes the mean that only loosens it: mu rounded up by a relative
+    1e-9 (far above the rounding of its sums) and by the smallest subnormal
+    for D, down by 1e-9 for lo.
+
+    Both caps solve f(x) = x log(x / (e mu)) + mu - _CAP_LOG = 0, convex,
+    falling below mu and rising above it: D + 1 is the root above mu, lo - 1
+    the floor of the one below.  Newton's method runs on all of them at once,
+    from x = length + 1 above and from x = mu - sqrt(2 mu _CAP_LOG) below
+    (f >= 0 there, as f(mu (1 - y)) >= mu y^2 / 2 - _CAP_LOG), or from a tiny
+    x where that is not positive.  By convexity every iterate after the first
+    step lies on the far side of its root from mu, so each is a cap.  A node
+    with f(length + 1) < 0 has no upper cap, one with mu <= _CAP_LOG
+    (f(0) <= 0) no lower cap, and each skips that solve.
     """
     starts, lens = [np.zeros(1, dtype=np.int64)], [np.array([len(p)], dtype=np.int64)]
     children = []  # per level, the index of each node's first child one level down
@@ -301,68 +305,56 @@ def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], int]:
     for first in reversed(children):
         mus.append(np.add.reduceat(mus[-1], first))
     s, l = np.concatenate(starts), np.concatenate(lens)
-    mu = np.concatenate(mus[::-1]) * (1.0 + 1e-9) + 5e-324
+    mu = np.concatenate(mus[::-1])
+    mu_up, mu_down = mu * (1.0 + 1e-9) + 5e-324, mu * (1.0 - 1e-9)
     t = l + 1.0
-    log_mu = np.log(mu)
-    cut = t * (np.log(t) - log_mu - 1.0) + mu >= _CAP_LOG
-    s, l, t, mu, log_mu = s[cut], l[cut], t[cut], mu[cut], log_mu[cut]
+    upper = t * (np.log(t) - np.log(mu_up) - 1.0) + mu_up >= _CAP_LOG
+    lower = mu_down > _CAP_LOG
+    m = np.concatenate([mu_up[upper], mu_down[lower]])
+    below = mu_down[lower] - np.sqrt(2.0 * _CAP_LOG * mu_down[lower])
+    x = np.concatenate([t[upper], np.maximum(below, 1e-300)])
+    log_m = np.log(m)
     for _ in range(_NEWTON_STEPS):
-        slope = np.log(t) - log_mu
-        step = (t * (slope - 1.0) + mu - _CAP_LOG) / slope
-        t -= step
-        if not step.max(initial=0.0) > _NEWTON_TOL:
+        slope = np.log(x) - log_m
+        step = (x * (slope - 1.0) + m - _CAP_LOG) / slope
+        x -= step
+        if not np.abs(step).max(initial=0.0) > _NEWTON_TOL:
             break
-    return dict(zip(zip(s.tolist(), l.tolist()), (np.ceil(t).astype(np.int64) - 1).tolist()))
+    cut, tops = upper | lower, np.count_nonzero(upper)
+    lo, hi = np.zeros_like(l), l.copy()
+    hi[upper] = np.ceil(x[:tops]) - 1
+    lo[lower] = np.floor(x[tops:]) + 1
+    return dict(zip(zip(s[cut].tolist(), l[cut].tolist()), zip(lo[cut].tolist(), hi[cut].tolist())))
 
 
-def _join(halves: list) -> np.ndarray:
-    """Product of halves = [left, right], two coefficient rows.
+def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None) -> tuple[int, np.ndarray]:
+    """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z over the segment p.
 
-    The sizes follow the rows' own lengths: a product shorter than
-    _FFT_MIN is a direct convolution.  A longer one pops each half off the
-    list to take its rfft spectrum, so the half is dropped as soon as its
-    spectrum exists, and multiplies the spectra in place.
-    """
-    m = len(halves[0]) + len(halves[1]) - 1
-    if m < _FFT_MIN:
-        return np.convolve(*halves)
-    size = 1 << (m - 1).bit_length()
-    spec = np.fft.rfft(halves.pop(0), size)
-    spec_right = np.fft.rfft(halves.pop(), size)
-    spec *= spec_right
-    del spec_right
-    out = np.fft.irfft(spec, size)[:m]
-    # FFT round-off can produce tiny negatives where the true value is ~0.
-    np.clip(out, 0.0, None, out=out)
-    return out
-
-
-def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None) -> np.ndarray:
-    """Coefficients 0..D of the product of (1 - p_i) + p_i z over the segment p.
-
-    p starts at entry start of the row whose _degree_caps are caps, and D
-    is the segment's cap (its length where it has none).  Walks the tree of
-    _leaf_sizes(len(p)).  The first segment of at most _SUBTREE entries on
-    the way down expands its leaves in one _leaf_coeffs batch, and leaves
-    iterates over them in order; each call below it consumes exactly the
-    leaves under its segment.
+    p starts at entry start of the row whose _degree_caps are caps, and
+    (lo, D) is the segment's band ((0, length) where it has none).  Walks
+    the tree of _leaf_sizes(len(p)); each product is one np.convolve of the
+    two children's bands, trimmed to the node's.  The first segment of at
+    most _SUBTREE entries on the way down expands its leaves in one
+    _leaf_coeffs batch, and leaves iterates over them in order; each call
+    below it consumes exactly the leaves under its segment.
     """
     n = len(p)
-    top = caps.get((start, n), n) + 1
+    lo, hi = caps.get((start, n), (0, n))
     if leaves is None and n <= _SUBTREE:
         leaves = iter(_leaf_coeffs(p, _leaf_sizes(n)))
     if n <= _DC_BASE:
-        return next(leaves)[:top]
+        return lo, next(leaves)[lo : hi + 1]
     half = n // 2
-    halves = [_merge(p[:half], caps, start, leaves),
-              _merge(p[half:], caps, start + half, leaves)]
-    return _join(halves)[:top]
+    lo_a, a = _merge(p[:half], caps, start, leaves)
+    lo_b, b = _merge(p[half:], caps, start + half, leaves)
+    off = lo_a + lo_b
+    return max(lo, off), np.convolve(a, b)[max(lo - off, 0) : hi + 1 - off]
 
 
-def _product_coeffs(p: np.ndarray) -> np.ndarray:
-    """Coefficients 0..D of the product of (1 - p_i) + p_i z over the whole profile.
+def _product_coeffs(p: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z over the whole profile.
 
-    D is the root's cap from _degree_caps (n where it has none).
+    (lo, D) is the root's band from _degree_caps ((0, n) where it has none).
     """
     return _merge(p, _degree_caps(p))
 
@@ -373,33 +365,31 @@ def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     The profile is halved down to leaves of at most _DC_BASE entries.  The
     leaves of each subtree of at most _SUBTREE entries are expanded at
     once by the quadratic recurrence, run over a batch of rows; the leaf
-    polynomials are then multiplied pairwise up the same tree, with direct
-    convolution for short products and rfft for long ones.  Each FFT merge
-    drops a half once its spectrum is taken, so the traced peak of a 10^6
-    row stays below 3.5 float64 copies of the row.  The tree is fixed by n,
-    so results are reproducible run to run, and subquadratic for large n
-    thanks to the FFT merges at the top.
+    polynomials are then multiplied pairwise up the same tree, each product
+    one np.convolve.  The tree is fixed by n, so results are reproducible.
 
-    Every node of the tree keeps only its coefficients 0..D, after its leaf
-    expansion or its join, where D is its certified cap (_degree_caps): by
-    the Chernoff bound, the node's true mass above D is at most e^-745,
-    below the smallest subnormal 2^-1074.  The tree has fewer than 2n
-    nodes, so the caps move no entry by more than 2n * 2^-1074, and none
-    above that becomes -inf; the entries above the root's cap are exact
-    zeros.  (The shorter products also round in their own order, a few
-    ulps apart from uncapped ones.)  The direct-or-FFT choice and the FFT
-    size follow the capped lengths, so a light row (mean far below n) runs
-    no FFT of the row's length, and the FFT noise that products of that
-    length left in the tails is gone.
+    Every node of the tree keeps only its coefficients lo..D, after its
+    leaf expansion or its product, where (lo, D) is its certified band
+    (_degree_caps): the node's true mass below lo and above D is at most
+    e^-745 each, below the smallest subnormal 2^-1074.  The tree has fewer
+    than 2n nodes, so the caps move no entry by more than 2n * 2^-1074, and
+    none above that becomes -inf; the entries outside the root's band are
+    exact zeros.  A node with mean below 745 keeps its whole lower tail; a
+    heavier one holds about 2 sqrt(2 * 745 * mu) coefficients around its
+    mean, which keeps its products short.  A direct product of nonnegative
+    rows does not cancel (Higham 2002, ch. 3), so each coefficient's
+    rounding error is relative to the coefficient itself, not to the
+    largest one as an FFT product's is: every entry that is a normal double
+    carries a small relative error.
 
     The whole product is computed on the calling thread, and k_max keeps
     its prefix.
     """
     k_max = _check_k_max(k_max, profile.n)
-    coeffs = _product_coeffs(profile.probs)
+    lo, coeffs = _product_coeffs(profile.probs)
     log_f = np.full(profile.n + 1, -np.inf)
     with np.errstate(divide="ignore"):
-        np.log(coeffs, out=log_f[: len(coeffs)])
+        np.log(coeffs, out=log_f[lo : lo + len(coeffs)])
     return _finish_log(log_f, profile.n, "divide_conquer", k_max)
 
 

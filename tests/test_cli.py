@@ -154,6 +154,18 @@ def test_approx_lambda_anchors_at_zero(tmp_path, capsys):
     assert obj["rows"][1]["approx_prob"] == pytest.approx(0.504 * 0.6, rel=1e-12)
 
 
+def test_approx_past_float_range_prints_inf(capsys):
+    """The beta form's log approximant passes 709.78 from k = 2286 on; its
+    probability prints as "inf" there, and the log column stays finite."""
+    code, out, err = run_cli(
+        ["approx", "--family", "constant_p:0.45", "--n", "4000", "--kind", "beta"], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["k"] for row in rows if row["approx_prob"] == "inf"] == list(range(2286, 4001))
+    assert all(math.isfinite(row["log_approx"]) for row in rows)
+
+
 def test_approx_requires_kind(tmp_path, capsys):
     path = write_profile(tmp_path, WORKED_PROBS)
     code, _, err = run_cli(["approx", "--profile", path], capsys)
@@ -238,15 +250,28 @@ def test_sweep_poisson_form_past_exp_overflow(capsys):
     assert [row[header.index("violations")] for row in rows] == ["0", "0"]
 
 
-@pytest.mark.parametrize("phi", ["power:1,400", "power_of_lambda:1,1e6"])
-def test_verify_window_past_float_range_covers_every_k(phi, capsys):
-    code, out, err = run_cli(
-        ["verify", "--family", "constant_total:2", "--n", "50", "--kind", "lambda",
-         "--phi", phi],
-        capsys,
-    )
+@pytest.mark.parametrize("argv, n, column, first_inf", [
+    pytest.param(["--family", "constant_total:2", "--n", "50", "--kind", "lambda",
+                  "--phi", "power:1,400"], 50, None, None, id="power:1,400"),
+    pytest.param(["--family", "constant_total:2", "--n", "50", "--kind", "lambda",
+                  "--phi", "power_of_lambda:1,1e6"], 50, None, None, id="power_of_lambda:1,1e6"),
+    # exact / approx passes e^709.78 from k = 634 on: the ratio column overflows.
+    pytest.param(["--family", "constant_p:0.7", "--n", "4000", "--kind", "lambda",
+                  "--phi", "power:1,2"], 4000, "ratio", 634, id="ratio_past_float_range"),
+    # The beta form's log approximant passes 709.78 from k = 2286 on.
+    pytest.param(["--family", "constant_p:0.45", "--n", "4000", "--kind", "beta",
+                  "--phi", "power:1,2", "--beta-cap", "0.9"], 4000, "approx", 2286,
+                 id="approx_past_float_range"),
+])
+def test_verify_window_past_float_range_covers_every_k(argv, n, column, first_inf, capsys):
+    """A window, a ratio or an approximant past the float range: verify
+    still reports every k, and a column entry past it prints as "inf"."""
+    code, out, err = run_cli(["verify", *argv], capsys)
     assert (code, err) == (0, "")
-    assert [row["k"] for row in json.loads(out)["rows"]] == list(range(51))
+    rows = json.loads(out)["rows"]
+    assert [row["k"] for row in rows] == list(range(n + 1))
+    if column:
+        assert [row["k"] for row in rows if row[column] == "inf"] == list(range(first_inf, n + 1))
 
 
 def test_conditions_window_past_float_range(capsys):

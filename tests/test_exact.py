@@ -271,14 +271,49 @@ def test_dc_crosses_merge_thresholds():
     assert float(diff.max()) < 1e-12
 
 
-def test_dc_fft_merge_agrees_with_dp():
-    # Output length above 4096 routes the top merge through the FFT.
-    prof = BernoulliProfile(tuple((i % 5 + 1) / 13 for i in range(4200)))
-    dc = pmf_dc(prof)
-    dp = pmf_dp(prof)
-    diff = np.abs(dc.probs() - dp.probs())
-    assert float(diff.max()) < 1e-10
-    assert dc.total_mass() == pytest.approx(1.0, abs=1e-9)
+def _binomial_log_pmf(n, v):
+    """log P(k) of Binomial(n, v) at k = 0..n: log of the exact integer C(n, k), plus k log v + (n - k) log1p(-v)."""
+    out = np.empty(n + 1)
+    lv, lq = math.log(v), math.log1p(-v)
+    c = 1
+    for k in range(n + 1):
+        out[k] = math.log(c) + k * lv + (n - k) * lq
+        c = c * (n - k) // (k + 1)
+    return out
+
+
+def _assert_relatively_accurate(got, want):
+    """Every entry whose reference is above e^-700 is finite and within 1e-9 of it, relative."""
+    above = want > -700.0
+    assert not np.any(np.isneginf(got[above]))
+    assert np.all(np.abs(np.expm1(got[above] - want[above])) <= 1e-9)
+
+
+def test_dc_is_relatively_accurate_on_a_heavy_binomial_row():
+    """constant_p:0.3 at n = 10^4 (mean 3000): every one of the 3372
+    entries above e^-700 is within 1e-9 of the exact binomial, relative.
+    With an rfft product at the top, 1460 of them printed -inf."""
+    n = 10**4
+    want = _binomial_log_pmf(n, 0.3)
+    got = pmf_dc(generate(ProfileFamily("constant_p", (0.3,)), n)).log_probs
+    assert int(np.count_nonzero(want > -700.0)) == 3372
+    _assert_relatively_accurate(got, want)
+
+
+def test_dc_is_relatively_accurate_on_a_heavy_uniform_row():
+    """A seeded uniform(0, 0.3) row at n = 3 * 10^4 (mean near 4500), the
+    shape of the full_support pmf row: every entry whose tree value is
+    above e^-700 is within 1e-9 of it, relative.  The tree is truncated at
+    K = 7000, a bit-for-bit prefix of its full run; the PMF is log-concave
+    and its mode lies below K, so every entry past K is below the one at K,
+    itself below e^-700."""
+    n, top = 3 * 10**4, 7000
+    prof = BernoulliProfile(np.random.default_rng(1).uniform(0.0, 0.3, n))
+    tree = pmf_tree(prof, top).log_probs
+    assert np.argmax(tree) < top and tree[top] < -700.0
+    dc = pmf_dc(prof).log_probs
+    assert np.all(dc[top + 1 :] < -700.0)
+    _assert_relatively_accurate(dc[: top + 1], tree)
 
 
 def _poly_direct_reference(p):
@@ -288,17 +323,6 @@ def _poly_direct_reference(p):
     for i, pi in enumerate(p):
         out[1 : i + 2] = out[1 : i + 2] * (1.0 - pi) + out[: i + 1] * pi
         out[0] *= 1.0 - pi
-    return out
-
-
-def _conv_reference(a, b):
-    """One merge of the recursive engine: np.convolve, or an rfft product clipped at 0."""
-    m = len(a) + len(b) - 1
-    if m < exact._FFT_MIN:
-        return np.convolve(a, b)
-    size = 1 << (m - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:m]
-    np.clip(out, 0.0, None, out=out)
     return out
 
 
@@ -312,16 +336,18 @@ def _split_row(n):
 def _dc_coeffs_reference(p, caps, start=0):
     """The recursive engine: one leaf at a time, merged on the way back up.
 
-    Every node keeps its coefficients up to its cap in caps, keyed by the
-    node's (start, length) in the row, as pmf_dc does.
+    Returns (lo, coefficients lo..D).  Every node keeps its band (lo, D) in
+    caps, keyed by the node's (start, length) in the row, as pmf_dc does;
+    every merge is one np.convolve.
     """
-    top = caps.get((start, len(p)), len(p)) + 1
+    lo, hi = caps.get((start, len(p)), (0, len(p)))
     if len(p) <= exact._DC_BASE:
-        return _poly_direct_reference(p)[:top]
+        return lo, _poly_direct_reference(p)[lo : hi + 1]
     mid = len(p) // 2
-    left = _dc_coeffs_reference(p[:mid], caps, start)
-    right = _dc_coeffs_reference(p[mid:], caps, start + mid)
-    return _conv_reference(left, right)[:top]
+    lo_a, left = _dc_coeffs_reference(p[:mid], caps, start)
+    lo_b, right = _dc_coeffs_reference(p[mid:], caps, start + mid)
+    off = lo_a + lo_b
+    return max(lo, off), np.convolve(left, right)[max(lo - off, 0) : hi + 1 - off]
 
 
 @pytest.mark.parametrize(
@@ -331,19 +357,20 @@ def _dc_coeffs_reference(p, caps, start=0):
 def test_dc_batched_leaves_bit_identical_to_recursive(n):
     """Batched leaves, the merge tree and the caps reproduce the recursive engine bit for bit.
 
-    Covers a lone short leaf, uneven leaves and odd splits, output lengths
-    on both sides of the FFT merge threshold, and rows on both sides of
-    the per-subtree leaf batches; every 7th entry is an exact zero.  The
-    reference applies the caps of _degree_caps at every node, as the
-    engine does.
+    Covers a lone short leaf, uneven leaves and odd splits, rows light
+    enough to keep every lower tail and rows heavy enough (mean near
+    0.26 n) to cut them, and rows on both sides of the per-subtree leaf
+    batches; every 7th entry is an exact zero.  The reference applies the
+    bands of _degree_caps at every node, as the engine does.
     """
     p = _split_row(n)
-    expected = _dc_coeffs_reference(p, exact._degree_caps(p))
-    got = exact._product_coeffs(p)
+    lo, expected = _dc_coeffs_reference(p, exact._degree_caps(p))
+    got_lo, got = exact._product_coeffs(p)
+    assert got_lo == lo
     assert got.tobytes() == expected.tobytes()
     expected_log = np.full(n + 1, -np.inf)
     with np.errstate(divide="ignore"):
-        expected_log[: len(expected)] = np.minimum(np.log(expected), 0.0)
+        expected_log[lo : lo + len(expected)] = np.minimum(np.log(expected), 0.0)
     log_probs = np.array(pmf_dc(BernoulliProfile(tuple(p.tolist()))).log_probs)
     assert log_probs.tobytes() == expected_log.tobytes()
 
@@ -357,6 +384,11 @@ def _chernoff_log(mu, d):
     return -mu + t * (1.0 + math.log(mu) - math.log(t)) if mu > 0.0 else -math.inf
 
 
+def _chernoff_lower_log(mu, a):
+    """log of the Chernoff bound e^-mu (e mu / a)^a on P(S <= a), for 0 <= a <= mu; -mu at a = 0."""
+    return -mu + a * (1.0 + math.log(mu) - math.log(a)) if a > 0 else -mu
+
+
 def _least_cap(mu, length):
     """The least d >= mu whose Chernoff bound is at most e^-745, or length if none below it is.
 
@@ -368,12 +400,20 @@ def _least_cap(mu, length):
     return d
 
 
-def _mixed_binomial_tail_log(ones, rest, p, d):
-    """log P(S > d) for S = ones + Binomial(rest, p), by lgamma sums; -inf if S > d is impossible."""
-    j0 = max(0, d + 1 - ones)
-    if j0 > rest:
+def _greatest_floor(mu):
+    """The greatest a < mu whose lower Chernoff bound is at most e^-745, or -1 if none is."""
+    a = -1
+    while a + 1 < mu and _chernoff_lower_log(mu, a + 1) <= -745.0:
+        a += 1
+    return a
+
+
+def _mixed_binomial_log_mass(ones, rest, p, lo, hi):
+    """log P(lo <= S <= hi) for S = ones + Binomial(rest, p), by lgamma sums; -inf if impossible."""
+    j0, j1 = max(0, lo - ones), min(rest, hi - ones)
+    if j0 > j1:
         return -math.inf
-    j = np.arange(j0, rest + 1, dtype=np.float64)
+    j = np.arange(j0, j1 + 1, dtype=np.float64)
     lgamma = np.vectorize(math.lgamma)
     logs = (math.lgamma(rest + 1.0) - lgamma(j + 1.0) - lgamma(rest - j + 1.0)
             + j * math.log(p) + (rest - j) * math.log1p(-p))
@@ -387,34 +427,45 @@ def _mixed_binomial_tail_log(ones, rest, p, d):
     (5e-324, 300, 0),    # the smallest subnormal
     (1e-12, 4096, 0),
     (0.003, 5000, 0),
-    (0.3, 5000, 0),
+    (0.3, 5000, 0),      # mu = 1500: the root cuts below
     (0.01, 3000, 5),     # every 5th entry is p = 1
-    (0.1, 5000, 4),
+    (0.1, 5000, 4),      # mu = 1625: the root cuts below
     (0.5, 700, 1),       # every entry is p = 1: mu = length, nothing is cut
+    (0.5, 1500, 0),      # mu = 750, just past 745: the lower solve starts at a tiny x
+    (0.9, 3000, 0),      # mu = 2700: the lower solve starts at mu - sqrt(2 mu 745)
 ])
 def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
-    """Every node's cap D leaves at most 2^-1074 above it: the exact tail
-    P(S > D) of the node's segment, a shifted binomial summed in log by
-    lgamma, is at most 2^-1074.  D is also within one of the least degree
-    whose Chernoff bound is at most e^-745, so the caps do cut."""
+    """Every node's band (lo, D) leaves at most 2^-1074 on each side: the
+    exact tails P(S > D) and P(S < lo) of the node's segment, a shifted
+    binomial summed in log by lgamma, are each at most 2^-1074.  D is also
+    within one of the least degree whose Chernoff bound is at most e^-745,
+    and lo within one past the greatest such degree below the mean, so the
+    caps do cut: above on every row whose bound allows a degree below its
+    length (not the all-ones row, nor the heavy p = 0.5 and 0.9 rows),
+    below on every row whose mean is above 745."""
     row = np.full(length, p)
     if ones_every:
         row[::ones_every] = 1.0
     caps = exact._degree_caps(row)
-    cut = 0
-    for (start, size), d in caps.items():
+    cut = cut_below = 0
+    for (start, size), (lo, d) in caps.items():
         seg = row[start : start + size]
         ones = int(np.count_nonzero(seg == 1.0))
         rest = size - ones
-        assert 0 <= d <= size
+        assert 0 <= lo <= d <= size
         if p > 0.0:
-            assert _mixed_binomial_tail_log(ones, rest, p, d) <= _LOG_SUBNORMAL
+            assert _mixed_binomial_log_mass(ones, rest, p, d + 1, size) <= _LOG_SUBNORMAL
+            assert _mixed_binomial_log_mass(ones, rest, p, 0, lo - 1) <= _LOG_SUBNORMAL
         else:
-            assert d >= ones
+            assert lo <= ones <= d
         mu = math.fsum(seg.tolist())
         assert d <= _least_cap(mu, size) + 1
+        assert _greatest_floor(mu) <= lo <= _greatest_floor(mu) + 1
         cut += d < size
-    assert (cut > 0) == (ones_every != 1)
+        cut_below += lo > 0
+    mu = math.fsum(row.tolist())
+    assert (cut > 0) == (_least_cap(mu, length) < length)
+    assert (cut_below > 0) == (mu > 745.0)
 
 
 @pytest.mark.parametrize("n", [700, 2047, 4094])
@@ -432,8 +483,9 @@ def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
     p[::5] = 0.0
     p[1::7] = 5e-324
     p[2::11] = 1.0
-    capped = exact._product_coeffs(p)
-    uncapped = exact._merge(p, {})  # an empty table caps no node
+    lo, capped = exact._product_coeffs(p)
+    _, uncapped = exact._merge(p, {})  # an empty table caps no node
+    assert lo == 0  # mean below 745: no node cuts below
     assert len(capped) < len(uncapped) == n + 1
     full = np.zeros(n + 1)
     full[: len(capped)] = capped
@@ -443,7 +495,8 @@ def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
 
 def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
     """A row with lambda near 10^5 followed by entries of 1e-12: every cap
-    holds under the Chernoff bound at the segment's exactly rounded mean.
+    that cuts, above or below, holds under its Chernoff bound at the
+    segment's exactly rounded mean.
     A mean read as a difference of prefix sums is 0 for the light
     segments, since 1e-12 is below half an ulp of 10^5, and a cap from it
     would drop all their mass above 0."""
@@ -452,9 +505,12 @@ def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
     prefix = np.concatenate([[0.0], np.cumsum(row)])
     caps = exact._degree_caps(row)
     light_nodes = 0
-    for (start, size), d in caps.items():
+    for (start, size), (lo, d) in caps.items():
         mu = math.fsum(row[start : start + size].tolist())
-        assert _chernoff_log(mu, d) <= -745.0 + 1e-9
+        if d < size:
+            assert _chernoff_log(mu, d) <= -745.0 + 1e-9
+        if lo:
+            assert _chernoff_lower_log(mu, lo - 1) <= -745.0 + 1e-9
         if start >= heavy:
             light_nodes += 1
             assert prefix[start + size] - prefix[start] == 0.0
@@ -462,26 +518,18 @@ def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
     assert light_nodes > 0
 
 
-@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3)])
-def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
-    """On a light row at n = 2^17 (lambda near 361 and 4900), no rfft is
-    longer than that of a product of two root-cap-length halves; the
-    segment length would ask for 2^18.  The lighter row runs no rfft at
-    all, the other some."""
-    n = 1 << 17
-    p = generate(ProfileFamily("index_power", (c, a)), n).probs
-    root = exact._degree_caps(p)[(0, n)]
-    sizes = []
-    real = np.fft.rfft
+def test_dc_runs_no_fft(monkeypatch):
+    """Every product is a direct convolution: with every np.fft entry point
+    raising, _product_coeffs still runs a heavy row (mean near 0.26 n) at
+    n = 200003, whose root band holds some 10^4 coefficients."""
 
-    def spy(x, size=None, *args, **kwargs):
-        sizes.append(len(x) if size is None else size)
-        return real(x, size, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft called")
 
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    exact._product_coeffs(p)
-    assert max(sizes, default=0) <= 1 << (2 * root).bit_length() < n
-    assert bool(sizes) == (a < 0.5)
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, refuse)
+    lo, coeffs = exact._product_coeffs(_split_row(200003))
+    assert lo > 0 and len(coeffs) > 10**4
 
 
 def test_dc_matches_tree_in_log_on_a_light_row():
@@ -810,9 +858,11 @@ def test_dc_starts_no_thread(monkeypatch):
     exact._product_coeffs(_split_row(200003))
 
 
-def test_dc_traced_peak_stays_below_three_and_a_half_rows():
-    """Per-subtree leaves and early-freed merges keep the traced peak of a
-    10^6 row under 3.5 float64 copies of the row (28 MB)."""
+def test_dc_traced_peak_stays_below_one_and_a_half_rows():
+    """Per-subtree leaves and the two-sided bands keep the traced peak of a
+    heavy 10^6 row (mean near 2.6 * 10^5, root band near 4 * 10^4
+    coefficients) under 1.5 float64 copies of the row (12 MB): the measured
+    0.44 copies plus a margin of one."""
     n = 10**6
     p = _split_row(n)
     tracemalloc.start()
@@ -821,7 +871,7 @@ def test_dc_traced_peak_stays_below_three_and_a_half_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * n
+    assert peak < 1.5 * 8 * n
 
 
 def test_poisson_distances_tabulate_once_for_both():

@@ -57,11 +57,15 @@ re-recorded when `pmf` took the tree as its default: `pmf_dp_kmax` passes
 `--engine dp`, so it still pins the dp's bytes, and `pmf_tree` dropped
 its `--engine tree`, so its recorded bytes now pin the default.
 
+No digest moved when every `pmf_dc` merge became one direct
+convolution and heavy nodes (mean above 745) gained a lower cap: every
+case here is light enough that its capped products were already direct.
+
 Two cases guard those code paths in particular: `pmf --engine dc` at
-n = 4200 runs the rfft merges at the top of the tree and has exact-zero
-probabilities in its profile, and `distance` at n = 20000 (lambda near
-141) tabulates the Poisson reference far past the point where its terms
-underflow.
+n = 4200 (lambda near 671) multiplies capped products up a tree of odd
+splits and has exact-zero probabilities in its profile, and `distance`
+at n = 20000 (lambda near 141) tabulates the Poisson reference far past
+the point where its terms underflow.
 
 To re-record after an intended output change, run
 `PYTHONPATH=src python tests/test_golden.py`, which prints the table.
