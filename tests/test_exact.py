@@ -532,6 +532,32 @@ def test_dc_runs_no_fft(monkeypatch):
     assert lo > 0 and len(coeffs) > 10**4
 
 
+@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3)])
+def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
+    """On a light row at n = 2^17 (lambda near 361 and 4900), no rfft runs,
+    and no np.convolve product is longer than twice the root's band
+    (lo, D), which itself spans far less than the row."""
+    n = 1 << 17
+    p = generate(ProfileFamily("index_power", (c, a)), n).probs
+    lo, hi = exact._degree_caps(p)[(0, n)]
+    ffts, sizes = [], []
+    real_rfft, real_convolve = np.fft.rfft, np.convolve
+
+    def spy_rfft(x, *args, **kwargs):
+        ffts.append(len(x))
+        return real_rfft(x, *args, **kwargs)
+
+    def spy_convolve(x, y, *args, **kwargs):
+        sizes.append(len(x) + len(y) - 1)
+        return real_convolve(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy_rfft)
+    monkeypatch.setattr(np, "convolve", spy_convolve)
+    exact._product_coeffs(p)
+    assert ffts == []
+    assert 0 < max(sizes) <= 2 * (hi + 1 - lo) and 2 * (hi + 1) < n
+
+
 def test_dc_matches_tree_in_log_on_a_light_row():
     """index_power:0.5,0.5 at n = 5000: no entry whose tree value is above
     1e-300 is -inf (uncapped, 213 were), and at least 4 times the 99
