@@ -41,7 +41,7 @@ import numpy as np
 
 from ._util import as_count, as_counts, frozen_row, libm_exp, libm_map, log_factorials, spec_number
 from .errors import HypothesisError, ValidationError
-from .exact import Pmf, PoissonRef, pmf_dc, pmf_tree, poisson_distances
+from .exact import Pmf, PoissonRef, _product_coeffs, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
 
 # CLI name -> tag: the one vocabulary ApproxKind, its parse and its usage text read.
@@ -57,7 +57,7 @@ _SANDWICH_TAGS = ("lambda_form", "beta_form", "poisson_form")
 class ApproxKind:
     """A named approximant; poisson_limit carries its fixed rate.
 
-    parse reads a CLI name (`poisson-limit:2`), spec_string writes the tag (`poisson_limit:2`).
+    parse reads a CLI name (`poisson-limit:2`) or the tag spec_string writes (`poisson_limit:2`).
     """
 
     tag: str
@@ -78,9 +78,9 @@ class ApproxKind:
 
     @classmethod
     def parse(cls, spec: str) -> "ApproxKind":
-        """The approximant a CLI name (APPROX_USAGE) names."""
+        """The approximant a CLI name (APPROX_USAGE) or a report's tag names."""
         name, sep, rest = spec.partition(":")
-        tag = APPROX_NAMES.get(name)
+        tag = APPROX_NAMES.get(name) or (name if name in APPROX_NAMES.values() else None)
         if tag is None:
             raise ValidationError(f"unknown approximation kind {name!r}; use {APPROX_USAGE}")
         if tag == "poisson_limit":
@@ -348,14 +348,17 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
 
     A tv/predicted ratio drifting toward 1 along a family is the
     empirical signature of the first-order asymptotic (see
-    DistanceReport).  Uses the divide-and-conquer engine: the full
-    support is needed and it stays subquadratic for large n.
+    DistanceReport).  The distances need absolute accuracy only: pmf_dc's
+    product cuts each of its fewer than 2n nodes at most twice, here where
+    a tail bound reaches e^-c, c = log(4n) + 64 log 2, which drops at most
+    2^-64 of mass in all; the root's band is tabulated as it comes.
     """
     summary = profile.summary
     if summary.lambda_n <= 0.0 or summary.sum_sq <= 0.0:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
-    pmf = pmf_dc(profile)
-    return DistanceReport(summary, *poisson_distances(pmf, PoissonRef(summary.lambda_n)))
+    band = _product_coeffs(profile.probs, math.log(4.0 * profile.n) + 64.0 * math.log(2.0))
+    ref = PoissonRef(summary.lambda_n)
+    return DistanceReport(summary, *poisson_distances(*band, ref, complete=True))
 
 
 def mmm_residual(

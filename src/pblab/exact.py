@@ -17,16 +17,16 @@ of the full run.
   lo..D of its coefficients, whose Chernoff tail bounds on each side are at
   most e^-745, below the smallest subnormal 2^-1074: the caps move no entry
   by more than 2n * 2^-1074, and every entry that is a normal double
-  carries a small relative error.  It runs on the calling thread, as every
-  engine here does.
+  carries a small relative error.  The same product at a looser bound is
+  the distances' route (dehpfeif_report).  It runs on the calling thread.
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
   per k), with a conditioning contract and an exact-rational mode.
 
 Plus the k-fold symmetric sums, the log zero-probability, a truncated
-Poisson reference, and poisson_distances, which tabulates a pmf against
-it once, in three arrays and with no padded copy, for both the sup-of-CDF
-and the total-variation distance.
+Poisson reference, and poisson_distances, which tabulates a band of linear
+probabilities against it once, with no padded copy, for both the
+sup-of-CDF and the total-variation distance.
 """
 
 from __future__ import annotations
@@ -234,13 +234,14 @@ def _leaf_sizes(n: int) -> list[int]:
     return _leaf_sizes(half) + _leaf_sizes(n - half)
 
 
-def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """PMF coefficients of every leaf, by one quadratic recurrence over all rows.
+def _leaf_coeffs(p: np.ndarray, sizes: list[int], top: int) -> list[np.ndarray]:
+    """PMF coefficients 0..top of every leaf, by one quadratic recurrence over all rows.
 
     Row r holds leaf r's probabilities, padded with zeros to the longest
-    leaf.  A padded step computes x*1.0 + y*0.0, which is exactly x, so
-    each row's first size+1 coefficients are bit for bit those of the
-    leaf run on its own, and the rest are exact zeros that are dropped.
+    leaf.  A padded step computes x*1.0 + y*0.0, which is exactly x, and a
+    step's coefficient k reads only k and k - 1, so each row's first
+    min(size, top)+1 coefficients are bit for bit those of the leaf run on
+    its own to the end, and the rest are exact zeros that are dropped.
     """
     lens = np.array(sizes)
     rows, width = len(sizes), int(lens.max())
@@ -248,47 +249,28 @@ def _leaf_coeffs(p: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     prob = np.zeros((rows, width), order="F")
     prob[np.arange(width) < lens[:, None]] = p
     comp = 1.0 - prob
-    coeffs = np.zeros((rows, width + 1), order="F")
+    coeffs = np.zeros((rows, top + 1), order="F")
     coeffs[:, 0] = 1.0
-    shift = np.empty((rows, width), order="F")
+    shift = np.empty((rows, top), order="F")
     for i in range(width):
-        # Each row c: c[1:i+2] = c[1:i+2] * (1 - p_i) + c[:i+1] * p_i.
-        np.multiply(coeffs[:, : i + 1], prob[:, i : i + 1], out=shift[:, : i + 1])
-        coeffs[:, 1 : i + 2] *= comp[:, i : i + 1]
-        coeffs[:, 1 : i + 2] += shift[:, : i + 1]
+        # Each row c: c[1:j+1] = c[1:j+1] * (1 - p_i) + c[:j] * p_i.
+        j = min(i + 1, top)
+        np.multiply(coeffs[:, :j], prob[:, i : i + 1], out=shift[:, :j])
+        coeffs[:, 1 : j + 1] *= comp[:, i : i + 1]
+        coeffs[:, 1 : j + 1] += shift[:, :j]
         coeffs[:, 0] *= comp[:, i]
     coeffs = np.ascontiguousarray(coeffs)
     return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 
 
-def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
-    """Certified band (lo, D) of degrees of the nodes of pmf_dc's tree over the row p.
+def _degree_caps(p: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int arrays lo, D and top over the nodes of pmf_dc's tree over p, in _merge's order.
 
-    Keyed by the (start, length) of the node's segment of p; a node that is
-    not a key keeps the band (0, length).  With mu the node's mean (the sum
-    of its p), the Chernoff bounds P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1)
-    and P(S <= a) <= e^-mu (e mu / a)^a at a = lo - 1 < mu of every key are
-    at most e^-_CAP_LOG, below the smallest subnormal.
-
-    The tree is _leaf_sizes's, built top down one level at a time; a
-    segment of at most _DC_BASE entries passes to the next level unchanged,
-    so every level tiles the row.  mu is summed bottom up: the deepest
-    level's segments each sum their own entries, and every node above sums
-    its one or two children.  No mu is a difference of prefix sums, which
-    at a large total would cancel and read 0 for a light segment.  Each
-    bound takes the mean that only loosens it: mu rounded up by a relative
-    1e-9 (far above the rounding of its sums) and by the smallest subnormal
-    for D, down by 1e-9 for lo.
-
-    Both caps solve f(x) = x log(x / (e mu)) + mu - _CAP_LOG = 0, convex,
-    falling below mu and rising above it: D + 1 is the root above mu, lo - 1
-    the floor of the one below.  Newton's method runs on all of them at once,
-    from x = length + 1 above and from x = mu - sqrt(2 mu _CAP_LOG) below
-    (f >= 0 there, as f(mu (1 - y)) >= mu y^2 / 2 - _CAP_LOG), or from a tiny
-    x where that is not positive.  By convexity every iterate after the first
-    step lies on the far side of its root from mu, so each is a cap.  A node
-    with f(length + 1) < 0 has no upper cap, one with mu <= _CAP_LOG
-    (f(0) <= 0) no lower cap, and each skips that solve.
+    (lo, D) is a node's certified band (_band_edges), top the highest D of
+    the leaves under it.  The tree is _leaf_sizes's, built a level at a
+    time; a segment of at most _DC_BASE entries passes down unchanged, so
+    every level tiles the row.  Each mean sums its node's children, never
+    a difference of prefix sums, which would read 0 for a light segment.
     """
     starts, lens = [np.zeros(1, dtype=np.int64)], [np.array([len(p)], dtype=np.int64)]
     children = []  # per level, the index of each node's first child one level down
@@ -301,62 +283,102 @@ def _degree_caps(p: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
         keep = np.column_stack([np.ones_like(split), split])
         starts.append(np.column_stack([s, s + half])[keep])
         lens.append(np.column_stack([half, l - half])[keep])
-    mus = [np.add.reduceat(p, starts[-1])]
-    for first in reversed(children):
-        mus.append(np.add.reduceat(mus[-1], first))
-    s, l = np.concatenate(starts), np.concatenate(lens)
-    mu = np.concatenate(mus[::-1])
-    mu_up, mu_down = mu * (1.0 + 1e-9) + 5e-324, mu * (1.0 - 1e-9)
-    t = l + 1.0
-    upper = t * (np.log(t) - np.log(mu_up) - 1.0) + mu_up >= _CAP_LOG
-    lower = mu_down > _CAP_LOG
-    m = np.concatenate([mu_up[upper], mu_down[lower]])
-    below = mu_down[lower] - np.sqrt(2.0 * _CAP_LOG * mu_down[lower])
-    x = np.concatenate([t[upper], np.maximum(below, 1e-300)])
-    log_m = np.log(m)
-    for _ in range(_NEWTON_STEPS):
-        slope = np.log(x) - log_m
-        step = (x * (slope - 1.0) + m - _CAP_LOG) / slope
-        x -= step
-        if not np.abs(step).max(initial=0.0) > _NEWTON_TOL:
-            break
-    cut, tops = upper | lower, np.count_nonzero(upper)
-    lo, hi = np.zeros_like(l), l.copy()
+
+    def up(deepest, ufunc):  # every level's values, root first, each node's from its children's
+        levels = [deepest]
+        for first in reversed(children):
+            levels.append(ufunc.reduceat(levels[-1], first))
+        return np.concatenate(levels[::-1])
+
+    l, leaves = np.concatenate(lens), starts[-1]
+    # Sorted by start, and by length down within a start, a node comes before its subtree.
+    order = np.unique(np.concatenate(starts) * (len(p) + 1) + len(p) - l, return_index=True)[1]
+    del starts, lens  # a lower traced peak
+    lo, hi = _band_edges(l, up(np.add.reduceat(p, leaves), np.add), tail_log)
+    top = up(hi[len(hi) - len(leaves) :], np.maximum)
+    return lo[order], hi[order], top[order]
+
+
+def _band_edges(l: np.ndarray, mu: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band (lo, D) of each segment of length l and mean mu: its tails are at most e^-tail_log.
+
+    The Chernoff bounds P(S <= a) <= e^-mu (e mu / a)^a at a = lo - 1 < mu
+    and P(S > D) <= e^-mu (e mu / (D + 1))^(D + 1) are at most e^-tail_log
+    wherever they cut.  Where the failures are the fewer (nu = l - mu < mu),
+    they bound the failures l - S too, and S keeps the tighter of its band
+    and that one's mirror.  Each bound takes the mean that only loosens it:
+    up by a relative 1e-9 (far above the rounding of its sums) and the
+    smallest subnormal for an upper cap, down by 1e-9 for a lower one.
+
+    Every cap solves f(x) = x log(x / (e m)) + m - tail_log = 0 at its mean
+    m, convex, falling below m and rising above it: D + 1 is the root above
+    m, lo - 1 the floor of the one below.  Newton's method runs on all at
+    once, from x = l + 1 above and from x = m - sqrt(2 m tail_log) below
+    (f >= 0 there, as f(m (1 - y)) >= m y^2 / 2 - tail_log), or from a tiny
+    x if that is not positive; by convexity every later iterate is a cap.
+    A solve whose f(l + 1) < 0, or whose m <= tail_log, is skipped.
+    """
+    heavy = np.flatnonzero(l - mu * (1.0 + 1e-9) < mu)
+    l, n = np.concatenate([l, l[heavy]]), len(l)
+    mu_up = np.concatenate([mu, l[heavy] - mu[heavy] * (1.0 - 1e-9)]) * (1.0 + 1e-9) + 5e-324
+    down = np.concatenate([mu, l[heavy] - mu_up[heavy]]) * (1.0 - 1e-9)
+    upper = (l + 1.0) * (np.log(l + 1.0) - np.log(mu_up) - 1.0) + mu_up >= tail_log
+    lower = down > tail_log
+    below = down[lower] - np.sqrt(2.0 * tail_log * down[lower])
+    x = _newton_caps(np.concatenate([mu_up[upper], down[lower]]),
+                     np.concatenate([l[upper] + 1.0, np.maximum(below, 1e-300)]), tail_log)
+    lo, hi, tops = np.zeros_like(l), l.copy(), np.count_nonzero(upper)
     hi[upper] = np.ceil(x[:tops]) - 1
     lo[lower] = np.floor(x[tops:]) + 1
-    return dict(zip(zip(s[cut].tolist(), l[cut].tolist()), zip(lo[cut].tolist(), hi[cut].tolist())))
+    lo[heavy] = np.maximum(lo[heavy], l[n:] - hi[n:])
+    hi[heavy] = np.minimum(hi[heavy], l[n:] - lo[n:])
+    return lo[:n], hi[:n]
 
 
-def _merge(p: np.ndarray, caps: dict, start: int = 0, leaves=None) -> tuple[int, np.ndarray]:
+def _newton_caps(m: np.ndarray, x: np.ndarray, tail_log: float) -> np.ndarray:
+    """Newton's method on every f(x) = x log(x / (e m)) + m - tail_log at once (_band_edges)."""
+    log_m, slope, step = np.log(m), np.empty_like(x), np.empty_like(x)
+    for _ in range(_NEWTON_STEPS):
+        np.subtract(np.log(x, out=slope), log_m, out=slope)
+        np.multiply(x, np.subtract(slope, 1.0, out=step), out=step)
+        step += m
+        step -= tail_log
+        x -= np.divide(step, slope, out=step)
+        if not np.abs(step, out=step).max(initial=0.0) > _NEWTON_TOL:
+            break
+    return x
+
+
+def _merge(p: np.ndarray, bands, leaves=None) -> tuple[int, np.ndarray]:
     """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z over the segment p.
 
-    p starts at entry start of the row whose _degree_caps are caps, and
-    (lo, D) is the segment's band ((0, length) where it has none).  Walks
-    the tree of _leaf_sizes(len(p)); each product is one np.convolve of the
-    two children's bands, trimmed to the node's.  The first segment of at
-    most _SUBTREE entries on the way down expands its leaves in one
-    _leaf_coeffs batch, and leaves iterates over them in order; each call
-    below it consumes exactly the leaves under its segment.
+    bands iterates over the (lo, D, top) of _degree_caps from the segment's
+    node on, in the order this walk visits the nodes.  Walks the tree of
+    _leaf_sizes(len(p)); each product is one np.convolve of the two
+    children's bands, trimmed to the node's.  The first segment of at most
+    _SUBTREE entries on the way down expands its leaves through its top in
+    one _leaf_coeffs batch, and leaves iterates over them in order; each
+    call below it consumes exactly the leaves under its segment.
     """
     n = len(p)
-    lo, hi = caps.get((start, n), (0, n))
+    lo, hi, top = next(bands)
     if leaves is None and n <= _SUBTREE:
-        leaves = iter(_leaf_coeffs(p, _leaf_sizes(n)))
+        leaves = iter(_leaf_coeffs(p, _leaf_sizes(n), top))
     if n <= _DC_BASE:
         return lo, next(leaves)[lo : hi + 1]
     half = n // 2
-    lo_a, a = _merge(p[:half], caps, start, leaves)
-    lo_b, b = _merge(p[half:], caps, start + half, leaves)
+    lo_a, a = _merge(p[:half], bands, leaves)
+    lo_b, b = _merge(p[half:], bands, leaves)
     off = lo_a + lo_b
     return max(lo, off), np.convolve(a, b)[max(lo - off, 0) : hi + 1 - off]
 
 
-def _product_coeffs(p: np.ndarray) -> tuple[int, np.ndarray]:
-    """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z over the whole profile.
+def _product_coeffs(p: np.ndarray, tail_log: float) -> tuple[int, np.ndarray]:
+    """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z, every node in its band.
 
-    (lo, D) is the root's band from _degree_caps ((0, n) where it has none).
+    The bands are _degree_caps(p, tail_log); (lo, D) is the root's.
     """
-    return _merge(p, _degree_caps(p))
+    return _merge(p, zip(*(band.tolist() for band in _degree_caps(p, tail_log))))
 
 
 def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
@@ -386,7 +408,7 @@ def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     its prefix.
     """
     k_max = _check_k_max(k_max, profile.n)
-    lo, coeffs = _product_coeffs(profile.probs)
+    lo, coeffs = _product_coeffs(profile.probs, _CAP_LOG)
     log_f = np.full(profile.n + 1, -np.inf)
     with np.errstate(divide="ignore"):
         np.log(coeffs, out=log_f[lo : lo + len(coeffs)])
@@ -612,46 +634,49 @@ class PoissonRef:
 
         Bernstein's inequality for the Poisson tail gives
         log P(lam + x) <= -x^2 / (2 (lam + x/3)), which is below
-        _LOG_UNDERFLOW = -u once x >= u/3 + sqrt((u/3)^2 + 2 u lam).  Every
-        term from there on is exp of something below -745.13: exactly 0.0.
-        Those entries are zero-filled rather than evaluated.
+        _LOG_UNDERFLOW = -u once x >= u/3 + sqrt((u/3)^2 + 2 u lam), and
+        log P(X <= lam - x) <= -x^2 / (2 lam) is once x >= sqrt(2 u lam).
+        Every term past either point is exp of something below -745.13:
+        exactly 0.0.  Those entries are zero-filled rather than evaluated.
         """
         if k_hi < 0:
             raise ValidationError(f"k_hi={k_hi} must be nonnegative")
         lam, c = self.lam, -_LOG_UNDERFLOW / 3.0
         top = min(k_hi, math.ceil(lam + c + math.sqrt(c * c - 2.0 * _LOG_UNDERFLOW * lam)))
-        ks = np.arange(top + 1)
+        bottom = max(0, math.floor(lam - math.sqrt(-2.0 * _LOG_UNDERFLOW * lam)))
+        ks = np.arange(bottom, top + 1)
         out = np.zeros(k_hi + 1)
-        out[: top + 1] = np.exp(-lam + ks * math.log(lam) - log_factorials(ks))
+        out[bottom : top + 1] = np.exp(-lam + ks * math.log(lam) - log_factorials(ks))
         return out
 
 
-def poisson_distances(pmf: Pmf, ref: PoissonRef) -> tuple[float, float]:
-    """(sup_cdf, tv) of pmf from ref, tabulated once at k = 0..k_hi.
+def poisson_distances(lo: int, probs, ref: PoissonRef, complete=False) -> tuple[float, float]:
+    """(sup_cdf, tv) from ref of the V with P(V = lo + j) = probs[j], 0 off that band.
 
-    sup_cdf = sup_k |CDF(pmf)(k) - CDF(ref)(k)|; tv = (1/2) sum_k |pmf(k) - ref(k)|.
-    k_hi covers the pmf's support and reaches where ref's tail is certified
-    below 1e-12.  A truncated pmf must carry cumulative mass >= 1 - 1e-12.
-    Past its support the pmf is 0 and its CDF holds its total, so the
-    differences there, -t and total - c, are exact and go straight into the
-    one buffer of differences: no padded copy is made, and each distance
-    reduces the same values in the same order as over the padded rows.
+    sup_cdf = sup_k |CDF(V)(k) - CDF(ref)(k)|; tv = (1/2) sum_k |P(V = k) - ref(k)|,
+    tabulated once at k = 0..k_hi, where k_hi covers the band and reaches
+    where ref's tail is certified below 1e-12.  Unless complete (V's whole
+    mass but rounding: the rounding of 1 - p moves a full run's mass by up
+    to n * 2^-54), the band must carry mass >= 1 - 1e-12.  Off the band the
+    differences, -t and -c below it and total - c above, are exact and go
+    straight into the one buffer: no padded copy is made.  A Pmf's run is
+    the band 0, pmf.probs().
     """
-    own = pmf.probs()
-    top = len(own)
-    k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
+    top = lo + len(probs)
+    k_hi = max(top - 1, ref.truncation_k(1e-12))
     terms = ref.pmf_points(k_hi)
-    diff = np.empty(k_hi + 1)
-    np.subtract(own, terms[:top], out=diff[:top])
-    np.negative(terms[top:], out=diff[top:])
+    diff = np.negative(terms)
+    diff[lo:top] += probs
     tv = 0.5 * float(np.abs(diff, out=diff).sum())
-    total = float(np.cumsum(own, out=own)[-1])
-    if pmf.support_max < pmf.n and total < 1.0 - 1e-12:
+    own = np.cumsum(probs)
+    total = float(own[-1])
+    if not complete and total < 1.0 - 1e-12:
         raise ValidationError(
-            f"pmf covers mass {total:.17g} on 0..{pmf.support_max}; "
+            f"pmf covers mass {total:.17g} on {lo}..{top - 1}; "
             "need full support or cumulative mass >= 1 - 1e-12"
         )
     np.cumsum(terms, out=terms)
-    np.subtract(own, terms[:top], out=diff[:top])
+    np.negative(terms[:lo], out=diff[:lo])
+    np.subtract(own, terms[lo:top], out=diff[lo:top])
     np.subtract(total, terms[top:], out=diff[top:])
     return float(np.abs(diff, out=diff).max()), tv

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,18 +84,26 @@ def test_kind_parse_maps_each_cli_name_to_its_tag():
     ("foo", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
     ("foo:", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
     ("foo:1", "unknown approximation kind 'foo'; use lambda|beta|poisson|poisson-limit:rate|normal"),
-    ("poisson_limit:2", "unknown approximation kind 'poisson_limit'; "
-                        "use lambda|beta|poisson|poisson-limit:rate|normal"),
+    ("poisson_limit", "poisson-limit needs a rate, got 'poisson_limit'"),
+    ("lambda_form:1", "approximation kind 'lambda_form:1' takes no parameter"),
     ("poisson-limit", "poisson-limit needs a rate, got 'poisson-limit'"),
     ("poisson-limit:", "poisson-limit needs a rate, got 'poisson-limit:'"),
     ("poisson-limit:-1", "poisson_limit rate must be finite > 0, got -1.0"),
-    ("lambda_form", "unknown approximation kind 'lambda_form'; "
-                    "use lambda|beta|poisson|poisson-limit:rate|normal"),
 ])
 def test_kind_parse_errors(spec, message):
     with pytest.raises(ValidationError) as info:
         ApproxKind.parse(spec)
     assert str(info.value) == message
+
+
+def test_kind_parse_reads_back_every_spec_string():
+    """A report's kind tag parses back to the kind that printed it, for every kind."""
+    kinds = [ApproxKind(tag) for tag in asymptotics.APPROX_NAMES.values() if tag != "poisson_limit"]
+    kinds += [ApproxKind("poisson_limit", lam) for lam in (2.0, 2.5, 2.123456789, 0.1 + 0.2, 1e-300)]
+    assert len(kinds) == len(asymptotics.APPROX_NAMES) + 4
+    for kind in kinds:
+        assert ApproxKind.parse(kind.spec_string()) == kind
+    assert ApproxKind.parse("poisson_limit:2") == ApproxKind.parse("poisson-limit:2")
 
 
 def test_kind_validation():
@@ -595,6 +604,23 @@ def test_distance_single_entry_is_well_defined():
 def test_distance_zero_profile_rejected():
     with pytest.raises(HypothesisError):
         dehpfeif_report(BernoulliProfile((0.0, 0.0)))
+
+
+def test_distance_report_traced_peak_stays_below_half_a_row():
+    """index_power:0.5,0.5 at n = 10^6, its profile and summary built
+    beforehand: the report makes no array of the row's length, and its
+    traced peak (the tree's bands, 0.43 row copies) stays under half a
+    float64 copy of the row."""
+    n = 10**6
+    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), n)
+    assert prof.summary.lambda_n > 0.0
+    tracemalloc.start()
+    try:
+        dehpfeif_report(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n
 
 
 def test_distance_flat_row_spot_value():

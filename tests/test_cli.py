@@ -696,17 +696,17 @@ def test_kind_with_an_empty_parameter_exits_2_as_flag_or_config(command, tmp_pat
     }
 
 
-@pytest.mark.parametrize("command", ["approx", "verify"])
-def test_kind_spelled_as_its_report_tag_exits_2_as_unknown(command, tmp_path, capsys):
-    """Reports print the tag poisson_limit:2; --kind reads the CLI names only."""
+@pytest.mark.parametrize("command, tag, name", [
+    ("approx", "poisson_limit:2", "poisson-limit:2"),
+    ("verify", "lambda_form", "lambda"),
+], ids=["approx", "verify"])
+def test_kind_spelled_as_its_report_tag_reads_as_its_cli_name(command, tag, name, tmp_path, capsys):
+    """Reports print tags such as poisson_limit:2; --kind reads a tag as its CLI name."""
     argv = drop(base_argv(command, tmp_path), "kind")
-    code, out, err = run_cli(argv + ["--kind", "poisson_limit:2"], capsys)
-    assert (code, out) == (2, "")
-    assert json.loads(err) == {
-        "error": "ValidationError",
-        "message": "unknown approximation kind 'poisson_limit'; "
-                   "use lambda|beta|poisson|poisson-limit:rate|normal",
-    }
+    code, out, err = run_cli(argv + ["--kind", tag], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(argv + ["--kind", name], capsys)
+    assert json.loads(out)["kind"] == ApproxKind.parse(name).spec_string()
 
 
 # ------------------------------------------------- config files and overrides

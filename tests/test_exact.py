@@ -292,12 +292,20 @@ def _assert_relatively_accurate(got, want):
 def test_dc_is_relatively_accurate_on_a_heavy_binomial_row():
     """constant_p:0.3 at n = 10^4 (mean 3000): every one of the 3372
     entries above e^-700 is within 1e-9 of the exact binomial, relative.
-    With an rfft product at the top, 1460 of them printed -inf."""
+    With an rfft product at the top, 1460 of them printed -inf.
+
+    constant_p:0.9 at n = 10^5, whose failures are the fewer: the root
+    keeps at most 8000 coefficients (21,330 when only the successes'
+    bounds cut it), and every entry above e^-700 is as accurate."""
     n = 10**4
     want = _binomial_log_pmf(n, 0.3)
     got = pmf_dc(generate(ProfileFamily("constant_p", (0.3,)), n)).log_probs
     assert int(np.count_nonzero(want > -700.0)) == 3372
     _assert_relatively_accurate(got, want)
+    n = 10**5
+    prof = generate(ProfileFamily("constant_p", (0.9,)), n)
+    assert len(exact._product_coeffs(prof.probs, exact._CAP_LOG)[1]) <= 8000
+    _assert_relatively_accurate(pmf_dc(prof).log_probs, _binomial_log_pmf(n, 0.9))
 
 
 def test_dc_is_relatively_accurate_on_a_heavy_uniform_row():
@@ -333,6 +341,20 @@ def _split_row(n):
     return p
 
 
+def _segments(n, start=0):
+    """(start, length) of every node of pmf_dc's tree over n entries, in the order _merge visits them."""
+    yield start, n
+    if n > exact._DC_BASE:
+        yield from _segments(n // 2, start)
+        yield from _segments(n - n // 2, start + n // 2)
+
+
+def _caps_table(p, tail_log=exact._CAP_LOG):
+    """_degree_caps(p, tail_log) as {(start, length): (lo, D)} over every node."""
+    lo, hi, _ = exact._degree_caps(p, tail_log)
+    return dict(zip(_segments(len(p)), zip(lo.tolist(), hi.tolist())))
+
+
 def _dc_coeffs_reference(p, caps, start=0):
     """The recursive engine: one leaf at a time, merged on the way back up.
 
@@ -364,8 +386,8 @@ def test_dc_batched_leaves_bit_identical_to_recursive(n):
     bands of _degree_caps at every node, as the engine does.
     """
     p = _split_row(n)
-    lo, expected = _dc_coeffs_reference(p, exact._degree_caps(p))
-    got_lo, got = exact._product_coeffs(p)
+    lo, expected = _dc_coeffs_reference(p, _caps_table(p))
+    got_lo, got = exact._product_coeffs(p, exact._CAP_LOG)
     assert got_lo == lo
     assert got.tobytes() == expected.tobytes()
     expected_log = np.full(n + 1, -np.inf)
@@ -439,14 +461,18 @@ def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
     exact tails P(S > D) and P(S < lo) of the node's segment, a shifted
     binomial summed in log by lgamma, are each at most 2^-1074.  D is also
     within one of the least degree whose Chernoff bound is at most e^-745,
-    and lo within one past the greatest such degree below the mean, so the
-    caps do cut: above on every row whose bound allows a degree below its
-    length (not the all-ones row, nor the heavy p = 0.5 and 0.9 rows),
-    below on every row whose mean is above 745."""
+    and lo at least the greatest such degree below the mean, and within
+    one past it unless the failures are the fewer.  Where they are, the
+    failures' own band, mirrored, holds D and lo within one of its caps.
+    So the caps do cut: above on every row whose bound allows a degree
+    below its length, or whose failures are the fewer with a mean above
+    745 (the p = 0.5 row of 1500; not the all-ones row, nor the p = 0.9
+    row), below on every row whose mean is above 745 or whose failures are
+    the fewer (the all-ones row: its band is its one count)."""
     row = np.full(length, p)
     if ones_every:
         row[::ones_every] = 1.0
-    caps = exact._degree_caps(row)
+    caps = _caps_table(row)
     cut = cut_below = 0
     for (start, size), (lo, d) in caps.items():
         seg = row[start : start + size]
@@ -460,12 +486,19 @@ def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
             assert lo <= ones <= d
         mu = math.fsum(seg.tolist())
         assert d <= _least_cap(mu, size) + 1
-        assert _greatest_floor(mu) <= lo <= _greatest_floor(mu) + 1
+        assert _greatest_floor(mu) <= lo
+        if size - mu <= mu:
+            # The failures' mean, bounded through mu's own 1e-9 slack as the caps bound it.
+            nu_down, nu_up = (size - mu * (1 + 1e-9)) * (1 - 1e-9), (size - mu * (1 - 1e-9)) * (1 + 1e-9)
+            assert d <= size - _greatest_floor(nu_down)
+            assert lo >= size - _least_cap(nu_up, size) - 1
+        else:
+            assert lo <= _greatest_floor(mu) + 1
         cut += d < size
         cut_below += lo > 0
     mu = math.fsum(row.tolist())
-    assert (cut > 0) == (_least_cap(mu, length) < length)
-    assert (cut_below > 0) == (mu > 745.0)
+    assert (cut > 0) == (_least_cap(mu, length) < length or 745.0 < length - mu <= mu)
+    assert (cut_below > 0) == (mu > 745.0 or length - mu <= mu)
 
 
 @pytest.mark.parametrize("n", [700, 2047, 4094])
@@ -483,8 +516,8 @@ def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
     p[::5] = 0.0
     p[1::7] = 5e-324
     p[2::11] = 1.0
-    lo, capped = exact._product_coeffs(p)
-    _, uncapped = exact._merge(p, {})  # an empty table caps no node
+    lo, capped = exact._product_coeffs(p, exact._CAP_LOG)
+    _, uncapped = exact._product_coeffs(p, math.inf)  # no bound is e^-inf: no node is cut
     assert lo == 0  # mean below 745: no node cuts below
     assert len(capped) < len(uncapped) == n + 1
     full = np.zeros(n + 1)
@@ -496,19 +529,21 @@ def test_dc_caps_move_direct_rows_by_at_most_2n_subnormals(n):
 def test_dc_caps_keep_light_segments_behind_a_heavy_prefix():
     """A row with lambda near 10^5 followed by entries of 1e-12: every cap
     that cuts, above or below, holds under its Chernoff bound at the
-    segment's exactly rounded mean.
+    segment's exactly rounded mean; D under the tighter of the bound on
+    the successes and the lower one on the failures.
     A mean read as a difference of prefix sums is 0 for the light
     segments, since 1e-12 is below half an ulp of 10^5, and a cap from it
     would drop all their mass above 0."""
     heavy, light = 200_000, 8192
     row = np.concatenate([np.full(heavy, 0.5), np.full(light, 1e-12)])
     prefix = np.concatenate([[0.0], np.cumsum(row)])
-    caps = exact._degree_caps(row)
+    caps = _caps_table(row)
     light_nodes = 0
     for (start, size), (lo, d) in caps.items():
         mu = math.fsum(row[start : start + size].tolist())
         if d < size:
-            assert _chernoff_log(mu, d) <= -745.0 + 1e-9
+            fails = _chernoff_lower_log(size - mu, size - d - 1) if d + 1 >= mu else 0.0
+            assert min(_chernoff_log(mu, d), fails) <= -745.0 + 1e-9
         if lo:
             assert _chernoff_lower_log(mu, lo - 1) <= -745.0 + 1e-9
         if start >= heavy:
@@ -528,7 +563,7 @@ def test_dc_runs_no_fft(monkeypatch):
 
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, refuse)
-    lo, coeffs = exact._product_coeffs(_split_row(200003))
+    lo, coeffs = exact._product_coeffs(_split_row(200003), exact._CAP_LOG)
     assert lo > 0 and len(coeffs) > 10**4
 
 
@@ -539,7 +574,7 @@ def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
     (lo, D), which itself spans far less than the row."""
     n = 1 << 17
     p = generate(ProfileFamily("index_power", (c, a)), n).probs
-    lo, hi = exact._degree_caps(p)[(0, n)]
+    lo, hi = _caps_table(p)[(0, n)]
     ffts, sizes = [], []
     real_rfft, real_convolve = np.fft.rfft, np.convolve
 
@@ -553,9 +588,90 @@ def test_dc_fft_sizes_follow_the_caps(monkeypatch, c, a):
 
     monkeypatch.setattr(np.fft, "rfft", spy_rfft)
     monkeypatch.setattr(np, "convolve", spy_convolve)
-    exact._product_coeffs(p)
+    exact._product_coeffs(p, exact._CAP_LOG)
     assert ffts == []
     assert 0 < max(sizes) <= 2 * (hi + 1 - lo) and 2 * (hi + 1) < n
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    st.lists(st.integers(1, exact._DC_BASE), min_size=1, max_size=6).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            st.lists(st.floats(0.0, 1.0), min_size=sum(sizes), max_size=sum(sizes)),
+            st.integers(0, max(sizes)),
+        )
+    )
+)
+def test_truncated_leaves_are_bit_identical_to_full_ones(case):
+    """_leaf_coeffs stopped at any top keeps each leaf's coefficients 0..top bit for bit."""
+    sizes, p, top = case
+    p = np.array(p)
+    full = exact._leaf_coeffs(p, sizes, max(sizes))
+    cut = exact._leaf_coeffs(p, sizes, top)
+    for size, a, b in zip(sizes, full, cut):
+        assert len(b) == min(size, top) + 1
+        assert b.tobytes() == a[: len(b)].tobytes()
+
+
+def _distance_tail_log(n):
+    return math.log(4.0 * n) + 64.0 * math.log(2.0)
+
+
+def _distance_rows():
+    yield generate(ProfileFamily("constant_total", (2.0,)), 20)
+    for n in (10**4, 10**5):
+        yield generate(ProfileFamily("index_power", (0.5, 0.5)), n)
+        yield generate(ProfileFamily("constant_p", (0.3,)), n)
+    yield BernoulliProfile(np.random.default_rng(7).uniform(0.0, 0.3, 3 * 10**4))
+
+
+def test_distance_band_matches_the_full_pmf_dc_route():
+    """The distances from the loosely capped band are within 1e-14 of those
+    from pmf_dc's full run tabulated over 0..n, its linear probabilities
+    as exp of its log ones."""
+    for prof in _distance_rows():
+        ref = PoissonRef(prof.summary.lambda_n)
+        lo, band = exact._product_coeffs(prof.probs, _distance_tail_log(prof.n))
+        assert lo + len(band) <= prof.n + 1
+        got = poisson_distances(lo, band, ref, complete=True)
+        want = poisson_distances(0, pmf_dc(prof).probs(), ref, complete=True)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, prof.n
+
+
+def _log_cut_bounds(mu, size, lo, d):
+    """log of the least valid Chernoff bound on each cut tail of a segment
+    of that length and mean: on P(S < lo) where lo > 0 and on P(S > d)
+    where d < size, by the successes' own bound or the failures' mirrored one."""
+    nu = size - mu
+    bounds = []
+    if lo > 0:
+        forms = [_chernoff_log(nu, size - lo)] if size - lo + 1 > nu else []
+        forms += [_chernoff_lower_log(mu, lo - 1)] if lo - 1 <= mu else []
+        bounds.append(min(forms))
+    if d < size:
+        forms = [_chernoff_log(mu, d)] if d + 1 > mu else []
+        forms += [_chernoff_lower_log(nu, size - d - 1)] if size - d - 1 <= nu else []
+        bounds.append(min(forms))
+    return bounds
+
+
+@pytest.mark.parametrize("n", [20, 1000, 10**6])
+def test_distance_caps_drop_at_most_2_to_the_minus_64(n):
+    """With the distances' bound e^-c, c = log 4n + 64 log 2, every cut's
+    Chernoff bound is at most e^-c, and their sum over every node and both
+    sides at most 2^-64, on a light row and on one whose failures are the
+    fewer."""
+    c = _distance_tail_log(n)
+    for family in (("index_power", (0.5, 0.5)), ("constant_p", (0.9,))):
+        p = generate(ProfileFamily(*family), n).probs
+        lo, hi, _ = exact._degree_caps(p, c)
+        logs = []
+        for (start, size), a, d in zip(_segments(n), lo.tolist(), hi.tolist()):
+            logs += _log_cut_bounds(float(np.sum(p[start : start + size])), size, a, d)
+        assert (len(logs) > 0) == (n > 20)  # at n = 20 no bound reaches e^-c below the length
+        assert max(logs, default=-math.inf) <= -c + 1e-9
+        assert math.fsum(math.exp(x) for x in logs) <= 2.0**-64
 
 
 def test_dc_matches_tree_in_log_on_a_light_row():
@@ -851,20 +967,41 @@ def _poisson_log_terms_reference(lam, k_hi):
     return -lam + ks * math.log(lam) - log_fact
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 999.27])
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 999.27, 3e5])
 def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
-    far = 10**5
+    """Both zero-filled tails hold exact zeros: the terms past the upper
+    cutoff, and at lam = 3e5 (the heavy 10^6 row's) those below the lower
+    one, where the first 278,844 terms are zero-filled."""
+    far = max(10**5, int(1.2 * lam))
     log_terms = _poisson_log_terms_reference(lam, far)
     full = np.exp(log_terms)
     # The first k past the mode whose log term is below -746.
     cutoff = int(np.argmax((np.arange(far + 1) > lam) & (log_terms < -746.0)))
     assert cutoff > lam
     assert not np.any(full[cutoff:])
+    # The last k below the mode whose log term is below -746, -1 if none is.
+    low = int(np.flatnonzero((np.arange(far + 1) < lam) & (log_terms < -746.0))[-1:].sum(initial=-1))
+    assert (low >= 0) == (lam > 746.0)  # log P(0) = -lam
+    assert not np.any(full[: low + 1])
     ref = PoissonRef(lam)
-    for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far):
+    for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far, *(k for k in (low - 1, low, low + 1) if k >= 0)):
         assert ref.pmf_points(k_hi).tobytes() == full[: k_hi + 1].tobytes()
         expected_cdf = np.cumsum(full[: k_hi + 1])
         assert np.cumsum(ref.pmf_points(k_hi)).tobytes() == expected_cdf.tobytes()
+
+
+def test_poisson_ref_pmf_points_skip_the_zero_lower_tail(monkeypatch):
+    """At lam = 3e5 pmf_points evaluates no log factorial below lam - sqrt(1492 lam)."""
+    lam, seen = 3e5, []
+    real = exact.log_factorials
+
+    def spy(ks):
+        seen.append(int(ks.min()))
+        return real(ks)
+
+    monkeypatch.setattr(exact, "log_factorials", spy)
+    PoissonRef(lam).pmf_points(int(lam))
+    assert seen == [math.floor(lam - math.sqrt(1492.0 * lam))]
 
 
 def test_poisson_ref_pmf_points_refuse_a_negative_top():
@@ -881,7 +1018,7 @@ def test_dc_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     pmf_dc(BernoulliProfile(_split_row(70001)))
-    exact._product_coeffs(_split_row(200003))
+    exact._product_coeffs(_split_row(200003), exact._CAP_LOG)
 
 
 def test_dc_traced_peak_stays_below_one_and_a_half_rows():
@@ -893,7 +1030,7 @@ def test_dc_traced_peak_stays_below_one_and_a_half_rows():
     p = _split_row(n)
     tracemalloc.start()
     try:
-        exact._product_coeffs(p)
+        exact._product_coeffs(p, exact._CAP_LOG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -904,32 +1041,39 @@ def test_poisson_distances_tabulate_once_for_both():
     """poisson_distances gives both distances' direct formulas bit for bit, from one window.
 
     The rows: a full support; a full support the reference runs past
-    (k_hi > n); a truncated tree pmf above the mass cap.
+    (k_hi > n); a truncated tree pmf above the mass cap; a capped product's
+    band, which starts past 0 and ends before n.
     """
     full = BernoulliProfile(tuple((i % 4 + 1) / 40 for i in range(3000)))
     short = generate(ProfileFamily("constant_p", (0.9,)), 20)
     light = generate(ProfileFamily("constant_total", (2.0,)), 1000)
-    shapes = []  # (the reference runs past n, the pmf is truncated)
-    for pmf, prof in ((pmf_dc(full), full), (pmf_dc(short), short), (pmf_tree(light, 60), light)):
+    heavy = generate(ProfileFamily("constant_p", (0.3,)), 10**4)
+    bands = [(0, pmf_dc(full).probs(), full), (0, pmf_dc(short).probs(), short),
+             (0, pmf_tree(light, 60).probs(), light),
+             (*exact._product_coeffs(heavy.probs, 50.0), heavy)]
+    shapes = []  # (the reference runs past n, the band starts past 0, the band ends before n)
+    for lo, probs, prof in bands:
         ref = PoissonRef(prof.summary.lambda_n)
-        sup_cdf, tv = poisson_distances(pmf, ref)
-        k_hi = max(pmf.support_max, ref.truncation_k(1e-12))
-        own = np.pad(pmf.probs(), (0, k_hi - pmf.support_max))
+        sup_cdf, tv = poisson_distances(lo, probs, ref, complete=lo > 0)
+        top = lo + len(probs)
+        k_hi = max(top - 1, ref.truncation_k(1e-12))
+        own = np.pad(probs, (lo, k_hi + 1 - top))
         terms = ref.pmf_points(k_hi)
         assert sup_cdf == float(np.max(np.abs(np.cumsum(own) - np.cumsum(terms))))
         assert tv == 0.5 * float(np.abs(own - terms).sum())
-        shapes.append((k_hi > prof.n, pmf.support_max < prof.n))
-    assert shapes == [(False, False), (True, False), (False, True)]
+        shapes.append((k_hi > prof.n, lo > 0, top <= prof.n))
+    assert shapes == [(False, False, False), (True, False, False), (False, False, True),
+                      (False, True, True)]
 
 
 def test_poisson_distances_traced_peak_stays_below_three_and_a_half_rows():
-    """The pmf's probabilities, the reference's terms and one buffer of
+    """The band's cumulative sums, the reference's terms and one buffer of
     differences are the only arrays of the row's length beyond the inputs."""
     n = 10**6
-    pmf = Pmf(np.full(n + 1, -math.log(n + 1)), n, "dp")
+    probs = np.full(n + 1, 1.0 / (n + 1))
     tracemalloc.start()
     try:
-        poisson_distances(pmf, PoissonRef(999.0))
+        poisson_distances(0, probs, PoissonRef(999.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -941,7 +1085,7 @@ def test_sup_cdf_distance_two_term_example():
     and the whole distance sits at k=1 where the pmf has ended but the
     Poisson still carries tail mass: D = 1 - (1/2)(1 + ln 2)."""
     pmf = pmf_dp(BernoulliProfile((0.5,)))
-    dist = poisson_distances(pmf, PoissonRef(math.log(2.0)))[0]
+    dist = poisson_distances(0, pmf.probs(), PoissonRef(math.log(2.0)))[0]
     assert dist == pytest.approx(1.0 - 0.5 * (1.0 + math.log(2.0)), rel=1e-12)
 
 
@@ -953,14 +1097,14 @@ def test_tv_distance_single_entry_oracle():
     po1 = lam * math.exp(-lam)
     # mass beyond k=1 is 1 - po0 - po1, all of it excess over the pmf
     expected = 0.5 * (abs(0.5 - po0) + abs(0.5 - po1) + (1.0 - po0 - po1))
-    assert poisson_distances(pmf, ref)[1] == pytest.approx(expected, rel=1e-10)
+    assert poisson_distances(0, pmf.probs(), ref)[1] == pytest.approx(expected, rel=1e-10)
 
 
 def test_distances_reject_truncated_low_mass_pmf():
     head = pmf_dp(BernoulliProfile((0.5, 0.5)), k_max=0)  # mass 0.25 only
     ref = PoissonRef(1.0)
     with pytest.raises(ValidationError):
-        poisson_distances(head, ref)
+        poisson_distances(0, head.probs(), ref)
 
 
 def test_poisson_distances_accept_or_reject_a_truncated_pmf_on_the_mass_cap():
@@ -976,7 +1120,7 @@ def test_poisson_distances_accept_or_reject_a_truncated_pmf_on_the_mass_cap():
         pmf = Pmf(np.log(x / x.sum() * (1.0 - 1e-12)), 20, "dp")
         reaches = float(np.cumsum(pmf.probs())[-1]) >= 1.0 - 1e-12
         try:
-            poisson_distances(pmf, ref)
+            poisson_distances(0, pmf.probs(), ref)
             accepted = True
         except ValidationError:
             accepted = False
@@ -992,7 +1136,7 @@ def test_tv_dominates_sup_cdf():
     pmf = pmf_dc(prof)
     lam = sum(prof.probs)
     ref = PoissonRef(lam)
-    sup_cdf, tv = poisson_distances(pmf, ref)
+    sup_cdf, tv = poisson_distances(0, pmf.probs(), ref)
     assert sup_cdf <= tv + 1e-15
 
 
