@@ -61,6 +61,20 @@ No digest moved when every `pmf_dc` merge became one direct
 convolution and heavy nodes (mean above 745) gained a lower cap: every
 case here is light enough that its capped products were already direct.
 
+Sixteen digests were re-recorded on purpose when `distance` and `sweep`
+stopped taking their distances from `pmf_dc`'s full log PMF and took them
+from the product's root band, every node cut at e^-(log 4n + 64 log 2)
+and the band's linear probabilities tabulated as they come: those of
+`distance`, `distance_out`, `sweep_out`, `sweep_kind`, `sweep_kind_out`,
+`sweep_beta`, `sweep_poisson_inf` and `config_sweep`, in both formats.
+Dropping the exp of a log alone moves the n = 8 rows.  The largest moves:
+TV 9.0e-17 and sup-CDF 5.6e-17 in `distance` (its ratio 2.0e-14), TV
+1.3e-17 in `distance_out` (ratio 5.9e-15), sup-CDF 1.1e-16 and TV 5.0e-17
+in `sweep_out` (ratio 5.3e-15), TV 6.9e-17 in `sweep_kind`,
+`sweep_kind_out`, `sweep_beta` and `config_sweep` (ratio 2.0e-15), and
+sup-CDF 2.8e-17 and TV 5.6e-17 in `sweep_poisson_inf` (ratio 4.4e-16).
+Every other value, and every `pmf` and `pmf_dc` digest, kept its bits.
+
 Two cases guard those code paths in particular: `pmf --engine dc` at
 n = 4200 (lambda near 671) multiplies capped products up a tree of odd
 splits and has exact-zero probabilities in its profile, and `distance`
@@ -259,14 +273,14 @@ GOLDEN = {
     },
     ('config_sweep', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.json': '3e6ed002151eef4c4a83a6a79a0da49a25f72676adca8d8595a094b197353108',
+        'aggregate.json': '9e36fbc7f3d2d8e2515dc0b99d7082ad9bd48178cd1fcbf99abdef14dfc40b55',
         'point_n16.json': '0bc7466ac51d40fb3e098bc622e9fcb1c28ebf3a415a8863b8e549f213a69e52',
         'point_n32.json': '1094b898d30683648bdf447ccbf53702d164f22aa21ca311e9b4e2cdddd4800a',
         'point_n8.json': '60898a475ce4ca18550a4311ef3c4450a448ed3a51d8cd1ce984818fd6be12ec',
     },
     ('config_sweep', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.csv': '1c97dc05f2b384af35afe7a7b7203ab340fe1558ed27b68350a2b7b19751e0c0',
+        'aggregate.csv': '2d53b342a121a596e38221137ca5ff15080e7afd66d27ec33f4dd6510611bd42',
         'point_n16.csv': '713e6372005d4c62d462761868846ce5fedaa4164fd79675003c79676a02fb41',
         'point_n32.csv': '1ed96ee8f46d4766f6ca4d417d1352881de7d8584f88e787c3d0d18b21d65f6d',
         'point_n8.csv': '9d6afb8d0e0c3314799bdd05505ac67368b1d3bda21c4d389afa759525cd554f',
@@ -296,18 +310,18 @@ GOLDEN = {
         'stdout': 'b12288e94f78a132b06bbd19e966a193c19edbc3126baff903574730268f3461',
     },
     ('distance', 'json'): {
-        'stdout': 'cd3f7f6d4c0d9a5c1f0c86b11d7001ad7efe0240b5e20fbc91b44a6ea2592df7',
+        'stdout': '2e1d44371fc806e3a07517784b1882cbf313024d253be833fea45da83e21c56a',
     },
     ('distance', 'csv'): {
-        'stdout': 'ce43c3d63aceb28f70f3320bcc767f70996cbff83083e4825e3ee11ab4c78194',
+        'stdout': '1b22a21cb68c259685199e738b69eef166904533a5f9c1148f2016589db5ceb9',
     },
     ('distance_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report.txt': '81f98e913b5e5a50750088e023db73d3b8ff7183ba8493cbb107545aa1e3908a',
+        'report.txt': 'f12393355b1296f1273804d018101b26e9e143d519ab27f0f718ab5ecb2eba04',
     },
     ('distance_out', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report.txt': 'fc4b03d4491b6a5ab9eb3ed258e808a7b3863b153778c43997c18a4d9bd4ed00',
+        'report.txt': '830fe36481a96943b3750735281f3c8626af52b19f782a17100fe3e843bb8e96',
     },
     ('pmf_brute', 'json'): {
         'stdout': '68c9d83b577253569a114a3d75e0a2480844452e4a39d24538ef2c00374dce49',
@@ -340,48 +354,48 @@ GOLDEN = {
         'stdout': 'b5b36f9746ec324b3200d863c03194664742dc32ddcb38d7dbf5180ee8b699ca',
     },
     ('sweep_beta', 'json'): {
-        'stdout': 'befd4384d2c5f773c54ee61ac114be6fe45606e7154e22e34ede109bffaebbb7',
+        'stdout': '5de6f3220d6bedcde30e34f85fbd34245f68458a010797fcbacd8010576e9b47',
     },
     ('sweep_beta', 'csv'): {
-        'stdout': '4e2bea243639126770a98d027e1640a6d19ea755440c1f6e4d60dae0d67f6ed3',
+        'stdout': 'e9cc29c820581ce6da6a9c18cbaa273b77bfd36c33fe2f2c2bdf2d49d1e80541',
     },
     ('sweep_kind', 'json'): {
-        'stdout': '0162033886dda0b0e9b5cbb6cc2c500ee8dbaa626d21a34a2525e31fb133fb64',
+        'stdout': 'ae0fe58773e33f082777626b831faf55121fcb6db33ccaf4f269881c0a8f9935',
     },
     ('sweep_kind', 'csv'): {
-        'stdout': '7b284331de02362251cdef5e8179597d42fe790aebe8c29998882c63b6bab626',
+        'stdout': '11e0feed969d05b8a6c63305eefb7d2b6ca3efa4f7fc47680dc9099f58654c79',
     },
     ('sweep_kind_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.json': '0162033886dda0b0e9b5cbb6cc2c500ee8dbaa626d21a34a2525e31fb133fb64',
+        'aggregate.json': 'ae0fe58773e33f082777626b831faf55121fcb6db33ccaf4f269881c0a8f9935',
         'point_n16.json': '10ea3e54991eea4c6a0aeabbba2d5bdb817f124c882d3f41d69a3000930b98b5',
         'point_n8.json': '81fcae1342feea7ea1d149fcffb87afe73c440b8e537c295aa3252c6ea271d22',
     },
     ('sweep_kind_out', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.csv': '7b284331de02362251cdef5e8179597d42fe790aebe8c29998882c63b6bab626',
+        'aggregate.csv': '11e0feed969d05b8a6c63305eefb7d2b6ca3efa4f7fc47680dc9099f58654c79',
         'point_n16.csv': '713e6372005d4c62d462761868846ce5fedaa4164fd79675003c79676a02fb41',
         'point_n8.csv': '9d6afb8d0e0c3314799bdd05505ac67368b1d3bda21c4d389afa759525cd554f',
     },
     ('sweep_out', 'json'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.json': '110d47186410ba8b53c42b3f14af3db788103b5ee31471e2f031a21293691175',
-        'point_n3000.json': 'c6b47d39dde4a8a5363b34ce04053bbb40af5ecb231731188e009242975ef47c',
-        'point_n400.json': '044124221da2036ed773bdb4cfd877e2a2e182dd4b0b026d43465e574e96aab0',
-        'point_n50.json': 'd6893dfe7455d8357fa361ecd315423d88e72c48a9419d8a48f5701ba34e66b7',
+        'aggregate.json': '0ab0101977ac575f28ba60f7dad6f114ac324611728ce0526b714fcb6f99976f',
+        'point_n3000.json': 'c59bdbd3cdad5e020c0a2a08410d934a58646dc9330cce7fb8646a85e3601c13',
+        'point_n400.json': '2e1749daa00b0f11a8fcc3081a2883b4ee4e3fb5a2aa57c7ad334023c8af9bbf',
+        'point_n50.json': 'bead43bbe624fa36e8084f631f03bcb839911d8663a44b11ee98013c3a879a0a',
     },
     ('sweep_out', 'csv'): {
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'aggregate.csv': '4b84ecd9151b3c8cf1f993d56c18793cd66e20c5e32caf4cebb2b64981257f66',
-        'point_n3000.csv': '56820bb398bdccb4e95d67e06e128d242a846d9b74a0165e282124f64446bd03',
-        'point_n400.csv': '9b601a68ca9eb6b6219dd66f0abb7ea33bcdb6f4a145c33407f1fa3545b07bee',
-        'point_n50.csv': '360c0fa03e4dbad5e0d106af750c7a13d13cd7fd964c49abecfed49ecc42aaf2',
+        'aggregate.csv': '458a25f4a363ba6318ec7e06754a45f8bf5b38e547bc205830db133b429e5747',
+        'point_n3000.csv': '23ab16521b553649690010505ea220c95e5f7b6e4d710f82f0bc4aae287ca096',
+        'point_n400.csv': '85ba076153f6660426f71b1b86d7cfbd2a827621ce0688fdc8190cf8b5672bf4',
+        'point_n50.csv': '80407d2b7af0252534688df31451ee75a488a2c4ae1683dd88241c5394d59684',
     },
     ('sweep_poisson_inf', 'json'): {
-        'stdout': '6449fb9f6c06d6849abaab744ddd135935d8643d1b5efecec7cebd2a5a4963ce',
+        'stdout': '40fa933a449f2b384afbe308efd588a7f6c6faccc50fc9f5d0216ee229918774',
     },
     ('sweep_poisson_inf', 'csv'): {
-        'stdout': '04204063a1b70c07ff9164cf697d9cb3f53e72b0786ccd4af19960eaccc1e0cd',
+        'stdout': 'faa4e333427b1c97c583aa48509e63d9026a288f85f85e0bcab0bb19e02ebfb1',
     },
     ('verify', 'json'): {
         'stdout': '23e4e7dffebc9619e2355134d5f497ef549cc2175f58b238df1f1dd66273febc',
