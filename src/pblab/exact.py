@@ -397,12 +397,12 @@ def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     than 2n nodes, so the caps move no entry by more than 2n * 2^-1074, and
     none above that becomes -inf; the entries outside the root's band are
     exact zeros.  A node with mean below 745 keeps its whole lower tail; a
-    heavier one holds about 2 sqrt(2 * 745 * mu) coefficients around its
-    mean, which keeps its products short.  A direct product of nonnegative
-    rows does not cancel (Higham 2002, ch. 3), so each coefficient's
-    rounding error is relative to the coefficient itself, not to the
-    largest one as an FFT product's is: every entry that is a normal double
-    carries a small relative error.
+    heavier one holds about 2 sqrt(2 * 745 * m) coefficients around its
+    mean, m the lesser of its successes' and failures' means.  A direct
+    product of nonnegative rows does not cancel (Higham 2002, ch. 3), so
+    each coefficient's rounding error is relative to the coefficient
+    itself, not to the largest one as an FFT product's is: every entry
+    that is a normal double carries a small relative error.
 
     The whole product is computed on the calling thread, and k_max keeps
     its prefix.
