@@ -99,7 +99,8 @@ def test_kind_parse_errors(spec, message):
 def test_kind_parse_reads_back_every_spec_string():
     """A report's kind tag parses back to the kind that printed it, for every kind."""
     kinds = [ApproxKind(tag) for tag in asymptotics.APPROX_NAMES.values() if tag != "poisson_limit"]
-    kinds += [ApproxKind("poisson_limit", lam) for lam in (2.0, 2.5, 2.123456789, 0.1 + 0.2, 1e-300)]
+    rates = (2.0, 2.5, 2.123456789, 0.1 + 0.2, 1e-300)
+    kinds += [ApproxKind("poisson_limit", lam) for lam in rates]
     assert len(kinds) == len(asymptotics.APPROX_NAMES) + 4
     for kind in kinds:
         assert ApproxKind.parse(kind.spec_string()) == kind

@@ -342,7 +342,7 @@ def _split_row(n):
 
 
 def _segments(n, start=0):
-    """(start, length) of every node of pmf_dc's tree over n entries, in the order _merge visits them."""
+    """(start, length) of every node of pmf_dc's tree over n entries, in _merge's order."""
     yield start, n
     if n > exact._DC_BASE:
         yield from _segments(n // 2, start)
@@ -489,7 +489,8 @@ def test_dc_caps_certify_the_exact_binomial_tail(p, length, ones_every):
         assert _greatest_floor(mu) <= lo
         if size - mu <= mu:
             # The failures' mean, bounded through mu's own 1e-9 slack as the caps bound it.
-            nu_down, nu_up = (size - mu * (1 + 1e-9)) * (1 - 1e-9), (size - mu * (1 - 1e-9)) * (1 + 1e-9)
+            nu_down = (size - mu * (1 + 1e-9)) * (1 - 1e-9)
+            nu_up = (size - mu * (1 - 1e-9)) * (1 + 1e-9)
             assert d <= size - _greatest_floor(nu_down)
             assert lo >= size - _least_cap(nu_up, size) - 1
         else:
@@ -980,11 +981,13 @@ def test_poisson_ref_underflow_cutoff_is_bitwise_exact(lam):
     assert cutoff > lam
     assert not np.any(full[cutoff:])
     # The last k below the mode whose log term is below -746, -1 if none is.
-    low = int(np.flatnonzero((np.arange(far + 1) < lam) & (log_terms < -746.0))[-1:].sum(initial=-1))
+    below = np.flatnonzero((np.arange(far + 1) < lam) & (log_terms < -746.0))
+    low = int(below[-1]) if len(below) else -1
     assert (low >= 0) == (lam > 746.0)  # log P(0) = -lam
     assert not np.any(full[: low + 1])
     ref = PoissonRef(lam)
-    for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far, *(k for k in (low - 1, low, low + 1) if k >= 0)):
+    lows = [k for k in (low - 1, low, low + 1) if k >= 0]
+    for k_hi in (int(lam), cutoff - 1, cutoff, cutoff + 1, far, *lows):
         assert ref.pmf_points(k_hi).tobytes() == full[: k_hi + 1].tobytes()
         expected_cdf = np.cumsum(full[: k_hi + 1])
         assert np.cumsum(ref.pmf_points(k_hi)).tobytes() == expected_cdf.tobytes()
