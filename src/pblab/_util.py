@@ -45,8 +45,10 @@ def _exp_or_inf(x: float) -> float:
 
 
 def as_count(value, what: str) -> int:
-    """value as an int through operator.index: ints and numpy ints pass, a float (2.0 too) does not."""
+    """value as an int through operator.index: ints and numpy ints pass, a bool or float does not."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1; numpy's bool it refuses
+            raise TypeError
         return operator.index(value)
     except TypeError as exc:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc

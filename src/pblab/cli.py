@@ -233,6 +233,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
         raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
     if cfg.command == "sweep":
+        if cfg.out and os.path.lexists(cfg.out) and not os.path.isdir(cfg.out):
+            raise ValidationError(f"cannot write sweep files into {cfg.out!r}: it names a file")
         if kind is None:
             for name in ("phi", "beta_cap"):
                 if getattr(cfg, name) is not None:

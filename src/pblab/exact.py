@@ -10,15 +10,15 @@ of the full run.
   once, truncated at k_max; no entry can underflow to a false -inf.
 * pmf_dp: the convolution recurrence in log domain, exact under truncation,
   one entry at a time; kept as the log-domain oracle for pmf_tree.
-* pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: the
-  leaves are expanded in one batched pass per subtree of at most _SUBTREE
-  entries and multiplied up a fixed tree of pairs, every product a direct
-  convolution of nonnegative rows.  Every node keeps only a certified band
-  lo..D of its coefficients, whose Chernoff tail bounds on each side are at
-  most e^-745, below the smallest subnormal 2^-1074: the caps move no entry
-  by more than 2n * 2^-1074, and every entry that is a normal double
-  carries a small relative error.  The same product at a looser bound is
-  the distances' route (dehpfeif_report).  It runs on the calling thread.
+* pmf_dc: divide-and-conquer polynomial multiplication, subquadratic: one
+  description of a fixed tree of pairs (_degree_caps) drives the batched
+  leaf expansion and every product up the tree, a direct convolution of
+  nonnegative rows.  Every node keeps only a certified band lo..D of its
+  coefficients, whose Chernoff tail bounds on each side are at most
+  e^-745, below the smallest subnormal 2^-1074: the caps move no entry by
+  more than 2n * 2^-1074, and every entry that is a normal double carries
+  a small relative error.  The same product at a looser bound is the
+  distances' route (dehpfeif_report).  It runs on the calling thread.
 * pmf_bruteforce: literal sum over all 2^n outcomes, the oracle (n <= 25).
 * pmf_ie: the alternating symmetric-sum formula (pmf_inclusion_exclusion
   per k), with a conditioning contract and an exact-rational mode.
@@ -52,7 +52,7 @@ PROVENANCES = (
 
 # Direct quadratic convolution below this length; split and multiply above.
 _DC_BASE = 64
-# Leaves are expanded one batch per subtree of at most this many entries.
+# Leaves are expanded _SUBTREE // _DC_BASE at a time.
 _SUBTREE = 1 << 14
 # Every node of pmf_dc's tree keeps its coefficients in a band lo..D whose
 # two Chernoff tail bounds are at most e^-_CAP_LOG: below 2^-1074 = e^-744.44,
@@ -221,19 +221,6 @@ def pmf_tree(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     return _finish_log(log_f, profile.n, "product_tree", k_max)
 
 
-def _leaf_sizes(n: int) -> list[int]:
-    """Lengths of the leaves of the tree over n entries, left to right.
-
-    A segment longer than _DC_BASE splits at half its length (the left half
-    takes the floor), so the tree depends on n alone; _merge walks the
-    same tree.
-    """
-    if n <= _DC_BASE:
-        return [n]
-    half = n // 2
-    return _leaf_sizes(half) + _leaf_sizes(n - half)
-
-
 def _leaf_coeffs(p: np.ndarray, sizes: list[int], top: int) -> list[np.ndarray]:
     """PMF coefficients 0..top of every leaf, by one quadratic recurrence over all rows.
 
@@ -263,13 +250,15 @@ def _leaf_coeffs(p: np.ndarray, sizes: list[int], top: int) -> list[np.ndarray]:
     return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 
 
-def _degree_caps(p: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Int arrays lo, D and top over the nodes of pmf_dc's tree over p, in _merge's order.
+def _degree_caps(p: np.ndarray, tail_log: float) -> tuple[list[list[int]], np.ndarray]:
+    """pmf_dc's tree over p: lists leaf (a bool), lo and D of its nodes in _merge's order; its leaves.
 
-    (lo, D) is a node's certified band (_band_edges), top the highest D of
-    the leaves under it.  The tree is _leaf_sizes's, built a level at a
-    time; a segment of at most _DC_BASE entries passes down unchanged, so
-    every level tiles the row.  Each mean sums its node's children, never
+    A segment longer than _DC_BASE splits at half its length (the left half
+    takes the floor), so the tree depends on len(p) alone.  It is built a
+    level at a time; a segment of at most _DC_BASE entries passes down
+    unchanged, so every level tiles the row, and the deepest one gives the
+    leaves' int rows length, lo and D, left to right.  (lo, D) is a node's
+    certified band (_band_edges).  Each mean sums its node's children, never
     a difference of prefix sums, which would read 0 for a light segment.
     """
     starts, lens = [np.zeros(1, dtype=np.int64)], [np.array([len(p)], dtype=np.int64)]
@@ -283,20 +272,16 @@ def _degree_caps(p: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray
         keep = np.column_stack([np.ones_like(split), split])
         starts.append(np.column_stack([s, s + half])[keep])
         lens.append(np.column_stack([half, l - half])[keep])
-
-    def up(deepest, ufunc):  # every level's values, root first, each node's from its children's
-        levels = [deepest]
-        for first in reversed(children):
-            levels.append(ufunc.reduceat(levels[-1], first))
-        return np.concatenate(levels[::-1])
-
-    l, leaves = np.concatenate(lens), starts[-1]
+    l, mu = np.concatenate(lens), [np.add.reduceat(p, starts[-1])]
     # Sorted by start, and by length down within a start, a node comes before its subtree.
     order = np.unique(np.concatenate(starts) * (len(p) + 1) + len(p) - l, return_index=True)[1]
     del starts, lens  # a lower traced peak
-    lo, hi = _band_edges(l, up(np.add.reduceat(p, leaves), np.add), tail_log)
-    top = up(hi[len(hi) - len(leaves) :], np.maximum)
-    return lo[order], hi[order], top[order]
+    for first in reversed(children):  # every level's means, each node's from its children's
+        mu.append(np.add.reduceat(mu[-1], first))
+    leaf, mu = len(l) - len(mu[0]), np.concatenate(mu[::-1])  # leaf: the deepest level's first node
+    lo, hi = _band_edges(l, mu, tail_log)
+    leaves = np.stack([l[leaf:], lo[leaf:], hi[leaf:]]).astype(np.int16)  # each at most _DC_BASE
+    return [row[order].tolist() for row in (l <= _DC_BASE, lo, hi)], leaves
 
 
 def _band_edges(l: np.ndarray, mu: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,18 +310,8 @@ def _band_edges(l: np.ndarray, mu: np.ndarray, tail_log: float) -> tuple[np.ndar
     upper = (l + 1.0) * (np.log(l + 1.0) - np.log(mu_up) - 1.0) + mu_up >= tail_log
     lower = down > tail_log
     below = down[lower] - np.sqrt(2.0 * tail_log * down[lower])
-    x = _newton_caps(np.concatenate([mu_up[upper], down[lower]]),
-                     np.concatenate([l[upper] + 1.0, np.maximum(below, 1e-300)]), tail_log)
-    lo, hi, tops = np.zeros_like(l), l.copy(), np.count_nonzero(upper)
-    hi[upper] = np.ceil(x[:tops]) - 1
-    lo[lower] = np.floor(x[tops:]) + 1
-    lo[heavy] = np.maximum(lo[heavy], l[n:] - hi[n:])
-    hi[heavy] = np.minimum(hi[heavy], l[n:] - lo[n:])
-    return lo[:n], hi[:n]
-
-
-def _newton_caps(m: np.ndarray, x: np.ndarray, tail_log: float) -> np.ndarray:
-    """Newton's method on every f(x) = x log(x / (e m)) + m - tail_log at once (_band_edges)."""
+    m = np.concatenate([mu_up[upper], down[lower]])
+    x = np.concatenate([l[upper] + 1.0, np.maximum(below, 1e-300)])
     log_m, slope, step = np.log(m), np.empty_like(x), np.empty_like(x)
     for _ in range(_NEWTON_STEPS):
         np.subtract(np.log(x, out=slope), log_m, out=slope)
@@ -346,29 +321,40 @@ def _newton_caps(m: np.ndarray, x: np.ndarray, tail_log: float) -> np.ndarray:
         x -= np.divide(step, slope, out=step)
         if not np.abs(step, out=step).max(initial=0.0) > _NEWTON_TOL:
             break
-    return x
+    del m, log_m, slope, step  # a lower traced peak
+    lo, hi, tops = np.zeros_like(l), l.copy(), np.count_nonzero(upper)
+    hi[upper] = np.ceil(x[:tops]) - 1
+    lo[lower] = np.floor(x[tops:]) + 1
+    lo[heavy] = np.maximum(lo[heavy], l[n:] - hi[n:])
+    hi[heavy] = np.minimum(hi[heavy], l[n:] - lo[n:])
+    return lo[:n], hi[:n]
 
 
-def _merge(p: np.ndarray, bands, leaves=None) -> tuple[int, np.ndarray]:
-    """(lo, coefficients lo..D) of the product of (1 - p_i) + p_i z over the segment p.
+def _leaf_bands(p: np.ndarray, leaves: np.ndarray):
+    """Coefficients lo..D of every leaf, left to right, from the leaves' rows of _degree_caps.
 
-    bands iterates over the (lo, D, top) of _degree_caps from the segment's
-    node on, in the order this walk visits the nodes.  Walks the tree of
-    _leaf_sizes(len(p)); each product is one np.convolve of the two
-    children's bands, trimmed to the node's.  The first segment of at most
-    _SUBTREE entries on the way down expands its leaves through its top in
-    one _leaf_coeffs batch, and leaves iterates over them in order; each
-    call below it consumes exactly the leaves under its segment.
+    _leaf_coeffs expands them _SUBTREE // _DC_BASE at a time, each batch
+    stopped at its own highest D and released before the next is expanded.
     """
-    n = len(p)
-    lo, hi, top = next(bands)
-    if leaves is None and n <= _SUBTREE:
-        leaves = iter(_leaf_coeffs(p, _leaf_sizes(n), top))
-    if n <= _DC_BASE:
-        return lo, next(leaves)[lo : hi + 1]
-    half = n // 2
-    lo_a, a = _merge(p[:half], bands, leaves)
-    lo_b, b = _merge(p[half:], bands, leaves)
+    step = _SUBTREE // _DC_BASE
+    for b in range(0, leaves.shape[1], step):
+        sizes, lo, hi = leaves[:, b : b + step].tolist()
+        rows, p = np.split(p, [sum(sizes)])
+        yield from (c[l : h + 1] for c, l, h in zip(_leaf_coeffs(rows, sizes, max(hi)), lo, hi))
+
+
+def _merge(bands, leaves) -> tuple[int, np.ndarray]:
+    """(lo, coefficients lo..D) of the product over the next node of pmf_dc's tree.
+
+    bands iterates over the nodes' (leaf, lo, D) and leaves over their
+    _leaf_bands, both in this walk's order: a node, its left subtree, its
+    right one.  A product is one np.convolve of two bands, trimmed to its own.
+    """
+    leaf, lo, hi = next(bands)
+    if leaf:
+        return lo, next(leaves)
+    lo_a, a = _merge(bands, leaves)
+    lo_b, b = _merge(bands, leaves)
     off = lo_a + lo_b
     return max(lo, off), np.convolve(a, b)[max(lo - off, 0) : hi + 1 - off]
 
@@ -378,15 +364,16 @@ def _product_coeffs(p: np.ndarray, tail_log: float) -> tuple[int, np.ndarray]:
 
     The bands are _degree_caps(p, tail_log); (lo, D) is the root's.
     """
-    return _merge(p, zip(*(band.tolist() for band in _degree_caps(p, tail_log))))
+    bands, leaves = _degree_caps(p, tail_log)
+    return _merge(zip(*bands), _leaf_bands(p, leaves))
 
 
 def pmf_dc(profile: BernoulliProfile, k_max: int | None = None) -> Pmf:
     """Divide-and-conquer product of the per-variable polynomials (1-p) + p z.
 
-    The profile is halved down to leaves of at most _DC_BASE entries.  The
-    leaves of each subtree of at most _SUBTREE entries are expanded at
-    once by the quadratic recurrence, run over a batch of rows; the leaf
+    The profile is halved down to leaves of at most _DC_BASE entries
+    (_degree_caps).  The leaves are expanded _SUBTREE // _DC_BASE at a time
+    by the quadratic recurrence, run over a batch of rows; the leaf
     polynomials are then multiplied pairwise up the same tree, each product
     one np.convolve.  The tree is fixed by n, so results are reproducible.
 

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from ._util import as_count, frozen_row, spec_number
-from .errors import HypothesisError, ValidationError
+from .errors import HypothesisError, SizeError, ValidationError
 
 # kind -> number of parameters: the one vocabulary of each spec format, read
 # by the type's constructor, its parse and its spec_string.
@@ -221,6 +221,8 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     """
     if n < 1:
         raise ValidationError("row size n must be >= 1")
+    if 8 * n > np.iinfo(np.intp).max:  # numpy indexes no larger array
+        raise SizeError(f"row size n={n} needs more than {np.iinfo(np.intp).max} bytes of float64")
     kind = family.kind
     if kind == "index_power":
         c, a = family.params

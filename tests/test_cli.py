@@ -890,6 +890,39 @@ def test_out_naming_a_directory_is_refused(existing, tmp_path, capsys):
         assert os.listdir(target) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--family", "constant_p:0.2", "--n", "99999999999999999999"],
+    ["conditions", "--family", "constant_p:0.2", "--grid", "2,99999999999999999999",
+     "--phi", "power:1,1"],
+], ids=["pmf", "conditions"])
+def test_a_row_past_numpys_largest_array_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "SizeError",
+        "message": "row size n=99999999999999999999 needs more than 9223372036854775807 "
+                   "bytes of float64",
+    }
+
+
+def test_sweep_out_naming_a_file_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    def no_point(*args, **kwargs):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(cli, "dehpfeif_report", no_point)
+    target = tmp_path / "sweep"
+    target.write_text("kept\n")
+    code, out, err = run_cli(
+        ["sweep", "--family", "constant_total:2", "--grid", "8,16", "--out", str(target)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"cannot write sweep files into {str(target)!r}: it names a file",
+    }
+    assert target.read_text() == "kept\n"
+
+
 # ------------------------------------------------------- the option tables
 
 # Per command: the options it reads besides --out and --format, and the

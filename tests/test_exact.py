@@ -30,7 +30,7 @@ from pblab.exact import (
     poisson_distances,
     prob_zero_log,
 )
-from pblab.profiles import BernoulliProfile, ProfileFamily, generate
+from pblab.profiles import BernoulliProfile, GrowthWindow, ProfileFamily, check_conditions, generate
 
 WORKED = BernoulliProfile((0.1, 0.2, 0.3))
 WORKED_PMF = (0.504, 0.398, 0.092, 0.006)
@@ -351,8 +351,8 @@ def _segments(n, start=0):
 
 def _caps_table(p, tail_log=exact._CAP_LOG):
     """_degree_caps(p, tail_log) as {(start, length): (lo, D)} over every node."""
-    lo, hi, _ = exact._degree_caps(p, tail_log)
-    return dict(zip(_segments(len(p)), zip(lo.tolist(), hi.tolist())))
+    (_, lo, hi), _ = exact._degree_caps(p, tail_log)
+    return dict(zip(_segments(len(p)), zip(lo, hi)))
 
 
 def _dc_coeffs_reference(p, caps, start=0):
@@ -372,29 +372,36 @@ def _dc_coeffs_reference(p, caps, start=0):
     return max(lo, off), np.convolve(left, right)[max(lo - off, 0) : hi + 1 - off]
 
 
-@pytest.mark.parametrize(
-    "n", [1, 63, 64, 65, 129, 257, 4097, 4200, 16383, 16384, 16385, 20000, 32769,
-          65536, 65537, 200003]
-)
-def test_dc_batched_leaves_bit_identical_to_recursive(n):
+@pytest.mark.parametrize("n, bound", [
+    pytest.param(n, bound, id=str(n) if bound == "cap" else f"{n}-distance")
+    for bound in ("cap", "distance")
+    for n in (1, 63, 64, 65, 129, 257, 4097, 4200, 16383, 16384, 16385, 20000, 32769,
+              65536, 65537, 200003)
+])
+def test_dc_batched_leaves_bit_identical_to_recursive(n, bound):
     """Batched leaves, the merge tree and the caps reproduce the recursive engine bit for bit.
 
     Covers a lone short leaf, uneven leaves and odd splits, rows light
     enough to keep every lower tail and rows heavy enough (mean near
-    0.26 n) to cut them, and rows on both sides of the per-subtree leaf
-    batches; every 7th entry is an exact zero.  The reference applies the
-    bands of _degree_caps at every node, as the engine does.
+    0.26 n) to cut them, and rows of one leaf batch and of several; at
+    16385, 32769 and 65537 the last batch is a partial one, a single leaf
+    whose sibling ends the batch before it.  Every 7th entry is an exact
+    zero.  The reference applies the bands of _degree_caps at every node,
+    as the engine does, at pmf_dc's bound _CAP_LOG and at the distances'
+    c(n) = log 4n + 64 log 2.
     """
     p = _split_row(n)
-    lo, expected = _dc_coeffs_reference(p, _caps_table(p))
-    got_lo, got = exact._product_coeffs(p, exact._CAP_LOG)
+    tail_log = exact._CAP_LOG if bound == "cap" else _distance_tail_log(n)
+    lo, expected = _dc_coeffs_reference(p, _caps_table(p, tail_log))
+    got_lo, got = exact._product_coeffs(p, tail_log)
     assert got_lo == lo
     assert got.tobytes() == expected.tobytes()
-    expected_log = np.full(n + 1, -np.inf)
-    with np.errstate(divide="ignore"):
-        expected_log[lo : lo + len(expected)] = np.minimum(np.log(expected), 0.0)
-    log_probs = np.array(pmf_dc(BernoulliProfile(tuple(p.tolist()))).log_probs)
-    assert log_probs.tobytes() == expected_log.tobytes()
+    if bound == "cap":  # pmf_dc's own run
+        expected_log = np.full(n + 1, -np.inf)
+        with np.errstate(divide="ignore"):
+            expected_log[lo : lo + len(expected)] = np.minimum(np.log(expected), 0.0)
+        log_probs = np.array(pmf_dc(BernoulliProfile(tuple(p.tolist()))).log_probs)
+        assert log_probs.tobytes() == expected_log.tobytes()
 
 
 _LOG_SUBNORMAL = -1074 * math.log(2.0)  # log of the smallest subnormal, 2^-1074
@@ -666,9 +673,9 @@ def test_distance_caps_drop_at_most_2_to_the_minus_64(n):
     c = _distance_tail_log(n)
     for family in (("index_power", (0.5, 0.5)), ("constant_p", (0.9,))):
         p = generate(ProfileFamily(*family), n).probs
-        lo, hi, _ = exact._degree_caps(p, c)
+        (_, lo, hi), _ = exact._degree_caps(p, c)
         logs = []
-        for (start, size), a, d in zip(_segments(n), lo.tolist(), hi.tolist()):
+        for (start, size), a, d in zip(_segments(n), lo, hi):
             logs += _log_cut_bounds(float(np.sum(p[start : start + size])), size, a, d)
         assert (len(logs) > 0) == (n > 20)  # at n = 20 no bound reaches e^-c below the length
         assert max(logs, default=-math.inf) <= -c + 1e-9
@@ -946,6 +953,21 @@ def test_point_lookups_take_counts_not_floats():
     assert pmf.log_prob(np.int64(2)) == pmf.log_prob(2)
 
 
+def test_counts_refuse_a_python_bool():
+    """True is not the count 1, as numpy's bool, a bool dtype and a JSON true are not."""
+    pmf = pmf_tree(BernoulliProfile((0.3, 0.4, 0.2)))
+    calls = [
+        (lambda: pmf_tree(BernoulliProfile((0.3, 0.4)), True), "k_max"),
+        (lambda: pmf.log_prob(True), "k"),
+        (lambda: PoissonRef(2.0).log_pmf(True), "k"),
+        (lambda: check_conditions(ProfileFamily("constant_p", (0.3,)), [True, 2],
+                                  GrowthWindow("power", 1, 0.5)), "grid point"),
+    ]
+    for call, what in calls:
+        with pytest.raises(ValidationError, match=f"^{what} must be an integer, got True$"):
+            call()
+
+
 def test_poisson_ref_truncation_certifies_tail():
     for lam in (0.5, 3.0, 100.0):
         ref = PoissonRef(lam)
@@ -1025,10 +1047,10 @@ def test_dc_starts_no_thread(monkeypatch):
 
 
 def test_dc_traced_peak_stays_below_one_and_a_half_rows():
-    """Per-subtree leaves and the two-sided bands keep the traced peak of a
+    """Batched leaves and the two-sided bands keep the traced peak of a
     heavy 10^6 row (mean near 2.6 * 10^5, root band near 4 * 10^4
     coefficients) under 1.5 float64 copies of the row (12 MB): the measured
-    0.44 copies plus a margin of one."""
+    0.37 copies plus a margin of one."""
     n = 10**6
     p = _split_row(n)
     tracemalloc.start()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pblab.errors import HypothesisError, ValidationError
+from pblab.errors import HypothesisError, SizeError, ValidationError
 from pblab.profiles import (
     BernoulliProfile,
     ConditionReport,
@@ -550,6 +550,13 @@ def test_conditions_grid_validation():
         check_conditions(fam, (10, 10), w)
     with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
         check_conditions(fam, (100, 10), w)
+
+
+@pytest.mark.parametrize("spec", [("constant_p", (0.2,)), ("index_power", (0.5, 0.5))])
+def test_generate_refuses_a_row_numpy_cannot_index(spec):
+    """n = 10^20 float64 entries are past np.iinfo(np.intp).max bytes: a SizeError naming n."""
+    with pytest.raises(SizeError, match=r"^row size n=100000000000000000000 needs more than "):
+        generate(ProfileFamily(*spec), 10**20)
 
 
 def test_conditions_grid_takes_counts():
