@@ -233,8 +233,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
         raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
     if cfg.command == "sweep":
-        if cfg.out and os.path.lexists(cfg.out) and not os.path.isdir(cfg.out):
-            raise ValidationError(f"cannot write sweep files into {cfg.out!r}: it names a file")
+        head = cfg.out  # its first existing ancestor ("" for the working directory)
+        while head and not os.path.lexists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            what = "it" if head == cfg.out else repr(head)
+            raise ValidationError(f"cannot write sweep files into {cfg.out!r}: {what} names a file")
         if kind is None:
             for name in ("phi", "beta_cap"):
                 if getattr(cfg, name) is not None:
@@ -379,7 +383,6 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
     if not cfg.out:
         _deliver(cfg, aggregate)
         return
-    os.makedirs(cfg.out, exist_ok=True)
     for n, point in zip(grid, points):
         _deliver(cfg, point, os.path.join(cfg.out, f"point_n{n}.{cfg.format}"))
     _deliver(cfg, aggregate, os.path.join(cfg.out, f"aggregate.{cfg.format}"))
@@ -439,12 +442,9 @@ def main(argv=None) -> int:
     command, config_path = args.pop("command"), args.pop("config")
     try:
         run(build_config(command, args, config_path))
-    except PblabError as exc:
+    except (PblabError, OSError) as exc:
         sys.stderr.write(emit.render_json(emit.error_obj(exc)))
         return getattr(exc, "exit_code", 2)
-    except OSError as exc:
-        sys.stderr.write(emit.render_json(emit.error_obj(exc)))
-        return 2
     return 0
 
 

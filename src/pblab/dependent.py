@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_count, frozen_row, libm_map, read_json
+from ._util import as_count, frozen_row, read_json
 from .errors import SizeError, ValidationError
 from .exact import (
     Pmf,
@@ -412,7 +412,7 @@ def ratio_report(
     k_max = _check_k_max(k_max, model.n)
     sums = s_tilde(model, model.n, high_precision)
     dep = [pmf_inclusion_exclusion(sums, k, model.n) for k in range(k_max + 1)]
-    return RatioReport(dep, libm_map(math.exp, pmf_tree(indep, k_max).log_probs))
+    return RatioReport(dep, pmf_tree(indep, k_max).probs())
 
 
 @dataclass(frozen=True)

@@ -5,29 +5,31 @@ name, and the scalar metadata around them.  `render_csv` and `render_json`
 are the only formatters, so both formats of a report come from the same
 columns.
 
-The contract, for both formats:
+One function, `_token`, states how each value is written in either format:
 
-- a float is written at 17 significant digits (`format(x, ".17g")`), which
+- a float at 17 significant digits (`format(x, ".17g")`), which
   round-trips binary doubles exactly and makes repeated runs
-  byte-identical;
-- an int is written as `str(x)` and a bool as `true` / `false`;
-- CSV writes the non-finite floats as the bare tokens `inf`, `-inf` and
-  `nan`, `None` as an empty cell, and quotes cells as the csv module does;
-- JSON writes the non-finite floats as the strings `"inf"`, `"-inf"` and
-  `"nan"`, `None` as `null`, and strings as `json.dumps` does;
-- numpy arrays and scalars are written as the Python values their
-  `tolist()` / `item()` give.
+  byte-identical; CSV writes the non-finite floats as the bare tokens
+  `inf`, `-inf` and `nan`, and JSON as the strings `"inf"`, `"-inf"` and
+  `"nan"`;
+- an int as `str(x)` and a bool as `true` / `false`;
+- None as an empty CSV cell and as JSON's `null`;
+- a string as it is in CSV and as `json.dumps` writes it in JSON;
+- a numpy scalar as its `item()`; a numpy array is written as its `tolist()`.
 
-Both renderers work a column at a time, and classify each column once by
-the exact types of its values.  A column of ints is filled in as `%d` and
-a column of floats as `%.17g`, which writes every double as
-`format(x, ".17g")` does, the non-finite ones included.  In JSON a float
-column holding inf or nan is formatted by `%.17g` in one pass, and only
-its `inf`, `-inf` and `nan` tokens are then quoted; it is filled in as
-`%s`.  Every other column (bools, strings, None, mixed types) is rendered
-once, value by value, and filled in as `%s`.  Each table's rows are then
-filled into one template.  JSON is rendered by hand so that the CSV and
-JSON numbers come from one float format.
+One function, `_column`, classifies a column once by the exact types of
+its values, and gives both renderers its template field and the values
+that fill it.  A column of ints is filled in as `%d` and a column of
+floats as `%.17g`, which writes every double as `format(x, ".17g")` does,
+the non-finite ones included.  In JSON a float column holding inf or nan
+is formatted by `%.17g` in one pass, and only its `inf`, `-inf` and `nan`
+tokens are then quoted, so it costs no `_token` call per value.  Every
+other column (bools, strings, None, numpy scalars, mixed types) is
+written value by value through `_token` and filled in as `%s`; in CSV each
+of its cells is then quoted by the csv module itself, so the quoting rule
+stays the module's.  Each table's rows are then filled into one template.
+JSON is rendered by hand so that the CSV and JSON numbers come from one
+float format.
 """
 
 from __future__ import annotations
@@ -79,43 +81,54 @@ class Table:
         object.__setattr__(self, "columns", columns)
 
 
-def _scalar_token(x) -> str:
+def _token(x, json_form: bool) -> str:
+    """x as one JSON token (json_form) or as one CSV cell before the csv module quotes it."""
+    if isinstance(x, np.generic):  # np.bool_, np.int64, ...: as the Python scalar
+        x = x.item()
     if x is None:
-        return "null"
+        return "null" if json_form else ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
         token = "%.17g" % x
-        return token if math.isfinite(x) else json.dumps(token)  # "inf" etc. quoted
+        return json.dumps(token) if json_form and not math.isfinite(x) else token
     if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, np.generic):  # np.bool_, np.int64, ...: as the Python scalar
-        return _scalar_token(x.item())
+        return json.dumps(x) if json_form else x
     raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return "%.17g" % x
-    if isinstance(x, np.generic):
-        return _cell(x.item())
-    return str(x)
-
-
-def _column_type(column) -> type | None:
-    """int or float when every value is exactly of that type, else None."""
-    types = set(map(type, column))
-    return types.pop() if len(types) == 1 and types <= {int, float} else None
 
 
 # %.17g writes the non-finite floats as these bare tokens; JSON quotes them.
 _JSON_NON_FINITE = {token: json.dumps(token) for token in ("inf", "-inf", "nan")}
+
+
+def _column(column, json_form: bool, alone: bool) -> tuple[str, list]:
+    """The column's template field and the values that fill it, in one format.
+
+    In CSV the csv module's QUOTE_MINIMAL quotes each `%s` cell.  It writes
+    a row whose only cell is empty as "", so a table of one column (alone)
+    writes an empty cell that way.
+    """
+    types = set(map(type, column))
+    if types == {int}:
+        return "%d", column
+    if types == {float}:
+        if not json_form or all(map(math.isfinite, column)):
+            return "%.17g", column
+        return "%s", [_JSON_NON_FINITE.get(t, t) for t in map("%.17g".__mod__, column)]
+    tokens = [_token(x, json_form) for x in column]
+    if json_form:
+        return "%s", tokens
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for token in tokens:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((token, ""))
+        cells.append(buf.getvalue()[:-2])  # drop the empty second cell and the newline
+    return "%s", ['""' if alone and not c else c for c in cells]
 
 
 def _json_rows(table: Table, indent: int) -> str:
@@ -125,15 +138,7 @@ def _json_rows(table: Table, indent: int) -> str:
     item_pad = "  " * (indent + 1)
     fields, values = [], []
     for name, column in zip(table.header[:width], table.columns[:width]):
-        kind = _column_type(column)
-        if kind is int:
-            spec = "%d"
-        elif kind is float:
-            spec = "%.17g"
-            if not all(map(math.isfinite, column)):
-                spec, column = "%s", [_JSON_NON_FINITE.get(t, t) for t in map(spec.__mod__, column)]
-        else:
-            spec, column = "%s", list(map(_scalar_token, column))
+        spec, column = _column(column, True, False)
         fields.append(f"{item_pad}  {json.dumps(name).replace('%', '%%')}: {spec}")
         values.append(column)
     template = f"{item_pad}{{\n" + ",\n".join(fields) + f"\n{item_pad}}}"
@@ -166,50 +171,22 @@ def render_json(obj) -> str:
                 out.append(",\n" if i < len(x) - 1 else "\n")
             out.append(pad + "}")
         elif isinstance(x, (list, tuple)):
-            out.append("[" + ", ".join(_scalar_token(v) for v in x) + "]")
+            out.append("[" + ", ".join(_token(v, True) for v in x) + "]")
         else:
-            out.append(_scalar_token(x))
+            out.append(_token(x, True))
 
     walk(obj, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _csv_cells(column, alone: bool) -> list[str]:
-    """A column of mixed or non-numeric values as csv's QUOTE_MINIMAL writes each cell.
-
-    Each value is rendered by _cell and quoted by the csv module itself, so
-    the quoting rule stays the module's.  The module writes a row whose only
-    cell is empty as "", so a table of one column (alone) writes an empty
-    cell that way.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for x in column:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((_cell(x), ""))
-        cells.append(buf.getvalue()[:-2])  # drop the empty second cell and the newline
-    return ['""' if alone and not c else c for c in cells]
-
-
 def render_csv(table: Table) -> str:
     """The header line, then one line per row; metadata is not written."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(table.header)
-    specs, values = [], []
-    for column in table.columns:
-        kind = _column_type(column)
-        if kind is int:
-            spec = "%d"
-        elif kind is float:
-            spec = "%.17g"
-        else:
-            spec, column = "%s", _csv_cells(column, len(table.columns) == 1)
-        specs.append(spec)
-        values.append(column)
-    buf.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values))))
+    fields = [_column(c, False, len(table.columns) == 1) for c in table.columns]
+    template = ",".join(spec for spec, _ in fields) + "\n"
+    buf.write("".join(map(template.__mod__, zip(*(values for _, values in fields)))))
     return buf.getvalue()
 
 
@@ -244,11 +221,10 @@ def _attrs(items, *names) -> list[list]:
 
 
 def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
-    log_probs = pmf.log_probs
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
             "summary": asdict(summary)}
-    probs = libm_exp(log_probs)  # not np.exp, which may differ in the last bit
-    return Table(("k", "prob", "log_prob"), (range(len(log_probs)), probs, log_probs), meta)
+    columns = (range(pmf.support_max + 1), pmf.probs(), pmf.log_probs)
+    return Table(("k", "prob", "log_prob"), columns, meta)
 
 
 def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_count, frozen_row, log_factorials, neumaier_sum
+from ._util import as_count, frozen_row, libm_exp, log_factorials, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
 from .profiles import BernoulliProfile, alpha_n
 
@@ -107,7 +107,7 @@ class Pmf:
         return len(self.log_probs) - 1
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+        return libm_exp(self.log_probs)  # as prob(k) gives each entry; np.exp may differ
 
     def prob(self, k: int) -> float:
         return math.exp(self.log_prob(k))

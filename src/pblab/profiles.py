@@ -217,43 +217,49 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     need entries equal to 1).  Deterministic: same family and n give the
     bitwise-identical profile.  Every entry is the Python float expression
     the kind names: index_power takes libm's pow of each index (as float **
-    does, see summarize) and scales the row by c.
+    does, see summarize) and scales the row by c.  A row numpy cannot index,
+    or one the host cannot allocate, raises SizeError naming n.
     """
     if n < 1:
         raise ValidationError("row size n must be >= 1")
     if 8 * n > np.iinfo(np.intp).max:  # numpy indexes no larger array
         raise SizeError(f"row size n={n} needs more than {np.iinfo(np.intp).max} bytes of float64")
     kind = family.kind
-    if kind == "index_power":
-        c, a = family.params
-        idx = np.arange(1, n + 1, dtype=np.float64)
-        try:
-            row = np.fromiter(map(operator.pow, memoryview(idx), repeat(-a)), np.float64, n)
-        except OverflowError:
-            # A power past the float range is inf, as libm's pow gives; only a
-            # row that then fails the range check pays a Python call per entry.
-            row = np.fromiter(map(_pow_or_inf, memoryview(idx), repeat(-a)), np.float64, n)
-        del idx  # before the profile copies the row
-        # A product past the float range is inf, as in Python, and fails the range check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            row *= c
-    else:
-        if kind == "constant_total":
-            value = family.params[0] / n
-        elif kind == "constant_p":
-            value = family.params[0]
-        else:
+    try:  # numpy fails at once to allocate a row no host can hold
+        if kind == "index_power":
             c, a = family.params
-            value = c * _pow_or_inf(float(n), -a)
-        # A view: the profile's own copy is the one full row.
-        row = np.broadcast_to(value, n)
-    i = _first_outside(row)
-    if i is not None:
-        raise ValidationError(
-            f"family {family.spec_string()} yields entry {float(row[i])!r} at index {i} "
-            f"for n={n}, outside [0, 1)"
-        )
-    return BernoulliProfile(row)
+            idx = np.ones(n)  # 1..n as exact sums; arange would take its length from a float
+            np.cumsum(idx, out=idx)
+            try:
+                row = np.fromiter(map(operator.pow, memoryview(idx), repeat(-a)), np.float64, n)
+            except OverflowError:
+                # A power past the float range is inf, as libm's pow gives; only a
+                # row that then fails the range check pays a Python call per entry.
+                row = np.fromiter(map(_pow_or_inf, memoryview(idx), repeat(-a)), np.float64, n)
+            del idx  # before the profile copies the row
+            # A product past the float range is inf, as in Python, and fails the range check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                row *= c
+            i = _first_outside(row)
+        else:
+            if kind == "constant_total":
+                value = family.params[0] / n
+            elif kind == "constant_p":
+                value = family.params[0]
+            else:
+                c, a = family.params
+                value = c * _pow_or_inf(float(n), -a)
+            # A view: the profile's own copy is the one full row.  Its one value is checked.
+            row = np.broadcast_to(value, n)
+            i = None if 0.0 <= value < 1.0 else 0
+        if i is not None:
+            raise ValidationError(
+                f"family {family.spec_string()} yields entry {float(row[i])!r} at index {i} "
+                f"for n={n}, outside [0, 1)"
+            )
+        return BernoulliProfile(row)
+    except MemoryError as exc:
+        raise SizeError(f"row size n={n} cannot be allocated: {exc}") from exc
 
 
 def _raise_first_bad_line(path: str, lines: list[str]) -> None:

@@ -16,6 +16,7 @@ import math
 import os
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -549,7 +550,7 @@ def test_repeated_json_key_exits_2_naming_it(argv, what, key, text, tmp_path, ca
 # -------------------------------------------------------------- sweep command
 
 def test_sweep_writes_point_files_and_aggregate(tmp_path, capsys):
-    out_dir = tmp_path / "sweep"
+    out_dir = tmp_path / "new" / "sweep"  # made as the files are written
     code, out, _ = run_cli(
         [
             "sweep",
@@ -906,21 +907,44 @@ def test_a_row_past_numpys_largest_array_exits_2(argv, capsys):
 
 
 def test_sweep_out_naming_a_file_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    """--out is walked up to its first existing ancestor, which must be a directory."""
     def no_point(*args, **kwargs):
         raise AssertionError("a grid point was computed")
 
     monkeypatch.setattr(cli, "dehpfeif_report", no_point)
     target = tmp_path / "sweep"
     target.write_text("kept\n")
-    code, out, err = run_cli(
-        ["sweep", "--family", "constant_total:2", "--grid", "8,16", "--out", str(target)], capsys
-    )
-    assert (code, out) == (2, "")
-    assert json.loads(err) == {
-        "error": "ValidationError",
-        "message": f"cannot write sweep files into {str(target)!r}: it names a file",
-    }
+    for out, named in [(target, "it"), (target / "sub", repr(str(target))),
+                       (target / "sub" / "deeper", repr(str(target)))]:
+        code, out_text, err = run_cli(
+            ["sweep", "--family", "constant_total:2", "--grid", "8,16", "--out", str(out)], capsys
+        )
+        assert (code, out_text) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": f"cannot write sweep files into {str(out)!r}: {named} names a file",
+        }
     assert target.read_text() == "kept\n"
+
+
+# 10^15 and 2^60 - 1 entries of float64 exceed any 64-bit host's address
+# space, so the allocation fails at once; 2^60 - 1 is also a length that
+# np.arange, which counts through a float, rounds up past numpy's limit.
+@pytest.mark.parametrize("n", [10**15, 2**60 - 1], ids=["1e15", "2^60-1"])
+@pytest.mark.parametrize("family", ["constant_p:0.2", "index_power:0.5,0.5"])
+@pytest.mark.parametrize("command", ["pmf", "conditions"])
+def test_a_row_no_host_can_hold_exits_2_at_once(command, family, n, capsys):
+    if command == "pmf":
+        argv = ["pmf", "--family", family, "--n", str(n), "--k-max", "2"]
+    else:
+        argv = ["conditions", "--family", family, "--grid", f"2,{n}", "--phi", "power:1,1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    obj = json.loads(err)
+    assert obj["error"] == "SizeError"
+    assert obj["message"].startswith(f"row size n={n} cannot be allocated: ")
 
 
 # ------------------------------------------------------- the option tables

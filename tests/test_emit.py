@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from pblab import emit
 from pblab.emit import Table, render_csv, render_json
+from pblab.exact import pmf_tree
+from pblab.profiles import ProfileFamily, generate
 
 COLUMNS = ((3,), (0.1,), (math.inf,), (-math.inf,), (math.nan,), (None,), (True,), ('a,"b"',))
 TABLE = Table(
@@ -112,13 +114,19 @@ def test_numpy_values_render_as_python_scalars():
 def test_json_float_column_with_non_finite_values_writes_each_scalar_token():
     """A JSON float column holding inf or nan is formatted in one pass and
     quotes only the non-finite tokens: every value is written as
-    _scalar_token writes it alone."""
+    _token writes it alone."""
     values = [0.1, math.inf, -0.0, -math.inf, math.nan, 5e-324, -1.7976931348623157e308,
               1e22, -math.nan, 2.5]
     lines = render_json(Table(("x", "k"), (values, list(range(len(values)))))).splitlines()
     tokens = [line.split(": ", 1)[1].rstrip(",") for line in lines if '"x": ' in line]
-    assert tokens == [emit._scalar_token(v) for v in values]
+    assert tokens == [emit._token(v, True) for v in values]
     assert tokens[1:5] == ['"inf"', "-0", '"-inf"', '"nan"']
+
+
+def test_pmf_table_prob_column_is_pmf_probs():
+    profile = generate(ProfileFamily.parse("constant_p:0.3"), 2000)
+    pmf = pmf_tree(profile)
+    assert emit.pmf_table(pmf, profile.summary).columns[1] == pmf.probs().tolist()
 
 
 def test_header_with_percent_sign():
@@ -261,12 +269,39 @@ _VALUES = (
     _FLOATS,  # every double, the non-finite ones included
     _FINITE,  # the %.17g column of JSON
     st.integers(),
+    st.booleans(),
     st.one_of(st.integers(-3, 3), st.booleans()),  # ints and bools in one column
     st.one_of(st.none(), _FLOATS),
     _TEXT,
 )
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
 _NAMES = st.text(st.sampled_from('ab,"\n _'), min_size=1, max_size=4)
+
+
+# The numpy type that holds each Python type of value exactly.
+_NUMPY_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+
+
+def _numpy_type(x):
+    if type(x) is int and not -(2**63) <= x < 2**63:
+        return None
+    return _NUMPY_TYPES.get(type(x))
+
+
+@st.composite
+def _numpy_column(draw, column):
+    """The column as a list, as a numpy array of one dtype, or as a list with
+    some cells numpy scalars: (the Table's column, the RowTable's values)."""
+    form = draw(st.sampled_from(("list", "array", "scalars")))
+    kinds = set(map(_numpy_type, column))
+    if form == "array" and len(kinds) == 1 and None not in kinds:
+        array = np.array(column, dtype=kinds.pop())
+        return array, array.tolist()
+    if form == "scalars":
+        cells = [draw(st.sampled_from((x, kind(x)))) if (kind := _numpy_type(x)) else x
+                 for x in column]
+        return cells, [x.item() if isinstance(x, np.generic) else x for x in cells]
+    return column, column
 
 
 @st.composite
@@ -277,8 +312,9 @@ def _tables(draw, depth=0):
     header = tuple(draw(st.lists(_NAMES, min_size=n_cols, max_size=n_cols)))
     # Most columns hold one kind of value; some mix every kind.
     kinds = st.one_of(st.sampled_from(_VALUES), st.just(st.one_of(*_VALUES)))
-    columns = [draw(st.lists(draw(kinds), min_size=n_rows, max_size=n_rows))
-               for _ in range(n_cols)]
+    drawn = [draw(_numpy_column(draw(st.lists(draw(kinds), min_size=n_rows, max_size=n_rows))))
+             for _ in range(n_cols)]
+    columns, plain = [c for c, _ in drawn], [v for _, v in drawn]
     width = draw(st.one_of(st.none(), st.integers(0, n_cols)))
     meta = draw(st.dictionaries(_NAMES, _SCALARS, max_size=2))
     tail = draw(st.dictionaries(_NAMES, st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
@@ -288,7 +324,7 @@ def _tables(draw, depth=0):
         inner_col, inner_row = draw(_tables(depth=1))
         tail_col["inner"], tail_row["inner"] = inner_col, inner_row
     return (Table(header, columns, meta, tail_col, width),
-            RowTable(header, list(zip(*columns)), meta, tail_row, width))
+            RowTable(header, list(zip(*plain)), meta, tail_row, width))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
