@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from itertools import chain
 
 import numpy as np
 
@@ -12,6 +13,45 @@ from .errors import ValidationError
 
 # log(k!) for k = 0..20 is math.log of the exact integer math.factorial(k).
 _LOG_FACT_TABLE = tuple(math.log(math.factorial(k)) for k in range(21))
+
+SUM_BLOCK = 1 << 13  # entries per block of exact_sum (64 KiB): its temporaries stay in cache
+
+
+def exact_sum(values) -> float:
+    """math.fsum of a float64 array, or of an iterable of arrays, bit for bit.
+
+    ExtractVector (Rump, Ogita & Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31 (2008)) on blocks r of at most SUM_BLOCK
+    entries.  With 2^e <= max|r| < 2^(e+1), sigma = 2^(e + ceil(log2(len + 2)) + 1)
+    is at least (len + 2) 2^(e+1), so each q = (sigma + r) - sigma and each
+    partial sum of the q is a multiple of 2^-53 sigma below sigma in size, a
+    float: q.sum() is exact in any order, as is r - q.  After up to three passes
+    (about 38 bits each), math.fsum of the pass sums and nonzero leftovers,
+    whose exact sum is the values', rounds as fsum of the values does.  From a
+    block with inf or nan, or whose sigma brings the blocks' sigmas (a bound on
+    every partial sum) to 2^1023, fsum takes the values as they are (inf, nan, errors).
+    """
+    blocks = (chunk[i:i + SUM_BLOCK]
+              for chunk in ([values] if isinstance(values, np.ndarray) else values)
+              for i in range(0, len(chunk), SUM_BLOCK))
+    pieces, bound = [], 0.0
+    for r in blocks:
+        top = float(np.abs(r).max())  # max propagates NaN
+        shift = (len(r) + 1).bit_length()  # ceil(log2(len + 2)); frexp's exponent is e + 1
+        bound += math.ldexp(1.0, min(math.frexp(top)[1] + shift, 1023))
+        if not (math.isfinite(top) and bound < 2.0 ** 1023):
+            rest = chain.from_iterable(map(memoryview, chain([r], blocks)))
+            return math.fsum(chain(pieces, rest))
+        for _ in range(3):
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+            q = (sigma + r) - sigma
+            pieces.append(float(q.sum()))
+            r = r - q
+            top = float(np.abs(r).max())
+            if top == 0.0:
+                break
+        pieces.extend(r[r != 0.0].tolist())
+    return math.fsum(pieces)
 
 
 def log_factorials(ks: np.ndarray) -> np.ndarray:

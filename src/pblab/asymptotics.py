@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_count, as_counts, frozen_row, libm_exp, libm_map, log_factorials, spec_number
+from ._util import (as_count, as_counts, exact_sum, frozen_row, libm_exp, libm_map,
+                    log_factorials, spec_number)
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, _product_coeffs, pmf_tree, poisson_distances
-from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
+from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary, lambda_n, sum_sq
 
 # CLI name -> tag: the one vocabulary ApproxKind, its parse and its usage text read.
 APPROX_NAMES = {"lambda": "lambda_form", "beta": "beta_form", "poisson": "poisson_form",
@@ -317,10 +318,19 @@ def verify_sandwich(
 
 
 @dataclass(frozen=True)
+class DistanceSummary:
+    """The row's size and the only two of its sums a distance report computes and reads."""
+
+    n: int
+    lambda_n: float
+    sum_sq: float
+
+
+@dataclass(frozen=True)
 class DistanceReport:
     """Observed Poisson distances; the prediction and the ratio are properties.
 
-    Stores the summary and both measured distances: sup_cdf is the supremum
+    Stores its inputs (summary) and both measured distances: sup_cdf is the supremum
     of CDF differences, tv the total-variation distance.  The read-only
     prediction (sum b^2 / lambda_n) / sqrt(2 pi e) is the first-order size
     of the TV distance, and ratio = tv / predicted.  The sup-CDF distance
@@ -330,7 +340,7 @@ class DistanceReport:
     (sup-CDF).  Both are reported so either trend can be inspected.
     """
 
-    summary: ProfileSummary
+    summary: DistanceSummary
     sup_cdf: float
     tv: float
 
@@ -353,7 +363,7 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
     a tail bound reaches e^-c, c = log(4n) + 64 log 2, which drops at most
     2^-64 of mass in all; the root's band is tabulated as it comes.
     """
-    summary = profile.summary
+    summary = DistanceSummary(profile.n, lambda_n(profile.probs), sum_sq(profile.probs))
     if summary.lambda_n <= 0.0 or summary.sum_sq <= 0.0:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
     band = _product_coeffs(profile.probs, math.log(4.0 * profile.n) + 64.0 * math.log(2.0))
@@ -382,7 +392,7 @@ def mmm_residual(
     lhs = abs(b * pk - b * gauss)
     p = profile.probs
     q = 1.0 - p
-    spread = math.fsum(memoryview(p * q * (p * p + q * q)))
+    spread = exact_sum(p * q * (p * p + q * q))
     rhs = c * spread / (b * b * b)
     return lhs, rhs, lhs < rhs
 

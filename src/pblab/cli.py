@@ -232,13 +232,18 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("--n applies to --family only, not to --profile")
     if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
         raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
-    if cfg.command == "sweep":
+    if cfg.out:  # a sweep writes into a directory, any other command one file
+        sweep = cfg.command == "sweep"
+        if not sweep:
+            emit.check_file_path(cfg.out)
         head = cfg.out  # its first existing ancestor ("" for the working directory)
         while head and not os.path.lexists(head):
             head = os.path.dirname(head)
-        if head and not os.path.isdir(head):
+        if head and not os.path.isdir(head) and (sweep or head != cfg.out):
             what = "it" if head == cfg.out else repr(head)
-            raise ValidationError(f"cannot write sweep files into {cfg.out!r}: {what} names a file")
+            into = "sweep files into" if sweep else "to"
+            raise ValidationError(f"cannot write {into} {cfg.out!r}: {what} names a file")
+    if cfg.command == "sweep":
         if kind is None:
             for name in ("phi", "beta_cap"):
                 if getattr(cfg, name) is not None:
@@ -341,8 +346,8 @@ def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: 
     """One grid point: its summary, envelope and distance reports, and its own table.
 
     The envelope is None without --kind, and the distances are None unless
-    lambda_n and sum b^2 are positive.  Both reports read the one summary
-    the profile keeps.
+    lambda_n and sum b^2 are positive.  The envelope and the aggregate row
+    read the one summary the profile keeps.
     """
     profile = generate(family, n)
     summary = profile.summary

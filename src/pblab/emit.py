@@ -190,16 +190,19 @@ def render_csv(table: Table) -> str:
     return buf.getvalue()
 
 
+def check_file_path(path: str) -> None:
+    """Refuse a path naming a directory: an existing one, or any path ending in a separator."""
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise ValidationError(f"cannot write to {path!r}: it names a directory")
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the target directory plus rename.
 
     A failed run can never leave a partial file at the destination: either
-    the old content survives or the complete new content replaces it.  A
-    path naming a directory (an existing one, or any path ending in a
-    separator) is refused before any temp file is made.
+    the old content survives or the complete new content replaces it.
     """
-    if path.endswith(os.sep) or os.path.isdir(path):
-        raise ValidationError(f"cannot write to {path!r}: it names a directory")
+    check_file_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pblab-", suffix=".tmp")

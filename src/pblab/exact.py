@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_count, frozen_row, libm_exp, log_factorials, neumaier_sum
+from ._util import as_count, exact_sum, frozen_row, libm_exp, log_factorials, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
 from .profiles import BernoulliProfile, alpha_n
 
@@ -119,7 +119,7 @@ class Pmf:
         return float(self.log_probs[k])
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.probs().tolist()))
+        return exact_sum(self.probs())
 
 
 def _check_k_max(k_max: int | None, n: int) -> int:
@@ -468,8 +468,8 @@ def elementary_symmetric(
     """Elementary symmetric polynomials e_0..e_{k_max} of the given values.
 
     Newton-triangle recurrence E_i(k) = E_{i-1}(k) + v_i E_{i-1}(k-1).  The
-    first-order sum is overwritten with the exactly-rounded fsum so it agrees
-    bit for bit with the profile mean computed elsewhere.  With
+    first-order sum is overwritten with the exactly-rounded exact_sum so it
+    agrees bit for bit with the profile mean computed elsewhere.  With
     high_precision the whole triangle is mirrored in exact rationals over
     the same binary inputs.  Every double is an integer over a power of two,
     so the mirror scales all values to their largest denominator 2^D, runs
@@ -490,7 +490,7 @@ def elementary_symmetric(
             if top >= 1:
                 e[1 : top + 1] = e[1 : top + 1] + v * e[:top]
     if k_max >= 1:
-        e[1] = math.fsum(vals)
+        e[1] = exact_sum(vals)
     hp: tuple[Fraction, ...] | None = None
     if high_precision:
         ratios = [v.as_integer_ratio() for v in vals.tolist()]

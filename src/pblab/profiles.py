@@ -16,17 +16,13 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._util import as_count, frozen_row, spec_number
+from ._util import SUM_BLOCK, as_count, exact_sum, frozen_row, spec_number
 from .errors import HypothesisError, SizeError, ValidationError
 
 # kind -> number of parameters: the one vocabulary of each spec format, read
 # by the type's constructor, its parse and its spec_string.
 FAMILY_KINDS = {"constant_total": 1, "constant_p": 1, "row_power": 2, "index_power": 2}
 WINDOW_KINDS = {"power": 2, "power_of_lambda": 2, "constant": 1}
-
-# Entries per summand array in the row sums (256 KiB of float64), so a sum
-# never holds a second full-row array next to the row itself.
-_CHUNK = 1 << 15
 
 
 def _first_outside(row: np.ndarray) -> int | None:
@@ -92,18 +88,17 @@ class ProfileSummary:
     var_n: float
 
 
-# One function per summary scalar, each taking the float64 row.  summarize
-# and check_conditions both read them, and exact.prob_zero_log reads alpha_n.
+# One function per summary scalar, each taking the float64 row.  summarize,
+# check_conditions and dehpfeif_report read them, and prob_zero_log alpha_n.
 
 
-def _fsum(probs: np.ndarray, summands) -> float:
-    """math.fsum of summands(chunk) over the row, one chunk at a time."""
-    chunks = (probs[i:i + _CHUNK] for i in range(0, len(probs), _CHUNK))
-    return math.fsum(chain.from_iterable(map(summands, chunks)))
+def _chunks(probs: np.ndarray):
+    """The row as views of SUM_BLOCK entries, so no summand array is as long as the row."""
+    return (probs[i:i + SUM_BLOCK] for i in range(0, len(probs), SUM_BLOCK))
 
 
 def lambda_n(probs: np.ndarray) -> float:
-    return math.fsum(memoryview(probs))
+    return exact_sum(probs)
 
 
 def m_n(probs: np.ndarray) -> float:
@@ -111,19 +106,19 @@ def m_n(probs: np.ndarray) -> float:
 
 
 def alpha_n(probs: np.ndarray) -> float:
-    return _fsum(probs, lambda p: map(math.log1p, memoryview(-p)))
+    return math.fsum(chain.from_iterable(map(math.log1p, memoryview(-p)) for p in _chunks(probs)))
 
 
 def beta_n(probs: np.ndarray) -> float:
-    return _fsum(probs, lambda p: memoryview(p / (1.0 - p)))
+    return exact_sum(p / (1.0 - p) for p in _chunks(probs))
 
 
 def sum_sq(probs: np.ndarray) -> float:
-    return _fsum(probs, lambda p: memoryview(p * p))
+    return exact_sum(p * p for p in _chunks(probs))
 
 
 def var_n(probs: np.ndarray) -> float:
-    return _fsum(probs, lambda p: memoryview(p * (1.0 - p)))
+    return exact_sum(p * (1.0 - p) for p in _chunks(probs))
 
 
 def summarize(profile: BernoulliProfile) -> ProfileSummary:
@@ -132,6 +127,7 @@ def summarize(profile: BernoulliProfile) -> ProfileSummary:
     math.fsum is correctly rounded, so each scalar depends only on the set
     of its summands: summarize is permutation-invariant bit for bit, and
     summing a chunk at a time gives the same bits as summing the whole row.
+    All but alpha_n are summed by _util.exact_sum, with fsum's bits.
     The summands are numpy's +, -, * and / of the row, which round as IEEE
     requires and so match the Python float arithmetic entry for entry.
     alpha_n maps libm's log1p over the row one entry at a time, as

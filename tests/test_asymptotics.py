@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pblab import asymptotics, cli, dependent, exact
+from pblab import asymptotics, cli, dependent, exact, profiles
 from pblab.asymptotics import (
     ApproxKind,
     DistanceReport,
+    DistanceSummary,
     EnvelopeReport,
     approx_pmf,
     dehpfeif_report,
@@ -608,13 +609,12 @@ def test_distance_zero_profile_rejected():
 
 
 def test_distance_report_traced_peak_stays_below_half_a_row():
-    """index_power:0.5,0.5 at n = 10^6, its profile and summary built
-    beforehand: the report makes no array of the row's length, and its
-    traced peak (the tree's bands, 0.43 row copies) stays under half a
-    float64 copy of the row."""
+    """index_power:0.5,0.5 at n = 10^6, on a fresh profile, so the report's
+    own sums run inside the trace: the report makes no array of the row's
+    length, and its traced peak (the tree's bands, 0.43 row copies) stays
+    under half a float64 copy of the row."""
     n = 10**6
     prof = generate(ProfileFamily("index_power", (0.5, 0.5)), n)
-    assert prof.summary.lambda_n > 0.0
     tracemalloc.start()
     try:
         dehpfeif_report(prof)
@@ -622,6 +622,24 @@ def test_distance_report_traced_peak_stays_below_half_a_row():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n
+
+
+def test_distance_report_computes_only_lambda_and_sum_sq(monkeypatch):
+    """alpha_n, beta_n and var_n are never computed: with each patched to
+    raise, a 10^4 row's report keeps its bits."""
+    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), 10**4)
+    expected = dehpfeif_report(prof)
+
+    def refuse(probs):
+        raise AssertionError("a scalar the distance report does not read was computed")
+
+    for name in ("alpha_n", "beta_n", "var_n"):
+        monkeypatch.setattr(profiles, name, refuse)
+    report = dehpfeif_report(generate(ProfileFamily("index_power", (0.5, 0.5)), 10**4))
+    assert report.summary == DistanceSummary(10**4, expected.summary.lambda_n,
+                                             expected.summary.sum_sq)
+    for name in ("tv", "sup_cdf", "ratio"):
+        assert repr(getattr(report, name)) == repr(getattr(expected, name))
 
 
 def test_distance_flat_row_spot_value():
@@ -830,7 +848,7 @@ def test_envelope_max_abs_dev_spans_the_whole_window():
 def test_distance_ratio_is_tv_over_predicted_bit_for_bit():
     prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
     s = summarize(prof)
-    report = DistanceReport(s, sup_cdf=0.01, tv=0.02)
+    report = DistanceReport(DistanceSummary(s.n, s.lambda_n, s.sum_sq), sup_cdf=0.01, tv=0.02)
     predicted = (s.sum_sq / s.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
     assert report.predicted == predicted
     assert report.ratio == 0.02 / predicted

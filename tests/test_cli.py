@@ -927,6 +927,51 @@ def test_sweep_out_naming_a_file_is_refused_before_any_point(tmp_path, monkeypat
     assert target.read_text() == "kept\n"
 
 
+# Each command that writes one file: its arguments and the function its work runs in.
+_ONE_FILE_COMMANDS = {
+    "pmf": (["--family", "constant_p:0.2", "--n", "8"], "pmf_tree"),
+    "approx": (["--family", "constant_p:0.2", "--n", "8", "--kind", "lambda"], "approx_pmf"),
+    "verify": (["--family", "constant_p:0.2", "--n", "8", "--kind", "lambda",
+                "--phi", "power:1,0.5"], "verify_sandwich"),
+    "distance": (["--family", "constant_p:0.2", "--n", "8"], "dehpfeif_report"),
+    "dependent": (["--model", "{model}"], "ratio_report"),
+    "conditions": (["--family", "constant_p:0.2", "--grid", "8,16", "--phi", "power:1,0.5"],
+                   "check_conditions"),
+}
+
+
+@pytest.mark.parametrize("command", _ONE_FILE_COMMANDS)
+def test_out_that_cannot_be_written_is_refused_before_any_work(command, tmp_path, monkeypatch,
+                                                                capsys):
+    """An --out under a file, or naming an existing directory, exits 2 before
+    the command's work starts; one under directories not made yet is written."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "product", "p": [0.1] * 5}))
+    args, engine = _ONE_FILE_COMMANDS[command]
+    argv = [command, *(arg.format(model=model) for arg in args)]
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{engine} ran")
+
+    under_file = f"{str(afile)!r} names a file"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, engine, no_work)
+        for out, why in [(afile / "x.json", under_file), (afile / "sub" / "x.json", under_file),
+                         (tmp_path, "it names a directory")]:
+            code, out_text, err = run_cli(argv + ["--out", str(out)], capsys)
+            assert (code, out_text) == (2, "")
+            assert json.loads(err) == {"error": "ValidationError",
+                                       "message": f"cannot write to {str(out)!r}: {why}"}
+    assert afile.read_text() == "kept\n"
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    target = tmp_path / "new" / "deeper" / "report.json"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == expected
+
+
 # 10^15 and 2^60 - 1 entries of float64 exceed any 64-bit host's address
 # space, so the allocation fails at once; 2^60 - 1 is also a length that
 # np.arange, which counts through a float, rounds up past numpy's limit.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pblab._util import SUM_BLOCK, exact_sum
 from pblab.errors import HypothesisError, SizeError, ValidationError
 from pblab.profiles import (
     BernoulliProfile,
@@ -194,6 +195,71 @@ def test_summary_matches_the_scalar_reference_entry_by_entry_and_over_a_long_row
     assert summary_bits(summarize(BernoulliProfile(row))) == summary_bits(reference_summary(row))
     for p in row[:3000] + list(EDGE_PROBS):
         assert summary_bits(summarize(BernoulliProfile((p,)))) == summary_bits(reference_summary((p,)))
+
+
+def sum_outcome(sum_fn, values) -> str:
+    """repr of the sum (so -0.0 is not 0.0), or the name of the error it raises."""
+    try:
+        return repr(sum_fn(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def fsum_outcome(values) -> str:
+    return sum_outcome(math.fsum, values.tolist())
+
+
+# Short rows: signed zeros and subnormals, and floats whose binary exponents
+# run over 2074 binades; or negative floats of one binade, len + 2 a power of
+# two, whose partial sums fill the extraction's bound at the finer spacing
+# below sigma.
+_SUM_ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -(2.0**-1060))),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000)),
+)
+_SHORT_ROWS = st.one_of(
+    st.lists(_SUM_ENTRIES, max_size=40),
+    st.sampled_from((6, 14, 30)).flatmap(lambda n: st.lists(
+        st.floats(-2.0, -1.0, exclude_min=True), min_size=n, max_size=n)),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(short=_SHORT_ROWS,
+       long=st.sampled_from((0, 40, SUM_BLOCK // 2 - 1, SUM_BLOCK // 2, SUM_BLOCK + 1)),
+       seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.integers(0, 2 * SUM_BLOCK + 42), max_size=4))
+def test_exact_sum_is_fsum_bit_for_bit(short, long, seed, cuts):
+    """Whole, and as chunks of uneven lengths, on either side of the block edge.
+
+    The long spread cancels against its negation, so the short row's entries,
+    which share blocks with far larger ones, decide the sum.
+    """
+    rng = np.random.default_rng(seed)
+    spread = rng.standard_normal(long) * np.exp2(rng.integers(-1074, 1000, long))
+    values = rng.permutation(np.concatenate([np.array(short, dtype=np.float64), spread, -spread]))
+    chunks = np.split(values, sorted(c for c in cuts if c <= len(values)))
+    expected = fsum_outcome(values)
+    assert sum_outcome(exact_sum, values) == expected
+    assert sum_outcome(exact_sum, iter(chunks)) == expected
+    assert sum_outcome(exact_sum, np.abs(values)) == fsum_outcome(np.abs(values))
+
+
+_SPECIAL_SUMS = {
+    "inf": [math.inf], "-inf": [-math.inf], "nan": [math.nan], "inf,-inf": [math.inf, -math.inf],
+    "1,nan,inf": [1.0, math.nan, math.inf], "overflow": [1e308, 1e308],
+    "overflow_then_back": [1e308, 1e308, -1e308], "40x2^1010": [2.0**1010] * 40,
+    "-0": [-0.0], "-0,0": [-0.0, 0.0], "empty": [],
+}
+
+
+@pytest.mark.parametrize("values", _SPECIAL_SUMS.values(), ids=_SPECIAL_SUMS.keys())
+@pytest.mark.parametrize("at", [0, SUM_BLOCK + 5])
+def test_exact_sum_gives_fsum_result_or_error_on_special_values(values, at):
+    """inf, nan and overflow, alone or after a block of ordinary values."""
+    row = np.concatenate([np.linspace(-1.0, 3.0, at), np.array(values, dtype=np.float64)])
+    assert sum_outcome(exact_sum, row) == fsum_outcome(row)
+    assert sum_outcome(exact_sum, [row[:at], row[at:]]) == fsum_outcome(row)
 
 
 def test_profile_keeps_one_summary():
