@@ -43,7 +43,7 @@ from ._util import (as_count, as_counts, exact_sum, frozen_row, libm_exp, libm_m
                     log_factorials, spec_number)
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, _product_coeffs, pmf_tree, poisson_distances
-from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary, lambda_n, sum_sq
+from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
 
 # CLI name -> tag: the one vocabulary ApproxKind, its parse and its usage text read.
 APPROX_NAMES = {"lambda": "lambda_form", "beta": "beta_form", "poisson": "poisson_form",
@@ -113,11 +113,12 @@ def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k) -> n
         var = summary.var_n
         square = libm_map(lambda d: d ** 2, ks - summary.lambda_n)  # libm's pow
         return (-0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var))[()]
-    anchor, rate, name = {  # (log anchor, rate, its name); ApproxKind checked poisson_limit's
-        "lambda_form": (p0_log, summary.lambda_n, "lambda_n"),
-        "beta_form": (p0_log, summary.beta_n, "beta_n"),
-        "poisson_form": (-summary.lambda_n, summary.lambda_n, "lambda_n"),
-    }.get(kind.tag) or (-kind.lam, kind.lam, "lam")
+    if kind.tag == "poisson_limit":  # ApproxKind checked its rate
+        anchor, rate, name = -kind.lam, kind.lam, "lam"
+    else:  # only the one summary scalar the form's rate is, so no other sum runs
+        name = "beta_n" if kind.tag == "beta_form" else "lambda_n"
+        rate = getattr(summary, name)
+        anchor = -rate if kind.tag == "poisson_form" else p0_log
     if rate <= 0.0 and ks.any():
         raise HypothesisError(f"{kind.tag} needs {name} > 0 for k >= 1")
     log_rate = math.log(rate) if rate > 0.0 else 0.0
@@ -318,19 +319,11 @@ def verify_sandwich(
 
 
 @dataclass(frozen=True)
-class DistanceSummary:
-    """The row's size and the only two of its sums a distance report computes and reads."""
-
-    n: int
-    lambda_n: float
-    sum_sq: float
-
-
-@dataclass(frozen=True)
 class DistanceReport:
     """Observed Poisson distances; the prediction and the ratio are properties.
 
-    Stores its inputs (summary) and both measured distances: sup_cdf is the supremum
+    Stores its input (the row's summary, of which it reads n, lambda_n and
+    sum b^2 only) and both measured distances: sup_cdf is the supremum
     of CDF differences, tv the total-variation distance.  The read-only
     prediction (sum b^2 / lambda_n) / sqrt(2 pi e) is the first-order size
     of the TV distance, and ratio = tv / predicted.  The sup-CDF distance
@@ -340,7 +333,7 @@ class DistanceReport:
     (sup-CDF).  Both are reported so either trend can be inspected.
     """
 
-    summary: DistanceSummary
+    summary: ProfileSummary
     sup_cdf: float
     tv: float
 
@@ -363,7 +356,7 @@ def dehpfeif_report(profile: BernoulliProfile) -> DistanceReport:
     a tail bound reaches e^-c, c = log(4n) + 64 log 2, which drops at most
     2^-64 of mass in all; the root's band is tabulated as it comes.
     """
-    summary = DistanceSummary(profile.n, lambda_n(profile.probs), sum_sq(profile.probs))
+    summary = profile.summary
     if summary.lambda_n <= 0.0 or summary.sum_sq <= 0.0:
         raise HypothesisError("distance ratio needs lambda_n > 0 and sum_sq > 0")
     band = _product_coeffs(profile.probs, math.log(4.0 * profile.n) + 64.0 * math.log(2.0))

@@ -232,6 +232,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("--n applies to --family only, not to --profile")
     if cfg.command == "pmf" and cfg.precision == "rational" and cfg.engine != "ie":
         raise ValidationError(f"--precision rational applies to --engine ie only, not {cfg.engine}")
+    if cfg.out == "":  # it would name no file, and the output would go to stdout
+        raise ValidationError("--out must not be empty")
     if cfg.out:  # a sweep writes into a directory, any other command one file
         sweep = cfg.command == "sweep"
         if not sweep:
@@ -343,25 +345,28 @@ def _cmd_dependent(cfg: ExperimentConfig) -> None:
 
 
 def _sweep_point(cfg: ExperimentConfig, family: ProfileFamily, kind, window, n: int):
-    """One grid point: its summary, envelope and distance reports, and its own table.
+    """One grid point: its row of the aggregate, as plain values, and its own table.
 
-    The envelope is None without --kind, and the distances are None unless
-    lambda_n and sum b^2 are positive.  The envelope and the aggregate row
-    read the one summary the profile keeps.
+    The row is what emit.sweep_table reads.  The envelope columns come only
+    with --kind, and the distances are None unless lambda_n and sum b^2 are
+    positive.  No profile, summary or report outlives the call.
     """
     profile = generate(family, n)
     summary = profile.summary
-    positive = summary.lambda_n > 0.0 and summary.sum_sq > 0.0
+    row = (n, summary.lambda_n, summary.m_n, summary.sum_sq)
     if kind is None:
-        envelope, dist = None, dehpfeif_report(profile)
+        dist = dehpfeif_report(profile)
         point = emit.distance_table(dist)
     else:
         envelope = verify_sandwich(
             profile, kind, window, beta_cap=cfg.beta_cap, margin=cfg.margin
         )
+        row += (envelope.max_abs_dev, envelope.violations, len(envelope.k_values))
+        positive = summary.lambda_n > 0.0 and summary.sum_sq > 0.0
         dist = dehpfeif_report(profile) if positive else None
         point = emit.envelope_table(envelope)
-    return summary, envelope, dist, point
+    row += (None, None, None) if dist is None else (dist.sup_cdf, dist.tv, dist.ratio)
+    return row, point
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> None:
@@ -370,9 +375,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
         kind, window = ApproxKind.parse(cfg.kind), GrowthWindow.parse(cfg.phi)
     family = ProfileFamily.parse(cfg.family)
     grid = list(cfg.grid)
-    summaries, envelopes, distances, points = zip(
-        *(_sweep_point(cfg, family, kind, window, n) for n in grid)
-    )
+    rows, points = zip(*(_sweep_point(cfg, family, kind, window, n) for n in grid))
     meta = {
         "command": "sweep",
         "family": family.spec_string(),
@@ -382,9 +385,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> None:
         "grid": grid,
         "seed": 0,  # a sweep draws nothing; the key keeps the aggregate's bytes
     }
-    aggregate = emit.sweep_table(
-        meta, summaries, envelopes if kind is not None else None, distances
-    )
+    aggregate = emit.sweep_table(meta, rows, kind is not None)
     if not cfg.out:
         _deliver(cfg, aggregate)
         return

@@ -225,13 +225,13 @@ def _attrs(items, *names) -> list[list]:
 
 def pmf_table(pmf: Pmf, summary: ProfileSummary) -> Table:
     meta = {"provenance": pmf.provenance, "n": pmf.n, "support_max": pmf.support_max,
-            "summary": asdict(summary)}
+            "summary": summary.as_dict()}
     columns = (range(pmf.support_max + 1), pmf.probs(), pmf.log_probs)
     return Table(("k", "prob", "log_prob"), columns, meta)
 
 
 def approx_table(kind: str, summary: ProfileSummary, ks, log_values) -> Table:
-    meta = {"kind": kind, "summary": asdict(summary)}
+    meta = {"kind": kind, "summary": summary.as_dict()}
     columns = (ks, libm_exp(log_values), log_values)
     return Table(("k", "approx_prob", "log_approx"), columns, meta)
 
@@ -301,22 +301,18 @@ def dependent_table(
     return Table(header, columns, meta, tail, json_width=4)
 
 
-def sweep_table(meta: dict, summaries, envelopes, distances) -> Table:
-    """One row per grid point; the envelope columns only for a --kind sweep.
+def sweep_table(meta: dict, rows, envelopes: bool) -> Table:
+    """One row of plain values per grid point; the envelope columns only for a --kind sweep.
 
-    envelopes is None without --kind; a point's distance report is None
-    where it has none, and its distance cells are then blank.
+    Each row is n, lambda_n, m_n and sum b^2, then (with envelopes) the
+    point's max_abs_dev, violations and k_count, then its sup-CDF and TV
+    distances and their ratio, None where the point has no distance report.
     """
     header = ("n", "lambda_n", "m_n", "sum_sq")
-    columns = _attrs(summaries, *header)
-    if envelopes is not None:
+    if envelopes:
         header += ("max_abs_dev", "violations", "k_count")
-        columns += _attrs(envelopes, "max_abs_dev", "violations")
-        columns.append([len(r.k_values) for r in envelopes])
     header += ("sup_cdf_distance", "tv_distance", "dehpfeif_ratio")
-    columns += [[None if d is None else getattr(d, name) for d in distances]
-                for name in ("sup_cdf", "tv", "ratio")]
-    return Table(header, columns, meta)
+    return Table(header, list(zip(*rows)), meta)
 
 
 def error_obj(exc: BaseException) -> dict:

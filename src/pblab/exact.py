@@ -39,7 +39,7 @@ import numpy as np
 
 from ._util import as_count, exact_sum, frozen_row, libm_exp, log_factorials, neumaier_sum
 from .errors import ConditioningError, HypothesisError, SizeError, ValidationError
-from .profiles import BernoulliProfile, alpha_n
+from .profiles import BernoulliProfile
 
 PROVENANCES = (
     "product_tree",
@@ -572,7 +572,7 @@ def pmf_ie(
 
 def prob_zero_log(profile: BernoulliProfile) -> float:
     """log P(V = 0) = sum of log(1 - p_i), the exactly-rounded log1p sum."""
-    return alpha_n(profile.probs)
+    return profile.summary.alpha_n
 
 
 @dataclass(frozen=True)

@@ -63,33 +63,8 @@ class BernoulliProfile:
 
     @cached_property
     def summary(self) -> ProfileSummary:
-        """summarize(self), computed on first use: probs is read-only, so it never goes stale."""
-        return summarize(self)
-
-
-@dataclass(frozen=True)
-class ProfileSummary:
-    """Derived scalars of one profile.
-
-    lambda_n = sum b_i            (mean of the count)
-    m_n      = max b_i
-    alpha_n  = sum ln(1 - b_i)    (log of the zero-count probability)
-    beta_n   = sum b_i / (1-b_i)  (odds sum)
-    sum_sq   = sum b_i^2
-    var_n    = sum b_i (1-b_i)    (variance of the count)
-    """
-
-    n: int
-    lambda_n: float
-    m_n: float
-    alpha_n: float
-    beta_n: float
-    sum_sq: float
-    var_n: float
-
-
-# One function per summary scalar, each taking the float64 row.  summarize,
-# check_conditions and dehpfeif_report read them, and prob_zero_log alpha_n.
+        """The row's ProfileSummary, made on first use and kept: probs is read-only."""
+        return ProfileSummary(self.probs)
 
 
 def _chunks(probs: np.ndarray):
@@ -97,37 +72,25 @@ def _chunks(probs: np.ndarray):
     return (probs[i:i + SUM_BLOCK] for i in range(0, len(probs), SUM_BLOCK))
 
 
-def lambda_n(probs: np.ndarray) -> float:
-    return exact_sum(probs)
+class ProfileSummary:
+    """The summary scalars of one read-only row, each computed when first read.
 
+    n        = the number of entries
+    lambda_n = sum b_i            (mean of the count)
+    m_n      = max b_i
+    alpha_n  = sum ln(1 - b_i)    (log of the zero-count probability)
+    beta_n   = sum b_i / (1-b_i)  (odds sum)
+    sum_sq   = sum b_i^2
+    var_n    = sum b_i (1-b_i)    (variance of the count)
 
-def m_n(probs: np.ndarray) -> float:
-    return float(probs.max())
+    Each scalar is computed once, the first time a report reads it, so a
+    report pays for the sums it reads and no others.  Summaries are equal
+    when their seven fields are; as_dict gives the fields in FIELDS order.
 
-
-def alpha_n(probs: np.ndarray) -> float:
-    return math.fsum(chain.from_iterable(map(math.log1p, memoryview(-p)) for p in _chunks(probs)))
-
-
-def beta_n(probs: np.ndarray) -> float:
-    return exact_sum(p / (1.0 - p) for p in _chunks(probs))
-
-
-def sum_sq(probs: np.ndarray) -> float:
-    return exact_sum(p * p for p in _chunks(probs))
-
-
-def var_n(probs: np.ndarray) -> float:
-    return exact_sum(p * (1.0 - p) for p in _chunks(probs))
-
-
-def summarize(profile: BernoulliProfile) -> ProfileSummary:
-    """Compute all six summary scalars with exactly-rounded sums.
-
-    math.fsum is correctly rounded, so each scalar depends only on the set
-    of its summands: summarize is permutation-invariant bit for bit, and
+    Every sum is correctly rounded, so each scalar depends only on the set
+    of its summands: a summary is permutation-invariant bit for bit, and
     summing a chunk at a time gives the same bits as summing the whole row.
-    All but alpha_n are summed by _util.exact_sum, with fsum's bits.
+    All but alpha_n are summed by _util.exact_sum, with math.fsum's bits.
     The summands are numpy's +, -, * and / of the row, which round as IEEE
     requires and so match the Python float arithmetic entry for entry.
     alpha_n maps libm's log1p over the row one entry at a time, as
@@ -139,18 +102,52 @@ def summarize(profile: BernoulliProfile) -> ProfileSummary:
     the 10^6 indices for exponents -0.3, -0.5 and -0.75.  Either would move
     alpha_n and the profile bits, and with them the emitted bytes.
     log1p(-p) keeps alpha_n accurate when entries are as small as 1e-12.
-    BernoulliProfile.summary keeps the result of one call per profile.
     """
-    ps = profile.probs
-    return ProfileSummary(
-        n=len(ps),
-        lambda_n=lambda_n(ps),
-        m_n=m_n(ps),
-        alpha_n=alpha_n(ps),
-        beta_n=beta_n(ps),
-        sum_sq=sum_sq(ps),
-        var_n=var_n(ps),
-    )
+
+    FIELDS = ("n", "lambda_n", "m_n", "alpha_n", "beta_n", "sum_sq", "var_n")
+
+    def __init__(self, probs: np.ndarray) -> None:
+        self._probs = probs
+
+    @property
+    def n(self) -> int:
+        return len(self._probs)
+
+    @cached_property
+    def lambda_n(self) -> float:
+        return exact_sum(self._probs)
+
+    @cached_property
+    def m_n(self) -> float:
+        return float(self._probs.max())
+
+    @cached_property
+    def alpha_n(self) -> float:
+        logs = (map(math.log1p, memoryview(-p)) for p in _chunks(self._probs))
+        return math.fsum(chain.from_iterable(logs))
+
+    @cached_property
+    def beta_n(self) -> float:
+        return exact_sum(p / (1.0 - p) for p in _chunks(self._probs))
+
+    @cached_property
+    def sum_sq(self) -> float:
+        return exact_sum(p * p for p in _chunks(self._probs))
+
+    @cached_property
+    def var_n(self) -> float:
+        return exact_sum(p * (1.0 - p) for p in _chunks(self._probs))
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProfileSummary):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return f"ProfileSummary({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,7 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     need entries equal to 1).  Deterministic: same family and n give the
     bitwise-identical profile.  Every entry is the Python float expression
     the kind names: index_power takes libm's pow of each index (as float **
-    does, see summarize) and scales the row by c.  A row numpy cannot index,
+    does, see ProfileSummary) and scales the row by c.  A row numpy cannot index,
     or one the host cannot allocate, raises SizeError naming n.
     """
     if n < 1:
@@ -480,8 +477,8 @@ def check_conditions(
 ) -> ConditionReport:
     """Tabulate the smallness quantities for a family along a grid of n.
 
-    Each grid point computes only the three scalars its row stores: m_n,
-    lambda_n and sum b^2.
+    Each grid point's summary computes only the three scalars its row
+    stores: m_n, lambda_n and sum b^2.
 
     The verdicts say only what the finite grid shows.  A 'decreasing' a1 with
     a tiny final value is evidence in favour of max-entry smallness, never a
@@ -490,7 +487,6 @@ def check_conditions(
     check_threshold(threshold)
     rows = []
     for n in check_grid(grid):
-        probs = generate(family, n).probs
-        lam = lambda_n(probs)
-        rows.append(ConditionRow(n, m_n(probs), lam, sum_sq(probs), window.value(n, lam)))
+        s = generate(family, n).summary
+        rows.append(ConditionRow(n, s.m_n, s.lambda_n, s.sum_sq, window.value(n, s.lambda_n)))
     return ConditionReport(tuple(rows), threshold, window.spec_string())

@@ -42,7 +42,6 @@ from pblab.profiles import (
     GrowthWindow,
     ProfileFamily,
     generate,
-    summarize,
 )
 
 
@@ -131,7 +130,7 @@ def test_ac3_two_sided_envelope_fixed_mean(announce):
     band_ok = True
     for n in (10**2, 10**3, 10**4):
         profile = generate(family, n)
-        s = summarize(profile)
+        s = profile.summary
         report = verify_sandwich(profile, kind, window)
         devs.append(report.max_abs_dev)
         violations.append(report.violations)
@@ -174,7 +173,7 @@ def test_ac3b_one_sided_envelope_decaying_row(announce):
     lower_ok = True
     for n in (10**3, 10**4):
         profile = generate(family, n)
-        s = summarize(profile)
+        s = profile.summary
         report = verify_sandwich(profile, kind, window, beta_cap=cap)
         violations.append(report.violations)
         pmf = pmf_dp(profile)
@@ -216,7 +215,7 @@ def test_ac4_certified_bracket_and_zero_class(announce):
     zero_class_ok = True
     for n in (10**4, 10**5):
         profile = generate(family, n)
-        s = summarize(profile)
+        s = profile.summary
         report = verify_sandwich(profile, kind, window)
         devs.append(report.max_abs_dev)
         violations.append(report.violations)
@@ -256,7 +255,7 @@ def test_ac4_display_form_lower_edge(announce):
     """The uncorrected lower edge 1 - eps1 fails near k = 0 whenever
     sum b^2 > 0; this records how far short it falls at n = 1e4."""
     profile = generate(ProfileFamily("row_power", (1.0, 0.75)), 10**4)
-    s = summarize(profile)
+    s = profile.summary
     report = verify_sandwich(
         profile, ApproxKind("poisson_form"), GrowthWindow("power", 1.0, 0.5)
     )
@@ -403,7 +402,7 @@ def _prop_permutation_invariance(probs, seed):
     shuffled = list(probs)
     random.Random(seed).shuffle(shuffled)
     other = BernoulliProfile(tuple(shuffled))
-    assert summarize(base) == summarize(other)
+    assert base.summary == other.summary
     gap = np.abs(pmf_dp(base).probs() - pmf_dp(other).probs()).max()
     assert gap <= 1e-14
 
@@ -428,7 +427,7 @@ def _check_scalar_grid():
 @given(probs=_ROWS)
 def _prop_zero_class_anchoring(probs):
     profile = BernoulliProfile(tuple(probs))
-    s = summarize(profile)
+    s = profile.summary
     p0 = prob_zero_log(profile)
     assert approx_pmf(ApproxKind("lambda_form"), s, p0, 0) == p0
     assert approx_pmf(ApproxKind("beta_form"), s, p0, 0) == p0

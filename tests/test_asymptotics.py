@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pblab import asymptotics, cli, dependent, exact, profiles
+from pblab import asymptotics, cli, dependent, exact
 from pblab.asymptotics import (
     ApproxKind,
     DistanceReport,
-    DistanceSummary,
     EnvelopeReport,
     approx_pmf,
     dehpfeif_report,
@@ -38,8 +37,8 @@ from pblab.profiles import (
     ConditionRow,
     GrowthWindow,
     ProfileFamily,
+    ProfileSummary,
     generate,
-    summarize,
 )
 
 positive_profiles = st.lists(
@@ -50,7 +49,7 @@ positive_profiles = st.lists(
 
 
 def make_summary(probs):
-    return summarize(BernoulliProfile(tuple(probs)))
+    return BernoulliProfile(tuple(probs)).summary
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +237,7 @@ _BIT_ROWS = {
 @pytest.mark.parametrize("row", list(_BIT_ROWS))
 def test_array_path_matches_the_scalar_formulas_bit_for_bit(row):
     prof, k_hi = _BIT_ROWS[row]
-    s = summarize(prof)
+    s = prof.summary
     ks = np.arange(k_hi + 1)
     lps = exact.pmf_tree(prof, k_hi).log_probs
     p0 = float(lps[0])
@@ -380,7 +379,7 @@ def test_stated_display_lower_edge_fails_at_zero():
     exp(alpha + lambda) which is strictly below 1 whenever sum b^2 > 0.
     This pins the known gap that poisson_form_bracket exists to close."""
     prof = BernoulliProfile((0.1,) * 50)
-    s = summarize(prof)
+    s = prof.summary
     ratio0 = math.exp(prob_zero_log(prof) + s.lambda_n)
     display_lower = envelope_thm3(s, 0)[0]
     bracket_lower = poisson_form_bracket(s, 0)[0]
@@ -392,7 +391,7 @@ def test_stated_display_lower_edge_fails_at_zero():
 @given(positive_profiles)
 def test_property_zero_class_bracket(prof):
     """exp(-sum b^2) <= P(V=0) e^lambda <= 1, checked in log domain."""
-    s = summarize(prof)
+    s = prof.summary
     a = prob_zero_log(prof)
     assert -s.sum_sq - 1e-12 <= a + s.lambda_n <= 1e-12
 
@@ -459,7 +458,7 @@ def test_sandwich_beta_default_cap_halfway():
 def test_sandwich_poisson_form_uses_provable_rails():
     prof = BernoulliProfile((0.01,) * 500)
     report = verify_sandwich(prof, ApproxKind("poisson_form"), GrowthWindow("power", 1, 0.5))
-    s = summarize(prof)
+    s = prof.summary
     lo0, up0, _ = poisson_form_bracket(s, 0)
     assert report.lower_env[0] == lo0
     assert report.upper_env[0] == up0
@@ -624,24 +623,6 @@ def test_distance_report_traced_peak_stays_below_half_a_row():
     assert peak < 0.5 * 8 * n
 
 
-def test_distance_report_computes_only_lambda_and_sum_sq(monkeypatch):
-    """alpha_n, beta_n and var_n are never computed: with each patched to
-    raise, a 10^4 row's report keeps its bits."""
-    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), 10**4)
-    expected = dehpfeif_report(prof)
-
-    def refuse(probs):
-        raise AssertionError("a scalar the distance report does not read was computed")
-
-    for name in ("alpha_n", "beta_n", "var_n"):
-        monkeypatch.setattr(profiles, name, refuse)
-    report = dehpfeif_report(generate(ProfileFamily("index_power", (0.5, 0.5)), 10**4))
-    assert report.summary == DistanceSummary(10**4, expected.summary.lambda_n,
-                                             expected.summary.sum_sq)
-    for name in ("tv", "sup_cdf", "ratio"):
-        assert repr(getattr(report, name)) == repr(getattr(expected, name))
-
-
 def test_distance_flat_row_spot_value():
     # Flat thousand-entry row with entries n^{-1/3}: a fixed, fully
     # deterministic pipeline, pinned to guard against regressions.
@@ -678,7 +659,7 @@ def test_normal_residual_spread_is_the_scalar_sum_bit_for_bit():
     for probs in rows:
         prof = BernoulliProfile(probs)
         spread = math.fsum(p * (1.0 - p) * (p * p + (1.0 - p) * (1.0 - p)) for p in probs)
-        b = math.sqrt(summarize(prof).var_n)
+        b = math.sqrt(prof.summary.var_n)
         assert mmm_residual(prof, 0, 0.7)[1] == 0.7 * spread / (b * b * b)
 
 
@@ -727,7 +708,7 @@ def test_normal_local_spot_values():
     pmf, ratios = normal_local_report(prof, (50,))
     assert pmf.prob(50) == pytest.approx(0.0795892, abs=1e-7)
     normal = math.exp(
-        approx_pmf(ApproxKind("normal_local"), summarize(prof), 0.0, 50)
+        approx_pmf(ApproxKind("normal_local"), prof.summary, 0.0, 50)
     )
     assert normal == pytest.approx(0.0797885, abs=1e-7)
     exact = math.comb(100, 50) / 2**100
@@ -740,12 +721,14 @@ def test_normal_local_spot_values():
 
 
 def _float_leaves(obj):
-    """Every float-like value in a report dataclass, properties, tuples and nesting included."""
+    """Every float in a report dataclass or summary, properties, tuples and nesting included."""
     if dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
         names += [name for name, v in vars(type(obj)).items() if isinstance(v, property)]
         for name in names:
             yield from _float_leaves(getattr(obj, name))
+    elif isinstance(obj, ProfileSummary):
+        yield from _float_leaves(list(obj.as_dict().values()))
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             yield from _float_leaves(x)
@@ -774,7 +757,7 @@ def test_report_columns_are_read_only_arrays_and_scalars_python_numbers():
     prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
     model = MixtureModel(0.3, prof, BernoulliProfile([0.1, 0.2, 0.1, 0.2, 0.1, 0.2]))
     reports = [
-        summarize(prof),
+        prof.summary,
         dehpfeif_report(prof),
         verify_sandwich(prof, ApproxKind("lambda_form"), GrowthWindow("constant", 4.0)),
         verify_sandwich(prof, ApproxKind("beta_form"), GrowthWindow("constant", 4.0)),
@@ -847,8 +830,8 @@ def test_envelope_max_abs_dev_spans_the_whole_window():
 
 def test_distance_ratio_is_tv_over_predicted_bit_for_bit():
     prof = BernoulliProfile([0.05, 0.1, 0.2, 0.15, 0.3, 0.25])
-    s = summarize(prof)
-    report = DistanceReport(DistanceSummary(s.n, s.lambda_n, s.sum_sq), sup_cdf=0.01, tv=0.02)
+    s = prof.summary
+    report = DistanceReport(s, sup_cdf=0.01, tv=0.02)
     predicted = (s.sum_sq / s.lambda_n) / math.sqrt(2.0 * math.pi * math.e)
     assert report.predicted == predicted
     assert report.ratio == 0.02 / predicted

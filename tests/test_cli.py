@@ -7,8 +7,11 @@ pinned here so a regression in the emitters shows up as a test failure
 rather than as a silently changed report format.
 """
 
+import collections
 import csv
 import dataclasses
+import functools
+import gc
 import io
 import itertools
 import json
@@ -17,6 +20,7 @@ import os
 import pathlib
 import re
 import time
+import weakref
 
 import pytest
 
@@ -1235,14 +1239,73 @@ def test_sweep_parses_kind_and_window_once_per_run(monkeypatch, capsys):
     assert count("8,16") == count("8,16,32,64")
 
 
-@pytest.mark.parametrize("kind", [[], ["--kind", "lambda", "--phi", "constant:4"]])
-def test_sweep_summarizes_each_grid_point_once(kind, monkeypatch, capsys):
-    calls = []
-    real = profiles.summarize
-    monkeypatch.setattr(profiles, "summarize", lambda prof: calls.append(prof.n) or real(prof))
-    argv = ["sweep", "--family", "constant_total:2", "--grid", "8,16,32", *kind]
+_SCALARS = ("lambda_n", "m_n", "alpha_n", "beta_n", "sum_sq", "var_n")
+_THREE = {"lambda_n", "m_n", "sum_sq"}  # the scalars a sweep or conditions row stores
+_SWEEP = ["sweep", "--family", "constant_total:2", "--grid", "8,16,32"]
+
+
+@pytest.mark.parametrize("argv,ns,reads", [
+    (["distance", "--family", "constant_total:2", "--n", "16"], [16], {"lambda_n", "sum_sq"}),
+    (_SWEEP, [8, 16, 32], _THREE),
+    (_SWEEP + ["--kind", "lambda", "--phi", "constant:4"], [8, 16, 32], _THREE),
+    (["verify", "--family", "constant_total:2", "--n", "16", "--kind", "poisson",
+      "--phi", "constant:4"], [16], _THREE),
+    (["conditions", "--family", "constant_total:2", "--grid", "8,16", "--phi", "constant:4"],
+     [8, 16], _THREE),
+    (["pmf", "--family", "constant_total:2", "--n", "16"], [16], set(_SCALARS)),
+], ids=["distance", "sweep", "sweep_kind", "verify_poisson", "conditions", "pmf"])
+def test_each_command_computes_each_scalar_it_reads_once(argv, ns, reads, monkeypatch, capsys):
+    """Every summary scalar computed, per profile: only those the command's
+    reports read, and each of them once."""
+    computed = collections.Counter()
+    for name in _SCALARS:
+        def record(summary, name=name, real=getattr(profiles.ProfileSummary, name).func):
+            computed[summary.n, name] += 1
+            return real(summary)
+
+        prop = functools.cached_property(record)
+        prop.__set_name__(profiles.ProfileSummary, name)
+        monkeypatch.setattr(profiles.ProfileSummary, name, prop)
     assert run_cli(argv, capsys)[0] == 0
-    assert calls == [8, 16, 32]
+    assert computed == collections.Counter({(n, name): 1 for n in ns for name in reads})
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "lambda", "--phi", "constant:4"]])
+def test_no_profile_or_summary_outlives_its_grid_point(kind, monkeypatch, capsys):
+    """With the cycle collector off, each grid point's profile and summary are
+    freed before the next point's row is generated, and the last before the sweep ends."""
+    refs = []
+
+    def tracked(family, n):
+        assert [r() for r in refs] == [None] * len(refs)
+        profile = profiles.generate(family, n)
+        refs.extend((weakref.ref(profile), weakref.ref(profile.summary)))
+        return profile
+
+    monkeypatch.setattr(cli, "generate", tracked)
+    gc.disable()
+    try:
+        assert run_cli(_SWEEP + kind, capsys)[0] == 0
+    finally:
+        gc.enable()
+    assert [r() for r in refs] == [None] * 6
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [["distance", "--family", "constant_total:2", "--n", "8"], _SWEEP],
+                         ids=["distance", "sweep"])
+def test_empty_out_is_refused_before_any_work(argv, source, tmp_path, monkeypatch, capsys):
+    """An empty --out names no file: without the check, distance printed its
+    table to stdout and sweep wrote no point files, both with exit 0."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    for name in ("generate", "dehpfeif_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = ["--out", ""] if source == "flag" else ["--config", write_config(tmp_path, {"out": ""})]
+    code, out_text, err = run_cli(argv + out, capsys)
+    assert (code, out_text) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": "--out must not be empty"}
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -725,11 +725,9 @@ def test_elementary_symmetric_worked_example():
 
 def test_first_symmetric_sum_equals_mean_exactly():
     """S_1 uses the same exactly-rounded sum as the profile summary."""
-    from pblab.profiles import summarize
-
     probs = tuple((i % 13 + 1) / 17 for i in range(50))
     sums = elementary_symmetric(probs, 3)
-    assert sums.values[1] == summarize(BernoulliProfile(probs)).lambda_n
+    assert sums.values[1] == BernoulliProfile(probs).summary.lambda_n
 
 
 def test_symmetric_sums_maclaurin_bound():
@@ -1241,3 +1239,59 @@ def test_property_tree_matches_brute(prof, k_max):
     k_max = min(k_max, prof.n)
     brute = pmf_bruteforce(prof).probs()[: k_max + 1]
     assert pmf_tree(prof, k_max).probs() == pytest.approx(list(brute), abs=1e-13)
+
+
+# ----------------------------------------------------------------------
+# ultra-log-concavity: q(k) = log P(k) - log C(m, k) is concave
+# ----------------------------------------------------------------------
+
+# The log of the smallest normal double: below it a linear-domain entry has lost precision.
+LOG_MIN_NORMAL = math.log(2.0**-1022)
+
+
+def ulc_excess(log_probs, m: int, floor: float = -math.inf) -> float:
+    """The largest q(k-1) + q(k+1) - 2 q(k) past its allowance, 0 < k < m.
+
+    A row of m entries in (0, 1) has q(k) = log P(k) - log C(m, k) concave
+    on 0..m (Newton's inequalities for the symmetric sums).  The allowance,
+    fixed a priori, is 1e-10 max(1, |q(k)|): rounding in log P and in the
+    log-gamma differences stays far below it.  Only triples whose log P
+    all lie above floor count.
+    """
+    lp = np.asarray(log_probs, dtype=np.float64)[:m + 1]
+    q = lp - np.array([math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                       for k in range(len(lp))])
+    counted = (lp[:-2] > floor) & (lp[1:-1] > floor) & (lp[2:] > floor)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where some P(k) is 0; not counted
+        excess = q[:-2] + q[2:] - 2.0 * q[1:-1] - 1e-10 * np.maximum(1.0, np.abs(q[1:-1]))
+    return float(excess[counted].max(initial=-math.inf))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0 - 2.0**-53)),
+                min_size=1, max_size=60))
+def test_every_engine_pmf_is_ultra_log_concave(probs):
+    """Zero entries are inert: the order is m, the count of nonzero entries.
+    dc is checked above 2^-1022 only, where its linear entries keep a relative bound."""
+    prof = BernoulliProfile(probs)
+    m = int(np.count_nonzero(prof.probs))
+    engines = [(pmf_tree, -math.inf), (pmf_dp, -math.inf), (pmf_dc, LOG_MIN_NORMAL)]
+    if prof.n <= 16:
+        engines.append((pmf_bruteforce, -math.inf))
+    for engine, floor in engines:
+        assert ulc_excess(engine(prof).log_probs, m, floor) <= 0.0, engine.__name__
+
+
+@pytest.mark.parametrize("family,n", [("index_power:0.5,0.5", 3 * 10**4), ("constant_p:0.3", 10**4)])
+def test_large_rows_are_ultra_log_concave(family, n):
+    prof = generate(ProfileFamily.parse(family), n)
+    assert ulc_excess(pmf_tree(prof).log_probs, n) <= 0.0
+    assert ulc_excess(pmf_dc(prof).log_probs, n, LOG_MIN_NORMAL) <= 0.0
+
+
+def test_ulc_excess_flags_one_entry_moved_by_a_millionth():
+    n, k = 1000, 300
+    log_probs = pmf_tree(generate(ProfileFamily("constant_p", (0.3,)), n)).log_probs.copy()
+    assert ulc_excess(log_probs, n) <= 0.0
+    log_probs[k] += math.log1p(1e-6)
+    assert ulc_excess(log_probs, n) > 0.0

@@ -1,6 +1,5 @@
 """Profile construction, summary scalars, families, windows, conditions."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -24,7 +23,6 @@ from pblab.profiles import (
     check_conditions,
     generate,
     load_profile,
-    summarize,
 )
 
 probs_strategy = st.lists(
@@ -118,13 +116,13 @@ def test_profile_rejects_entries_that_are_not_numbers(bad):
 
 
 # ----------------------------------------------------------------------
-# summarize
+# ProfileSummary
 # ----------------------------------------------------------------------
 
 
 def test_summary_worked_example():
     """All six scalars for the (0.1, 0.2, 0.3) row, hand-computed."""
-    s = summarize(BernoulliProfile((0.1, 0.2, 0.3)))
+    s = BernoulliProfile((0.1, 0.2, 0.3)).summary
     assert s.n == 3
     assert s.lambda_n == pytest.approx(0.6, abs=1e-15)
     assert s.m_n == 0.3
@@ -137,7 +135,7 @@ def test_summary_worked_example():
 
 def test_summary_tiny_entries_keep_alpha_precision():
     # log1p path: for p = 1e-12, ln(1-p) is about -p with relative error ~p.
-    s = summarize(BernoulliProfile((1e-12,) * 1000))
+    s = BernoulliProfile((1e-12,) * 1000).summary
     assert s.alpha_n == pytest.approx(-1e-9, rel=1e-9)
 
 
@@ -147,15 +145,13 @@ def test_summary_permutation_invariant(probs, rng):
     """Exactly-rounded sums make the summary identical under reordering."""
     shuffled = list(probs)
     rng.shuffle(shuffled)
-    assert summarize(BernoulliProfile(tuple(probs))) == summarize(
-        BernoulliProfile(tuple(shuffled))
-    )
+    assert BernoulliProfile(tuple(probs)).summary == BernoulliProfile(tuple(shuffled)).summary
 
 
-def reference_summary(probs) -> ProfileSummary:
+def reference_summary(probs) -> dict:
     """The six scalars one Python float at a time: libm log1p, float arithmetic, fsum."""
     ps = [float(p) for p in probs]
-    return ProfileSummary(
+    return dict(
         n=len(ps),
         lambda_n=math.fsum(ps),
         m_n=max(ps),
@@ -166,9 +162,10 @@ def reference_summary(probs) -> ProfileSummary:
     )
 
 
-def summary_bits(summary: ProfileSummary) -> tuple[str, ...]:
+def summary_bits(summary: ProfileSummary | dict) -> tuple[str, ...]:
     # repr round-trips a float and tells -0.0 from 0.0, so equal reprs are equal bits.
-    return tuple(repr(v) for v in dataclasses.astuple(summary))
+    fields = summary.as_dict() if isinstance(summary, ProfileSummary) else summary
+    return tuple(f"{name}={v!r}" for name, v in fields.items())
 
 
 # Zero, the smallest subnormal, a mid-range subnormal, a tiny entry and the
@@ -181,7 +178,7 @@ EDGE_PROBS = (0.0, 5e-324, 2.0**-1060, 1e-12, 1.0 - 2.0**-53)
                           st.floats(min_value=0.0, max_value=1.0 - 2.0**-53)),
                 min_size=1, max_size=60))
 def test_summary_matches_the_scalar_reference_bit_for_bit(probs):
-    assert summary_bits(summarize(BernoulliProfile(probs))) == summary_bits(reference_summary(probs))
+    assert summary_bits(BernoulliProfile(probs).summary) == summary_bits(reference_summary(probs))
 
 
 def test_summary_matches_the_scalar_reference_entry_by_entry_and_over_a_long_row():
@@ -192,9 +189,9 @@ def test_summary_matches_the_scalar_reference_entry_by_entry_and_over_a_long_row
     """
     rng = random.Random(20)
     row = [rng.uniform(0.0, 0.3) for _ in range(100_003)] + list(EDGE_PROBS)
-    assert summary_bits(summarize(BernoulliProfile(row))) == summary_bits(reference_summary(row))
+    assert summary_bits(BernoulliProfile(row).summary) == summary_bits(reference_summary(row))
     for p in row[:3000] + list(EDGE_PROBS):
-        assert summary_bits(summarize(BernoulliProfile((p,)))) == summary_bits(reference_summary((p,)))
+        assert summary_bits(BernoulliProfile((p,)).summary) == summary_bits(reference_summary((p,)))
 
 
 def sum_outcome(sum_fn, values) -> str:
@@ -265,13 +262,13 @@ def test_exact_sum_gives_fsum_result_or_error_on_special_values(values, at):
 def test_profile_keeps_one_summary():
     prof = BernoulliProfile((0.1, 0.2, 0.3))
     assert prof.summary is prof.summary
-    assert prof.summary == summarize(prof)
+    assert prof.summary == ProfileSummary(prof.probs)
 
 
 @settings(deadline=None, derandomize=True)
 @given(probs_strategy)
 def test_summary_scalar_inequalities(probs):
-    s = summarize(BernoulliProfile(tuple(probs)))
+    s = BernoulliProfile(tuple(probs)).summary
     assert s.lambda_n <= s.beta_n + 1e-15
     assert s.m_n**2 <= s.sum_sq + 1e-15
 
@@ -594,7 +591,7 @@ def test_flat_rows_and_their_sums_hold_no_second_full_row():
         profile = generate(family, n)
         built = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        summarize(profile)
+        profile.summary.as_dict()
         summed = tracemalloc.get_traced_memory()[1] - row_bytes
         tracemalloc.reset_peak()
         del profile
