@@ -66,7 +66,7 @@ def log_factorials(ks: np.ndarray) -> np.ndarray:
 def libm_map(fn, values) -> np.ndarray:
     """fn of each entry of values, one Python float at a time, as a float64 array of values' shape.
 
-    For libm's exp, lgamma and pow: np.exp, and numpy's d ** 2 (d * d), can differ in the last bit.
+    For libm's exp and lgamma: np.exp can differ in the last bit.  (libm's pow is np.float_power.)
     """
     values = np.asarray(values, dtype=np.float64)
     return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)

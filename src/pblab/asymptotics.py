@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (as_count, as_counts, exact_sum, frozen_row, libm_exp, libm_map,
-                    log_factorials, spec_number)
+from ._util import (as_count, as_counts, exact_sum, frozen_row, libm_exp, log_factorials,
+                    spec_number)
 from .errors import HypothesisError, ValidationError
 from .exact import Pmf, PoissonRef, _product_coeffs, pmf_tree, poisson_distances
 from .profiles import BernoulliProfile, GrowthWindow, ProfileSummary
@@ -111,7 +111,7 @@ def approx_pmf(kind: ApproxKind, summary: ProfileSummary, p0_log: float, k) -> n
         if summary.var_n <= 0.0:
             raise HypothesisError("normal_local needs var_n > 0")
         var = summary.var_n
-        square = libm_map(lambda d: d ** 2, ks - summary.lambda_n)  # libm's pow
+        square = np.float_power(ks - summary.lambda_n, 2.0)  # libm's pow, as d ** 2
         return (-0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var))[()]
     if kind.tag == "poisson_limit":  # ApproxKind checked its rate
         anchor, rate, name = -kind.lam, kind.lam, "lam"

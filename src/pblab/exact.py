@@ -240,12 +240,11 @@ def _leaf_coeffs(p: np.ndarray, sizes: list[int], top: int) -> list[np.ndarray]:
     coeffs[:, 0] = 1.0
     shift = np.empty((rows, top), order="F")
     for i in range(width):
-        # Each row c: c[1:j+1] = c[1:j+1] * (1 - p_i) + c[:j] * p_i.
+        # Each row c: c[k] = c[k] * (1 - p_i) + c[k - 1] * p_i for k = 0..j, c[-1] read as 0.
         j = min(i + 1, top)
         np.multiply(coeffs[:, :j], prob[:, i : i + 1], out=shift[:, :j])
-        coeffs[:, 1 : j + 1] *= comp[:, i : i + 1]
+        coeffs[:, : j + 1] *= comp[:, i : i + 1]
         coeffs[:, 1 : j + 1] += shift[:, :j]
-        coeffs[:, 0] *= comp[:, i]
     coeffs = np.ascontiguousarray(coeffs)
     return [coeffs[r, : size + 1] for r, size in enumerate(sizes)]
 

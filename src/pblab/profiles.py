@@ -9,10 +9,9 @@ grows.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -93,14 +92,15 @@ class ProfileSummary:
     All but alpha_n are summed by _util.exact_sum, with math.fsum's bits.
     The summands are numpy's +, -, * and / of the row, which round as IEEE
     requires and so match the Python float arithmetic entry for entry.
-    alpha_n maps libm's log1p over the row one entry at a time, as
-    index_power rows map libm's pow (see generate), rather than calling
-    numpy's log1p and power ufuncs: those are numpy's own SIMD kernels, not
-    libm.  On an AVX-512 host with numpy 2.4.6, numpy's log1p is one ulp off
-    libm on 18,323 of the 10^6 entries of index_power:0.5,0.5 and on 51,016
-    of 10^6 uniform(0, 0.3) entries, and its power on 48,562 to 51,299 of
-    the 10^6 indices for exponents -0.3, -0.5 and -0.75.  Either would move
-    alpha_n and the profile bits, and with them the emitted bytes.
+    alpha_n maps libm's log1p over the row one entry at a time, rather
+    than calling numpy's log1p ufunc: that is numpy's own SIMD kernel, not
+    libm.  On an AVX-512 host with numpy 2.4.6 it is one ulp off libm on
+    18,323 of the 10^6 entries of index_power:0.5,0.5 and on 51,016 of 10^6
+    uniform(0, 0.3) entries, which would move alpha_n and the emitted
+    bytes.  numpy's power ufunc is a SIMD kernel too, off libm's pow on
+    48,562 to 51,299 of the 10^6 indices for exponents -0.3, -0.5 and
+    -0.75, so index_power rows take np.float_power instead (see generate):
+    it has no SIMD kernel, and its float64 loop calls libm's pow.
     log1p(-p) keeps alpha_n accurate when entries are as small as 1e-12.
     """
 
@@ -209,9 +209,10 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     row size and out of range for another (constant_total(2) at n=2 would
     need entries equal to 1).  Deterministic: same family and n give the
     bitwise-identical profile.  Every entry is the Python float expression
-    the kind names: index_power takes libm's pow of each index (as float **
-    does, see ProfileSummary) and scales the row by c.  A row numpy cannot index,
-    or one the host cannot allocate, raises SizeError naming n.
+    the kind names: index_power takes libm's pow of each index through
+    np.float_power, whose float64 loop calls the pow that float ** calls (see
+    ProfileSummary), and scales the row by c.  A row numpy cannot index, or
+    one the host cannot allocate, raises SizeError naming n.
     """
     if n < 1:
         raise ValidationError("row size n must be >= 1")
@@ -221,17 +222,12 @@ def generate(family: ProfileFamily, n: int) -> BernoulliProfile:
     try:  # numpy fails at once to allocate a row no host can hold
         if kind == "index_power":
             c, a = family.params
-            idx = np.ones(n)  # 1..n as exact sums; arange would take its length from a float
-            np.cumsum(idx, out=idx)
-            try:
-                row = np.fromiter(map(operator.pow, memoryview(idx), repeat(-a)), np.float64, n)
-            except OverflowError:
-                # A power past the float range is inf, as libm's pow gives; only a
-                # row that then fails the range check pays a Python call per entry.
-                row = np.fromiter(map(_pow_or_inf, memoryview(idx), repeat(-a)), np.float64, n)
-            del idx  # before the profile copies the row
-            # A product past the float range is inf, as in Python, and fails the range check.
+            row = np.ones(n)  # 1..n as exact sums; arange would take its length from a float
+            np.cumsum(row, out=row)
+            # float_power's float64 loop calls libm's pow, as float ** does.  A power or
+            # product past the float range is inf, as libm gives, and fails the range check.
             with np.errstate(over="ignore", invalid="ignore"):
+                np.float_power(row, -a, out=row)
                 row *= c
             i = _first_outside(row)
         else:

@@ -270,6 +270,16 @@ def test_array_path_matches_the_scalar_formulas_bit_for_bit(row):
     assert _bits(ratios) == _bits([math.exp(logs[k]) for k in finite])
 
 
+def test_normal_local_square_is_python_pow_bit_for_bit():
+    """The normal form squares k - lambda_n as Python's d ** 2 does (d * d does not, in the last bit)."""
+    prof = generate(ProfileFamily("index_power", (0.5, 0.5)), 2 * 10**5)
+    s = prof.summary
+    assert s.lambda_n != round(s.lambda_n)
+    kind = ApproxKind("normal_local")
+    got = approx_pmf(kind, s, 0.0, np.arange(2 * 10**5 + 1))
+    assert _bits(got) == _bits([_ref_approx(kind, s, 0.0, k) for k in range(2 * 10**5 + 1)])
+
+
 def test_reports_call_the_approximant_and_the_rails_once(monkeypatch, capsys):
     """One array call per report, not one call per k."""
     calls = {}

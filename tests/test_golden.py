@@ -81,6 +81,13 @@ splits and has exact-zero probabilities in its profile, and `distance`
 at n = 20000 (lambda near 141) tabulates the Poisson reference far past
 the point where its terms underflow.
 
+The digests are per host configuration.  numpy's SIMD kernels and
+OpenBLAS's kernels can round the last bit differently on another CPU: with
+numpy's AVX-512 dispatch turned off, 8 cases fail (`pmf_tree`, `distance`,
+`sweep_out` and `config_sweep`, in both formats), and with OpenBLAS's
+Haswell kernels, 12.  Every digest here passes under RECORDED_ON, and a
+failure names that configuration beside the running one.
+
 To re-record after an intended output change, run
 `PYTHONPATH=src python tests/test_golden.py`, which prints the table.
 """
@@ -99,6 +106,19 @@ from pblab.cli import main
 from pblab.profiles import ProfileFamily, generate
 
 DC_N = 4200
+
+RECORDED_ON = ("numpy 2.4.6, runtime SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, "
+               "OpenBLAS 0.3.31 SkylakeX kernels")
+
+
+def running_config():
+    """This numpy's version and the SIMD extensions it found at run time, as numpy.show_runtime() lists them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return f"numpy {np.__version__}, runtime SIMD unknown"
+    found = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+    return f"numpy {np.__version__}, runtime SIMD {found}"
 
 
 def dc_profile_lines():
@@ -469,7 +489,8 @@ def run_case(name, fmt, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_golden_bytes(name, fmt, tmp_path):
-    assert run_case(name, fmt, tmp_path) == GOLDEN[(name, fmt)]
+    assert run_case(name, fmt, tmp_path) == GOLDEN[(name, fmt)], (
+        f"digests recorded under {RECORDED_ON}; this run: {running_config()}")
 
 
 @pytest.mark.parametrize("name", ["verify", "verify_beta", "verify_beta_cap", "verify_lambda_inf"])

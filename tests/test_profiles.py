@@ -299,12 +299,39 @@ def test_family_index_power():
     assert prof.probs.tolist() == expected
 
 
-@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3), (0.99, 0.75), (0.3, 1.7), (0.7, 1e-9)])
+def _pow_or_inf(x, y):
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+_SPECIAL_EXPONENTS = (0.0, -0.0, math.inf, -math.inf, math.nan, -50.0, -100.0, 1e-300)
+
+
+@pytest.mark.parametrize("c, a", [(0.5, 0.5), (0.9, 0.3), (0.99, 0.75), (0.3, 1.7), (0.7, 1e-9)]
+                         + [(c, a) for c in (0.0, 5e-324, 0.5) for a in _SPECIAL_EXPONENTS])
 def test_family_index_power_is_libm_pow_bit_for_bit(c, a):
-    """Each entry is the Python expression c * float(i) ** -a (numpy's SIMD power is not)."""
+    """Each entry is the Python expression c * float(i) ** -a (numpy's SIMD power is not).
+
+    An OverflowError reads as inf.  A row outside [0, 1) raises the same
+    ValidationError the Python row would name, and no case warns.
+    """
     n = 10**5
-    want = np.array([c * float(i) ** -a for i in range(1, n + 1)])
-    assert generate(ProfileFamily("index_power", (c, a)), n).probs.tobytes() == want.tobytes()
+    fam = ProfileFamily("index_power", (c, a))
+    want = [c * _pow_or_inf(float(i), -a) for i in range(1, n + 1)]
+    bad = next((i for i, x in enumerate(want) if not 0.0 <= x < 1.0), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bad is None:
+            assert generate(fam, n).probs.tobytes() == np.array(want).tobytes()
+            return
+        with pytest.raises(ValidationError) as info:
+            generate(fam, n)
+    assert str(info.value) == (
+        f"family {fam.spec_string()} yields entry {want[bad]!r} at index {bad} "
+        f"for n={n}, outside [0, 1)"
+    )
 
 
 def test_family_generation_is_deterministic():
